@@ -1,6 +1,6 @@
 """Coupled phase-oscillator lab: classical Kuramoto dynamics and bounded-velocity variants.
 
-The package is organized as a small numpy/scipy library:
+The package is organized as a small numpy library:
 
 * :mod:`relkura.models` -- the drive-response family (forward map,
   inverse, slopes, admissibility checks).

@@ -6,9 +6,6 @@ directory and prints one line per checked predicate.  Exit codes:
 0 all predicates passed, 1 at least one failed, 2 configuration error,
 3 numerical failure.  Flag values override config-file values; defaults
 follow the reference protocol (n=10, kappa=1, dt=0.01).
-
-The RELKURA_THREADS environment variable caps worker threads for
-scenarios that run several simulations (0 or unset: automatic).
 """
 
 from __future__ import annotations
@@ -154,7 +151,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}")
     if cfg.model not in {k.value for k in ModelKind}:
         raise ConfigError("model", f"unknown model kind {cfg.model!r}")
-    if not isinstance(cfg.n, int) or cfg.n < 1:
+    if not _integer(cfg.n) or cfg.n < 1:
         raise ConfigError("n", "must be an integer >= 1")
     if not _finite(cfg.kappa) or cfg.kappa < 0:
         raise ConfigError("kappa", "must be finite and >= 0")
@@ -164,9 +161,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("dt", "must be finite and > 0")
     if cfg.t_final is not None and (not _finite(cfg.t_final) or cfg.t_final <= 0):
         raise ConfigError("t_final", "must be finite and > 0")
-    if cfg.record_every is not None and (not isinstance(cfg.record_every, int) or cfg.record_every < 1):
+    if _scenario_t_final(cfg) < _scenario_dt(cfg):
+        raise ConfigError("t_final", "must be >= dt")
+    if cfg.record_every is not None and (not _integer(cfg.record_every) or cfg.record_every < 1):
         raise ConfigError("record_every", "must be an integer >= 1")
-    if not isinstance(cfg.seed, int):
+    if not _integer(cfg.seed):
         raise ConfigError("seed", "must be an integer")
     if cfg.c_list is not None:
         try:
@@ -204,8 +203,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("out", "must be a non-empty path")
 
 
+def _integer(x) -> bool:
+    # bool is a subclass of int, but a JSON true is not a count or a seed
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _model(cfg: RunConfig) -> FrequencyResponse:

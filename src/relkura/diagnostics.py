@@ -5,14 +5,15 @@ predicted contraction rate) operate on single configurations; the
 trajectory-level helpers evaluate them along a recorded run and export
 the series as plot-ready CSV.
 
-The energy observable integrates the drive-response derivative against
-the kinetic weight L**2/x**3 over the Lorentz-factor interval
-[1, gamma_i] per oscillator and sums.  The implementation evaluates the
-exact velocity-variable substitution of that integral (integrand
-w * F'(w), which is smooth at the lower endpoint) with adaptive
-Gauss-Kronrod quadrature at relative tolerance 1e-10; the
-proper-velocity kind has the closed form c**2 * (gamma - 1) and skips
-quadrature.  The classical kind has no finite velocity bound and no
+The energy observable is the integral of w * F'(w) from 0 to |w_i| per
+oscillator, summed; each bounded kind has it in closed form:
+c**2 * (gamma - 1) (proper-velocity), c**2 * ln(gamma) (rapidity) and
+c**2 * (gamma - 1) + (gamma**2 - 1) - ln(gamma) (full relativistic).
+They are evaluated through span = (c - w) * (c + w), with
+gamma - 1 = w**2 / (sqrt(span) * (c + sqrt(span))),
+gamma**2 - 1 = w**2 / span and ln(gamma) = log1p(gamma**2 - 1) / 2, so
+neither small speeds nor speeds next to the bound lose digits to
+cancellation.  The classical kind has no finite velocity bound and no
 such energy.
 """
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateFitError, DomainError, UnsupportedModelError
 from .models import FrequencyResponse, ModelKind
@@ -133,40 +133,19 @@ def energy(model: FrequencyResponse, theta_dot) -> float:
     if model.kind is ModelKind.CLASSICAL:
         raise UnsupportedModelError("the classical kind has no bounded-velocity energy")
     td = np.asarray(theta_dot, dtype=float).reshape(-1)
-    bound = model.velocity_bound
-    if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= bound):
-        raise DomainError(f"velocities must satisfy |theta_dot| < {bound}")
+    c = model.velocity_bound
+    if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= c):
+        raise DomainError(f"velocities must satisfy |theta_dot| < {c}")
+    span = (c - td) * (c + td)
+    root = np.sqrt(span)
+    gamma_m1 = td * td / (root * (c + root))
+    gamma2_m1 = td * td / span
     if model.kind is ModelKind.PROPER_VELOCITY:
-        # closed form c**2 * (gamma - 1), in the cancellation-free form
-        # c**2 * u**2 / (s * (1 + s))
-        u = td / bound
-        s = np.sqrt((1.0 - u) * (1.0 + u))
-        return float(np.sum(bound * bound * u * u / (s * (1.0 + s))))
-    # Integrate w * F'(w) from 0 to |theta_dot|: the exact velocity-variable
-    # substitution of the Lorentz-factor integral, with no endpoint cusp.
-    # The integrand is a scalar twin of momentum_slope (QUADPACK evaluates
-    # pointwise, and the array wrapper costs more than the arithmetic).
-    c = float(bound)
+        return float(np.sum(c * c * gamma_m1))
+    log_gamma = 0.5 * np.log1p(gamma2_m1)
     if model.kind is ModelKind.RAPIDITY:
-        integrand = _rapidity_energy_integrand
-    else:
-        integrand = _full_energy_integrand
-    total = 0.0
-    for speed in np.abs(td):
-        if speed == 0.0:
-            continue
-        val, _ = quad(integrand, 0.0, speed, args=(c,), epsabs=1e-14, epsrel=1e-10)
-        total += val
-    return float(total)
-
-
-def _full_energy_integrand(w: float, c: float) -> float:
-    span = (c - w) * (c + w)
-    return w * (c**3 / span**1.5 + (c * c + w * w) / (span * span))
-
-
-def _rapidity_energy_integrand(w: float, c: float) -> float:
-    return w * (c * c) / ((c - w) * (c + w))
+        return float(np.sum(c * c * log_gamma))
+    return float(np.sum(c * c * gamma_m1 + gamma2_m1 - log_gamma))
 
 
 def l1_discrepancy(a, b) -> float:

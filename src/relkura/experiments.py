@@ -6,9 +6,7 @@ draws natural frequencies before initial phases (the reference protocol
 makes the phase window depend on the frequency spread), and the
 assembled report is a plain dataclass that serializes to JSON with
 stable field order.  Identical seed and parameters give bit-identical
-numeric payloads on a given platform, whether runs execute serially or
-on the thread pool capped by the RELKURA_THREADS environment variable
-(0 or unset picks a small automatic value).
+numeric payloads on a given platform.
 
 Reports carry every checked predicate with its expected and observed
 values; failures also carry the first violating sample time and the
@@ -20,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -207,27 +203,6 @@ def _violation(times: np.ndarray, bad: np.ndarray, margins: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("RELKURA_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return min(4, os.cpu_count() or 1)
-    return value
-
-
-def _run_indexed(jobs):
-    """Run zero-argument callables, preserving order; pool size from the env."""
-    workers = _max_workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def _emit(out_dir, label: str, config: SystemConfig, traj: Trajectory,
           series: DiagnosticsSeries | None = None) -> list[str]:
     """Write trajectory and diagnostics CSVs for one run; returns filenames."""
@@ -296,7 +271,7 @@ def run_four_model_comparison(
     )
     models = [classical(), relativistic(c), proper_velocity(c), rapidity(c)]
     configs = [SystemConfig(n, kappa, omega, m, dt, t_final, record_every) for m in models]
-    trajs = _run_indexed([lambda cfg=cfg: simulate(cfg, theta0) for cfg in configs])
+    trajs = [simulate(cfg, theta0) for cfg in configs]
 
     snapshot_times = [t for t in (0.0, 1.0, 2.0, 3.0) if t <= t_final]
     rates, terminal, snapshots, files = {}, {}, {}, []
@@ -382,7 +357,7 @@ def run_rate_vs_c(
     configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
                for c in c_values]
     configs.append(SystemConfig(n, kappa, omega, classical(), dt, t_final, record_every))
-    trajs = _run_indexed([lambda cfg=cfg: simulate(cfg, theta0) for cfg in configs])
+    trajs = [simulate(cfg, theta0) for cfg in configs]
 
     d0 = phase_diameter(theta0)
     rows, files = [], []
@@ -522,11 +497,8 @@ def run_limit_scaling(
         base = SystemConfig(n, kappa, omega, classical(), dt, t_final, record_every)
         configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
                    for c in c_values]
-        trajs = _run_indexed(
-            [lambda cfg=base: simulate(cfg, theta0)]
-            + [lambda cfg=cfg: simulate(cfg, theta0) for cfg in configs]
-        )
-        reference, rest = trajs[0], trajs[1:]
+        reference = simulate(base, theta0)
+        rest = [simulate(cfg, theta0) for cfg in configs]
         files += _emit(out_dir, f"{regime}_classical", base, reference)
 
         rows = []

@@ -40,7 +40,7 @@ def test_parse_config_rejects_unknown_flag():
     assert excinfo.value.field == "--warp"
 
 
-def test_parse_config_names_offending_field():
+def test_parse_config_names_offending_field(tmp_path):
     cases = [
         (["--scenario", "simulate", "--dt", "-0.5"], "dt"),
         (["--scenario", "simulate", "--c", "0"], "c"),
@@ -48,7 +48,14 @@ def test_parse_config_names_offending_field():
         (["--scenario", "simulate", "--n", "0"], "n"),
         (["--scenario", "simulate", "--model", "galilean"], "model"),
         (["--scenario", "simulate", "--t-final", "nan"], "t_final"),
+        (["--scenario", "simulate", "--dt", "1", "--t-final", "0.5"], "t_final"),
+        (["--scenario", "compare", "--t-final", "0.005"], "t_final"),  # default dt 0.01
     ]
+    # a JSON true is an int to Python but no valid count, seed or value
+    for field in ("n", "record_every", "seed", "kappa", "c", "dt", "t_final"):
+        path = tmp_path / f"bool_{field}.json"
+        path.write_text(json.dumps({"scenario": "simulate", field: True}))
+        cases.append((["--config", str(path)], field))
     for argv, field in cases:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(argv)
@@ -109,6 +116,8 @@ def test_main_exit_2_on_config_error(capsys):
     assert "scenario" in capsys.readouterr().err
     assert main(["--scenario", "simulate", "--dt", "-0.5"]) == 2
     assert "dt" in capsys.readouterr().err
+    assert main(["--scenario", "simulate", "--dt", "1", "--t-final", "0.5"]) == 2
+    assert "t_final" in capsys.readouterr().err
 
 
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):

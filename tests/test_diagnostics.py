@@ -6,9 +6,13 @@ with 50-digit trigonometric sums.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relkura import (
     DiagnosticsSeries,
@@ -124,10 +128,44 @@ def test_energy_sums_over_oscillators_and_is_even():
 
 
 def test_energy_increases_with_speed():
-    model = rapidity(1.0)
-    speeds = [0.1, 0.3, 0.6, 0.9, 0.99]
-    values = [energy(model, [u]) for u in speeds]
-    assert all(b > a for a, b in zip(values, values[1:]))
+    speeds = [0.1, 0.3, 0.6, 0.9, 0.99, 0.999999, 0.9999999, 1.0 - 1e-9]
+    for model in (relativistic(1.0), proper_velocity(1.0), rapidity(1.0)):
+        values = [energy(model, [u]) for u in speeds]
+        assert values[0] > 0.0, model.kind
+        assert all(b > a for a, b in zip(values, values[1:])), model.kind
+
+
+def _energy_reference(kind: str, w: float, c: float):
+    """Closed-form energy at 50 digits, evaluated at the same float w."""
+    with mpmath.workdps(50):
+        w, c = mpmath.mpf(w), mpmath.mpf(c)
+        gamma = 1 / mpmath.sqrt(1 - (w / c) ** 2)
+        if kind == "proper-velocity":
+            return c * c * (gamma - 1)
+        if kind == "rapidity":
+            return c * c * mpmath.log(gamma)
+        return c * c * (gamma - 1) + (gamma * gamma - 1) - mpmath.log(gamma)
+
+
+# v/c spread evenly in log10 of both v/c and 1 - v/c, so that both ends of
+# [1e-12, 1 - 1e-9] get cases and not only the middle of the interval
+SPEED_RATIOS = st.one_of(
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-9.0, 0.0).map(lambda e: 1.0 - 10.0**e),
+).filter(lambda r: 1e-12 <= r <= 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+@settings(deadline=None, derandomize=True, database=None)
+@given(c=st.floats(1e-3, 1e3), ratio=SPEED_RATIOS, sign=st.sampled_from([1.0, -1.0]))
+def test_energy_matches_high_precision_closed_form(make, c, ratio, sign):
+    model = make(c)
+    w = sign * ratio * c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = energy(model, [w])
+    want = _energy_reference(model.kind.value, w, c)
+    assert abs(mpmath.mpf(got) - want) <= 1e-10 * want
 
 
 def test_energy_rejects_classical_and_superluminal():
