@@ -168,10 +168,7 @@ def _validate(cfg: RunConfig) -> None:
     if not _integer(cfg.seed):
         raise ConfigError("seed", "must be an integer")
     if cfg.c_list is not None:
-        try:
-            values = [float(v) for v in cfg.c_list]
-        except (TypeError, ValueError):
-            raise ConfigError("c_list", "must be a list of numbers")
+        values = _finite_list(cfg, "c_list")
         if not values or any(v <= 0 for v in values) or values != sorted(values):
             raise ConfigError("c_list", "must be non-empty, positive, ascending")
     if cfg.regimes is not None:
@@ -179,24 +176,11 @@ def _validate(cfg: RunConfig) -> None:
         if not isinstance(cfg.regimes, list) or not set(cfg.regimes) <= allowed:
             raise ConfigError("regimes", f"must be a list drawn from {sorted(allowed)}")
     if cfg.checkpoints is not None:
-        try:
-            stamps = [float(v) for v in cfg.checkpoints]
-        except (TypeError, ValueError):
-            raise ConfigError("checkpoints", "must be a list of numbers")
-        if any(v <= 0 for v in stamps):
+        if any(v <= 0 for v in _finite_list(cfg, "checkpoints")):
             raise ConfigError("checkpoints", "must be positive times")
     for name in ("theta0", "omega"):
-        vec = getattr(cfg, name)
-        if vec is None:
-            continue
-        try:
-            arr = np.asarray([float(v) for v in vec], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(name, "must be a list of numbers")
-        if arr.shape != (cfg.n,):
+        if getattr(cfg, name) is not None and len(_finite_list(cfg, name)) != cfg.n:
             raise ConfigError(name, f"must have exactly n={cfg.n} entries")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(name, "entries must be finite")
     if not isinstance(cfg.homogeneous, bool):
         raise ConfigError("homogeneous", "must be true or false")
     if not isinstance(cfg.out, str) or not cfg.out:
@@ -210,6 +194,13 @@ def _integer(x) -> bool:
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _finite_list(cfg: RunConfig, name: str) -> list:
+    values = getattr(cfg, name)
+    if not isinstance(values, list) or not all(_finite(v) for v in values):
+        raise ConfigError(name, "must be a list of finite numbers")
+    return [float(v) for v in values]
 
 
 def _model(cfg: RunConfig) -> FrequencyResponse:

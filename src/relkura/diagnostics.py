@@ -69,9 +69,13 @@ class OrderParameter:
 class PotentialValue:
     """Gradient-flow potential of a configuration.
 
-    ``pair_term`` is the pairwise (1 - cos) sum scaled by kappa/(2n);
+    ``pair_term`` is the pairwise (1 - cos) sum scaled by kappa/(2n),
+    evaluated in O(n) through sum_ij cos(theta_j - theta_i) =
+    |sum e^{i theta}|**2 as kappa/2 * sum_j |e^{i theta_j} - z|**2, z the
+    mean phasor, a form that keeps its digits near synchrony.
     ``pair_term_from_order`` re-derives it from the order parameter via
-    kappa*n/2 * (1 - r**2), an exact identity useful as a cross-check.
+    kappa*n/2 * (1 - r**2), an exact identity useful as a cross-check
+    away from synchrony.
     ``frequencies_centered`` flags |sum(omega)| <= 1e-9; without that the
     linear term makes the potential meaningful only up to drift.
     """
@@ -109,15 +113,30 @@ def order_parameter(theta) -> OrderParameter:
     return OrderParameter(r, phi)
 
 
+def _phasor_spread(theta: np.ndarray) -> np.ndarray:
+    """sum_j |e^{i theta_j} - z|**2 along the last axis, z the row's mean phasor.
+
+    Equal to n * (1 - r**2), i.e. sum_ij (1 - cos(theta_j - theta_i)) / n,
+    in O(n).  Phasors are taken relative to each row's first phase, with
+    cos(x) - 1 = -2 sin(x/2)**2, so no term cancels: nearly synchronised
+    rows, where n - n * r**2 is rounding noise, keep full relative precision.
+    """
+    shifted = theta - theta[..., :1]
+    sin_dev = np.sin(shifted)
+    cos_dev = -2.0 * np.sin(0.5 * shifted) ** 2
+    sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
+    cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
+    return (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
+
+
 def potential(theta, kappa: float, omega) -> PotentialValue:
     th = np.asarray(theta, dtype=float)
     om = np.asarray(omega, dtype=float)
     if th.shape != om.shape:
         raise ValueError("theta and omega must have matching shapes")
     n = th.size
-    cos_sum = float(np.cos(th[None, :] - th[:, None]).sum())
-    pair = (kappa / (2.0 * n)) * (n * n - cos_sum)
     r = order_parameter(th).r
+    pair = 0.5 * kappa * float(_phasor_spread(th))
     from_order = 0.5 * kappa * n * (1.0 - r * r)
     value = -float(om @ th) + pair
     centered = abs(float(om.sum())) <= 1e-9
@@ -232,14 +251,12 @@ class DiagnosticsSeries:
 def compute_diagnostics(config: "SystemConfig", trajectory: "Trajectory") -> DiagnosticsSeries:
     th = trajectory.thetas
     vd = trajectory.theta_dots
-    n = config.n
     pd = np.ptp(th, axis=1)
     fd = np.ptp(vd, axis=1)
     z = np.exp(1j * th).mean(axis=1)
     r = np.abs(z)
     phi = np.where(r > R_UNDEFINED_BELOW, np.angle(z), np.nan)
-    cos_sums = np.cos(th[:, None, :] - th[:, :, None]).sum(axis=(1, 2))
-    pots = -(th @ config.omega) + (config.kappa / (2.0 * n)) * (n * n - cos_sums)
+    pots = -(th @ config.omega) + 0.5 * config.kappa * _phasor_spread(th)
     if config.model.kind is ModelKind.CLASSICAL:
         en = np.full(th.shape[0], np.nan)
     else:

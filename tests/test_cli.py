@@ -56,6 +56,23 @@ def test_parse_config_names_offending_field(tmp_path):
         path = tmp_path / f"bool_{field}.json"
         path.write_text(json.dumps({"scenario": "simulate", field: True}))
         cases.append((["--config", str(path)], field))
+    # list entries must be finite numbers too; JSON allows NaN and 1e999 parses as inf
+    bad_lists = [
+        ('{"scenario": "rate-vs-c", "c_list": [1.0, 1e999]}', "c_list"),
+        ('{"scenario": "rate-vs-c", "c_list": [true]}', "c_list"),
+        ('{"scenario": "rate-vs-c", "c_list": [0.5, NaN]}', "c_list"),
+        ('{"scenario": "limit", "checkpoints": [NaN]}', "checkpoints"),
+        ('{"scenario": "limit", "checkpoints": [1e999]}', "checkpoints"),
+        ('{"scenario": "limit", "checkpoints": [false]}', "checkpoints"),
+        ('{"scenario": "simulate", "n": 2, "theta0": [0.1, true]}', "theta0"),
+        ('{"scenario": "simulate", "n": 2, "theta0": [0.1, -1e999]}', "theta0"),
+        ('{"scenario": "simulate", "n": 2, "omega": [NaN, 0.0]}', "omega"),
+        ('{"scenario": "simulate", "n": 2, "omega": [true, false]}', "omega"),
+    ]
+    for i, (text, field) in enumerate(bad_lists):
+        path = tmp_path / f"list_{i}.json"
+        path.write_text(text)
+        cases.append((["--config", str(path)], field))
     for argv, field in cases:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(argv)
@@ -111,13 +128,18 @@ def test_parse_config_vector_fields(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_main_exit_2_on_config_error(capsys):
+def test_main_exit_2_on_config_error(tmp_path, capsys):
     assert main([]) == 2
     assert "scenario" in capsys.readouterr().err
     assert main(["--scenario", "simulate", "--dt", "-0.5"]) == 2
     assert "dt" in capsys.readouterr().err
     assert main(["--scenario", "simulate", "--dt", "1", "--t-final", "0.5"]) == 2
     assert "t_final" in capsys.readouterr().err
+    # an infinite c used to reach the runner and exit 3 as a numerical failure
+    path = tmp_path / "inf_c.json"
+    path.write_text('{"scenario": "rate-vs-c", "c_list": [1.0, 1e999]}')
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "c_list" in capsys.readouterr().err
 
 
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):

@@ -92,6 +92,19 @@ def test_potential_spot_value_and_order_identity():
     assert val.frequencies_centered  # 0.1 - 0.2 + 0.1 sums to exactly zero
 
 
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("spread", [1e-12, 1e-6, 1e-3])
+def test_potential_pair_term_keeps_digits_near_synchrony(n, offset, spread):
+    theta = offset + spread * np.random.default_rng(n).uniform(-0.5, 0.5, n)
+    with mpmath.workdps(50):
+        phases = [mpmath.mpf(float(t)) for t in theta]
+        exact = sum(1 - mpmath.cos(b - a) for a in phases for b in phases) * 0.7 / (2 * n)
+    # n**2 minus the cos sum cancels to rounding noise here; the pair term must not
+    pair = potential(theta, 0.7, np.zeros(n)).pair_term
+    assert abs(pair - float(exact)) <= 1e-13 * float(exact)
+
+
 def test_potential_flags_uncentered_frequencies():
     val = potential(SPOT_THETA, SPOT_KAPPA, np.array([0.1, 0.1, 0.1]))
     assert not val.frequencies_centered

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relkura import (
     FrequencyResponse,
@@ -14,13 +16,16 @@ from relkura import (
     SystemConfig,
     classical,
     coupling,
+    dynamics,
     induced_frequencies,
+    potential,
     relativistic,
     rhs,
     rk4_step,
     simulate,
     simulate_momentum,
 )
+from relkura.dynamics import _momentum_coupling
 from relkura.errors import DomainError
 
 from conftest import PAIR_KAPPA, PAIR_NU, PAIR_T_FINAL, PAIR_THETA0
@@ -219,6 +224,87 @@ def test_simulate_attaches_partial_trajectory_on_failure(monkeypatch):
     assert partial.thetas.shape == (partial.times.size, 2)
     # velocities cannot be recomputed once the model fails
     assert np.all(np.isnan(partial.theta_dots[0]))
+
+
+def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
+    calls = {"n": 0}
+    original = FrequencyResponse.velocity
+
+    def failing(self, drive):
+        calls["n"] += 1
+        if calls["n"] > 30:
+            raise DomainError("synthetic mid-run failure")
+        return original(self, drive)
+
+    monkeypatch.setattr(FrequencyResponse, "velocity", failing)
+    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
+    with pytest.raises(DomainError) as excinfo:
+        simulate_momentum(cfg, np.array(PAIR_THETA0), np.array([0.2, -0.1]))
+    partial = excinfo.value.partial_trajectory
+    assert partial.partial
+    assert partial.times[0] == 0.0
+    assert 1 < partial.times.size < 51
+    assert partial.thetas.shape == (partial.times.size, 2)
+    assert partial.momenta.shape == (partial.times.size, 2)
+    # residuals need no model call; velocities cannot be recomputed once it fails
+    assert np.all(np.isfinite(partial.residuals))
+    assert np.all(np.isnan(partial.theta_dots[0]))
+
+
+# ----------------------------------------------------------------------
+# mean-field sums
+# ----------------------------------------------------------------------
+
+# Both sides of dynamics.PAIRWISE_MAX_N, large unwrapped offsets, and
+# spreads from nearly synchronised to a half circle.
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 300),
+    offset=st.floats(-1e3, 1e3),
+    log_spread=st.floats(-12.0, math.log10(math.pi)),
+    kappa=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mean_field_sums_match_pairwise_reference(n, offset, log_spread, kappa, seed):
+    gen = np.random.default_rng(seed)
+    theta = offset + 10.0**log_spread * gen.uniform(-0.5, 0.5, n)
+    v = gen.uniform(-1.0, 1.0, n)
+    diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
+    sine_ref = (kappa / n) * np.sin(diff).sum(axis=1)
+    cos_ref = (kappa / n) * (np.cos(diff) * (v[None, :] - v[:, None])).sum(axis=1)
+    pair_ref = (kappa / (2 * n)) * (1.0 - np.cos(diff)).sum()
+
+    cfg = SystemConfig(n, kappa, np.zeros(n), classical(), 0.01, 1.0)
+    assert np.max(np.abs(coupling(cfg, theta) - sine_ref)) <= 1e-14 * kappa
+    assert np.max(np.abs(_momentum_coupling(cfg, theta, v) - cos_ref)) <= 1e-14 * kappa
+    # the pair term grows to kappa * n, where 1e-14 * kappa is below one ulp
+    pair = potential(theta, kappa, np.zeros(n)).pair_term
+    assert abs(pair - pair_ref) <= 1e-14 * kappa * n
+
+
+def test_mean_field_coupling_is_exactly_zero_for_identical_phases():
+    n = 40
+    assert n > dynamics.PAIRWISE_MAX_N
+    cfg = SystemConfig(n, 1.0, np.zeros(n), classical(), 0.01, 1.0)
+    for phase in (0.0, 2.0, 3.0, 123.4, -1e3 + 0.1):
+        assert np.array_equal(coupling(cfg, np.full(n, phase)), np.zeros(n))
+
+
+def test_mean_field_runs_match_pairwise_runs(monkeypatch):
+    n = 40
+    gen = np.random.default_rng(7)
+    theta0 = gen.uniform(-1.2, 1.2, n)
+    thetadot0 = gen.uniform(-0.3, 0.3, n)
+    cfg = SystemConfig(n, 1.0, gen.uniform(-0.1, 0.1, n), relativistic(1.0), 0.01, 2.0, 10)
+    fast = simulate(cfg, theta0)
+    fast_momentum = simulate_momentum(cfg, theta0, thetadot0)
+    monkeypatch.setattr(dynamics, "PAIRWISE_MAX_N", 10**9)
+    slow = simulate(cfg, theta0)
+    slow_momentum = simulate_momentum(cfg, theta0, thetadot0)
+    assert np.max(np.abs(fast.thetas - slow.thetas)) <= 1e-12
+    assert np.max(np.abs(fast.theta_dots - slow.theta_dots)) <= 1e-12
+    assert np.max(np.abs(fast_momentum.thetas - slow_momentum.thetas)) <= 1e-12
+    assert np.max(np.abs(fast_momentum.residuals - slow_momentum.residuals)) <= 1e-12
 
 
 # ----------------------------------------------------------------------
