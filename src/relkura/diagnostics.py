@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .dynamics import SystemConfig, Trajectory, _shifted_phasors
 from .errors import DegenerateFitError, DomainError, UnsupportedModelError
 from .models import FrequencyResponse, ModelKind
-
-if TYPE_CHECKING:
-    from .dynamics import SystemConfig, Trajectory
 
 __all__ = [
     "OrderParameter",
@@ -117,13 +114,11 @@ def _phasor_spread(theta: np.ndarray) -> np.ndarray:
     """sum_j |e^{i theta_j} - z|**2 along the last axis, z the row's mean phasor.
 
     Equal to n * (1 - r**2), i.e. sum_ij (1 - cos(theta_j - theta_i)) / n,
-    in O(n).  Phasors are taken relative to each row's first phase, with
-    cos(x) - 1 = -2 sin(x/2)**2, so no term cancels: nearly synchronised
-    rows, where n - n * r**2 is rounding noise, keep full relative precision.
+    in O(n).  The shifted phasors keep every term free of cancellation, so
+    nearly synchronised rows, where n - n * r**2 is rounding noise, keep
+    full relative precision.
     """
-    shifted = theta - theta[..., :1]
-    sin_dev = np.sin(shifted)
-    cos_dev = -2.0 * np.sin(0.5 * shifted) ** 2
+    sin_dev, cos_dev = _shifted_phasors(theta)
     sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
     cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
     return (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
@@ -176,7 +171,7 @@ def l1_discrepancy(a, b) -> float:
     return float(np.abs(av - bv).sum())
 
 
-def predicted_rate(config: "SystemConfig", initial_diameter: float) -> float:
+def predicted_rate(config: SystemConfig, initial_diameter: float) -> float:
     """Guaranteed contraction rate for a homogeneous ensemble.
 
     kappa * sin(D0)/D0 * min of the inverse-response slope over the drive
@@ -248,7 +243,7 @@ class DiagnosticsSeries:
         write_diagnostics_csv(self, path)
 
 
-def compute_diagnostics(config: "SystemConfig", trajectory: "Trajectory") -> DiagnosticsSeries:
+def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> DiagnosticsSeries:
     th = trajectory.thetas
     vd = trajectory.theta_dots
     pd = np.ptp(th, axis=1)

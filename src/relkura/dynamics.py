@@ -20,14 +20,15 @@ Conventions that matter for downstream analysis:
   bit-identical across models with the same (dt, t_final, record_every).
 * Recorded phase velocities are evaluated from the recorded phases in
   one vectorized pass after integration.
-* The all-to-all sums cost O(n) above ``PAIRWISE_MAX_N`` oscillators:
-  Kuramoto's order-parameter identity rewrites
+* The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
+  oscillators: Kuramoto's order-parameter identity rewrites
   sum_j sin(theta_j - theta_i) as cos(theta_i) * S - sin(theta_i) * C
   with S, C the sums of sin and cos over the ensemble, so no n x n array
   is built.  At and below the threshold, which covers the paper's n = 10,
   the explicit pairwise form is kept: it is faster there, and the decay
   fits at that size reach a 1e-12 diameter floor where the identity's
-  different rounding would move the fitted rates by ~1e-7 relative.
+  different rounding would move the fitted rates by ~1e-7 relative.  The
+  momentum form's cosine-weighted coupling stays pairwise at every n.
 """
 
 from __future__ import annotations
@@ -160,19 +161,29 @@ class MomentumTrajectory:
 PAIRWISE_MAX_N = 16
 
 
+def _shifted_phasors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(x) and cos(x) - 1 of x = theta minus each row's first phase.
+
+    The O(n) sums work on these rather than on the raw phases: identical
+    phases give exact zeros, large unwrapped phases cost no digits, and
+    cos(x) - 1, taken as -2 sin(x/2)**2, keeps its relative precision
+    near synchrony where 1 - cos(x) would be rounding noise.
+    """
+    shifted = theta - theta[..., :1]
+    return np.sin(shifted), -2.0 * np.sin(0.5 * shifted) ** 2
+
+
 def _sine_sums(theta: np.ndarray) -> np.ndarray:
     """sum_j sin(theta_j - theta_i) along the last axis of a (..., n) array.
 
-    Above PAIRWISE_MAX_N this is c_i * S - s_i * C, with s, c the sine and
-    cosine of the phases minus each row's first phase and S, C their sums.
-    The shift keeps identical phases at an exact zero and stops large
-    unwrapped phases from costing digits.
+    Above PAIRWISE_MAX_N this is c_i * S - s_i * C, with s, c the shifted
+    phasors of ``_shifted_phasors`` and S, C their sums.
     """
     if theta.shape[-1] <= PAIRWISE_MAX_N:
         # [..., i, j] = theta_j - theta_i
         return np.sin(theta[..., None, :] - theta[..., :, None]).sum(axis=-1)
-    shifted = theta - theta[..., :1]
-    s, c = np.sin(shifted), np.cos(shifted)
+    s, cos_m1 = _shifted_phasors(theta)
+    c = 1.0 + cos_m1
     return c * s.sum(axis=-1, keepdims=True) - s * c.sum(axis=-1, keepdims=True)
 
 
@@ -262,7 +273,9 @@ def _assemble(config, times, thetas, partial: bool) -> Trajectory:
     try:
         vels = _recorded_velocities(config, phases)
     except (DomainError, ConvergenceError):
-        # Only reachable on the abort path, where the model already failed.
+        if not partial:
+            raise
+        # The model already failed mid-run; keep the recorded phases.
         vels = np.full_like(phases, np.nan)
     return Trajectory(config, stamps, phases, vels, partial=partial)
 
@@ -285,15 +298,9 @@ def momentum_rhs(config: SystemConfig, state: MomentumState) -> tuple[np.ndarray
 
 
 def _momentum_coupling(config, theta, v):
-    """(kappa/n) * sum_j cos(theta_j - theta_i) * (v_j - v_i), O(n) above PAIRWISE_MAX_N."""
-    if theta.size <= PAIRWISE_MAX_N:
-        diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
-        rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
-        return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
-    shifted = theta - theta[0]
-    s, c = np.sin(shifted), np.cos(shifted)
-    sums = c * (c @ v) + s * (s @ v) - v * (c * c.sum() + s * s.sum())
-    return (config.kappa / config.n) * sums
+    diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
+    rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
+    return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
 
 
 def _pair_rates(config, theta, p):
@@ -375,7 +382,9 @@ def _assemble_momentum(config, times, thetas, momenta, nu, partial: bool) -> Mom
     try:
         vels = config.model.velocity(drives)
     except (DomainError, ConvergenceError):
-        # Only reachable on the abort path, where the model already failed.
+        if not partial:
+            raise
+        # The model already failed mid-run; keep the recorded drives.
         vels = np.full_like(drives, np.nan)
     per_sample_coupling = (config.kappa / config.n) * _sine_sums(phases)
     residuals = drives - per_sample_coupling - nu[None, :]

@@ -251,6 +251,24 @@ def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
     assert np.all(np.isnan(partial.theta_dots[0]))
 
 
+def test_failure_on_the_recorded_samples_of_a_finished_run_raises(monkeypatch):
+    # The last recorded state is first evaluated when the samples are
+    # assembled; a failure there is an error, not a NaN-filled full run.
+    original = FrequencyResponse.velocity
+
+    def failing_on_records(self, drive):
+        if np.ndim(drive) == 2:
+            raise DomainError("synthetic failure on the recorded samples")
+        return original(self, drive)
+
+    monkeypatch.setattr(FrequencyResponse, "velocity", failing_on_records)
+    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
+    with pytest.raises(DomainError, match="recorded samples"):
+        simulate(cfg, np.array(PAIR_THETA0))
+    with pytest.raises(DomainError, match="recorded samples"):
+        simulate_momentum(cfg, np.array(PAIR_THETA0), np.array([0.2, -0.1]))
+
+
 # ----------------------------------------------------------------------
 # mean-field sums
 # ----------------------------------------------------------------------
