@@ -19,19 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import compute_diagnostics, theta_star, write_diagnostics_csv
+from .diagnostics import compute_diagnostics, write_diagnostics_csv
 from .dynamics import SystemConfig, simulate
 from .errors import ConfigError, RelkuraError
 from .experiments import (
     RNG_ALGORITHM,
     ExperimentReport,
     PredicateOutcome,
-    make_rng,
     run_four_model_comparison,
     run_limit_scaling,
     run_rate_vs_c,
     run_rcs_crosscheck,
     run_sync_predicates,
+    sample_protocol_ensemble,
 )
 from .models import FrequencyResponse, ModelKind
 
@@ -225,18 +225,10 @@ def _scenario_t_final(cfg: RunConfig) -> float:
 
 def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     model = _model(cfg)
-    gen = make_rng(cfg.seed)
-    if cfg.omega is not None:
-        omega = np.asarray(cfg.omega, dtype=float)
-    else:
-        omega = gen.uniform(-0.15, 0.15, cfg.n)
-    spread = float(np.ptp(omega))
-    tstar = theta_star(cfg.kappa, spread) if 0.0 < spread < cfg.kappa else 0.0
+    theta0, omega, _ = sample_protocol_ensemble(cfg.seed, n=cfg.n, kappa=cfg.kappa,
+                                                omega=cfg.omega)
     if cfg.theta0 is not None:
         theta0 = np.asarray(cfg.theta0, dtype=float)
-    else:
-        half = 0.5 * (math.pi - tstar)
-        theta0 = gen.uniform(-half, half, cfg.n)
     config = SystemConfig(cfg.n, cfg.kappa, omega, model,
                           _scenario_dt(cfg), _scenario_t_final(cfg), _scenario_record_every(cfg))
     traj = simulate(config, theta0)
@@ -256,7 +248,7 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
         },
         results={
             "initial_phase_diameter": float(np.ptp(theta0)),
-            "omega_diameter": spread,
+            "omega_diameter": float(np.ptp(omega)),
             "terminal_phase_diameter": float(np.ptp(traj.thetas[-1])),
             "terminal_frequency_diameter": float(np.ptp(traj.theta_dots[-1])),
         },
@@ -339,10 +331,9 @@ def _dispatch(cfg: RunConfig) -> ExperimentReport:
             regimes=regimes, checkpoint_times=checkpoints, out_dir=cfg.out,
         )
     if cfg.scenario == "sync-check":
-        omega = None if cfg.omega is None else np.asarray(cfg.omega, dtype=float)
         return run_sync_predicates(
             cfg.seed, model=_model(cfg), n=cfg.n, kappa=cfg.kappa, dt=dt,
-            t_final=t_final, record_every=record_every, omega=omega, out_dir=cfg.out,
+            t_final=t_final, record_every=record_every, omega=cfg.omega, out_dir=cfg.out,
         )
     if cfg.scenario == "rcs-check":
         return run_rcs_crosscheck(

@@ -14,12 +14,14 @@ Conventions that matter for downstream analysis:
 * Phases live on the real line and are never wrapped modulo 2*pi.
   Diameters, l1 comparisons between models, and the potential would all
   be corrupted by wrapping.
-* Integration is fixed-step classical RK4.  The final step is shortened
-  so every trajectory lands exactly on t_final, and recorded times are
-  computed as step * dt rather than accumulated, so sample grids are
-  bit-identical across models with the same (dt, t_final, record_every).
-* Recorded phase velocities are evaluated from the recorded phases in
-  one vectorized pass after integration.
+* Both forms run through one fixed-step classical RK4 driver; the
+  momentum form integrates the stacked state (theta, p) as one (2, n)
+  array.  The final step is shortened so every trajectory lands exactly
+  on t_final, and recorded times are computed as step * dt rather than
+  accumulated, so sample grids are bit-identical across models and
+  forms with the same (dt, t_final, record_every).
+* Recorded velocities are evaluated from the recorded states in one
+  vectorized pass after integration.
 * The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
   oscillators: Kuramoto's order-parameter identity rewrites
   sum_j sin(theta_j - theta_i) as cos(theta_i) * S - sin(theta_i) * C
@@ -203,18 +205,19 @@ def rhs(config: SystemConfig, theta: np.ndarray) -> np.ndarray:
     return config.model.velocity(config.omega + coupling(config, theta))
 
 
-def _advance(config: SystemConfig, theta: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(config, theta)
-    k2 = rhs(config, theta + 0.5 * dt * k1)
-    k3 = rhs(config, theta + 0.5 * dt * k2)
-    k4 = rhs(config, theta + dt * k3)
-    return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(rates, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 stage sequence of length dt for dy/dt = rates(y)."""
+    k1 = rates(y)
+    k2 = rates(y + 0.5 * dt * k1)
+    k3 = rates(y + 0.5 * dt * k2)
+    k4 = rates(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(config: SystemConfig, state: PhaseState) -> PhaseState:
     """One classical RK4 step of length config.dt."""
     theta = np.asarray(state.theta, dtype=float)
-    return PhaseState(state.t + config.dt, _advance(config, theta, config.dt))
+    return PhaseState(state.t + config.dt, _rk4(lambda y: rhs(config, y), theta, config.dt))
 
 
 def _step_plan(dt: float, t_final: float) -> tuple[int, float]:
@@ -226,6 +229,39 @@ def _step_plan(dt: float, t_final: float) -> tuple[int, float]:
     return n_full, rem
 
 
+def _integrate(config: SystemConfig, y0: np.ndarray, rates):
+    """RK4 of dy/dt = rates(y) from y0 over the config time grid.
+
+    Records the initial state, every ``record_every``-th step before the
+    end, and the final state.  Returns (times, states, err): the recorded
+    times (M,), the recorded states stacked along a new first axis, and
+    the DomainError or ConvergenceError that aborted the run (None if it
+    reached t_final), in which case the arrays hold the samples recorded
+    before the failure.
+    """
+    n_full, rem = _step_plan(config.dt, config.t_final)
+    k = config.record_every
+    # with no closing fractional step the last full step is the end
+    last_interior = n_full if rem > 0.0 else n_full - 1
+    times = np.empty(last_interior // k + 2)
+    states = np.empty(times.shape + y0.shape)
+    times[0], states[0] = 0.0, y0
+    row, y, err = 1, y0, None
+    try:
+        for step in range(1, n_full + 1):
+            y = _rk4(rates, y, config.dt)
+            if step % k == 0 and step <= last_interior:
+                times[row], states[row] = step * config.dt, y
+                row += 1
+        if rem > 0.0:
+            y = _rk4(rates, y, rem)
+        times[row], states[row] = config.t_final, y
+        row += 1
+    except (DomainError, ConvergenceError) as caught:
+        err = caught
+    return times[:row], states[:row], err
+
+
 def _check_initial_phases(config: SystemConfig, theta0) -> np.ndarray:
     th = np.array(theta0, dtype=float).reshape(-1)
     if th.shape != (config.n,):
@@ -235,9 +271,20 @@ def _check_initial_phases(config: SystemConfig, theta0) -> np.ndarray:
     return th
 
 
-def _recorded_velocities(config: SystemConfig, thetas: np.ndarray) -> np.ndarray:
-    drives = config.omega[None, :] + (config.kappa / config.n) * _sine_sums(thetas)
-    return config.model.velocity(drives)
+def _recorded_velocities(model: FrequencyResponse, drives: np.ndarray, err) -> np.ndarray:
+    """Velocities at the recorded drives, in one vectorized inversion.
+
+    A model failure propagates unless ``err`` says the run already
+    aborted: then the recorded states are kept with NaN velocities.  On
+    a finished run this is the first evaluation of the final state, so
+    a failure there is a real one.
+    """
+    try:
+        return model.velocity(drives)
+    except (DomainError, ConvergenceError):
+        if err is None:
+            raise
+        return np.full_like(drives, np.nan)
 
 
 def simulate(config: SystemConfig, theta0) -> Trajectory:
@@ -248,36 +295,14 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
     with the samples recorded so far attached as ``partial_trajectory``.
     """
     th = _check_initial_phases(config, theta0)
-    n_full, rem = _step_plan(config.dt, config.t_final)
-    times = [0.0]
-    thetas = [th.copy()]
-    try:
-        for step in range(1, n_full + 1):
-            th = _advance(config, th, config.dt)
-            if step % config.record_every == 0 and not (step == n_full and rem == 0.0):
-                times.append(step * config.dt)
-                thetas.append(th.copy())
-        if rem > 0.0:
-            th = _advance(config, th, rem)
-        times.append(config.t_final)
-        thetas.append(th.copy())
-    except (DomainError, ConvergenceError) as err:
-        err.partial_trajectory = _assemble(config, times, thetas, partial=True)
-        raise
-    return _assemble(config, times, thetas, partial=False)
-
-
-def _assemble(config, times, thetas, partial: bool) -> Trajectory:
-    stamps = np.asarray(times, dtype=float)
-    phases = np.vstack(thetas)
-    try:
-        vels = _recorded_velocities(config, phases)
-    except (DomainError, ConvergenceError):
-        if not partial:
-            raise
-        # The model already failed mid-run; keep the recorded phases.
-        vels = np.full_like(phases, np.nan)
-    return Trajectory(config, stamps, phases, vels, partial=partial)
+    times, thetas, err = _integrate(config, th, lambda y: rhs(config, y))
+    drives = config.omega + (config.kappa / config.n) * _sine_sums(thetas)
+    traj = Trajectory(config, times, thetas, _recorded_velocities(config.model, drives, err),
+                      partial=err is not None)
+    if err is not None:
+        err.partial_trajectory = traj
+        raise err
+    return traj
 
 
 # ----------------------------------------------------------------------
@@ -291,31 +316,21 @@ def momentum_rhs(config: SystemConfig, state: MomentumState) -> tuple[np.ndarray
     Supported for all kinds; for the classical kind it reduces to the
     usual second-order phase model with unit inertia.
     """
-    theta = np.asarray(state.theta, dtype=float)
-    p = np.asarray(state.p, dtype=float)
-    v = config.model.velocity(p)
-    return v, _momentum_coupling(config, theta, v)
+    y = np.stack((np.asarray(state.theta, dtype=float), np.asarray(state.p, dtype=float)))
+    theta_dot, p_dot = _momentum_rates(config, y)
+    return theta_dot, p_dot
+
+
+def _momentum_rates(config: SystemConfig, y: np.ndarray) -> np.ndarray:
+    """Derivative of the stacked momentum state y = (theta, p), shape (2, n)."""
+    v = config.model.velocity(y[1])
+    return np.stack((v, _momentum_coupling(config, y[0], v)))
 
 
 def _momentum_coupling(config, theta, v):
     diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
     rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
     return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
-
-
-def _pair_rates(config, theta, p):
-    v = config.model.velocity(p)
-    return v, _momentum_coupling(config, theta, v)
-
-
-def _advance_pair(config, theta, p, dt):
-    k1t, k1p = _pair_rates(config, theta, p)
-    k2t, k2p = _pair_rates(config, theta + 0.5 * dt * k1t, p + 0.5 * dt * k1p)
-    k3t, k3p = _pair_rates(config, theta + 0.5 * dt * k2t, p + 0.5 * dt * k2p)
-    k4t, k4p = _pair_rates(config, theta + dt * k3t, p + dt * k3p)
-    theta_next = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-    p_next = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return theta_next, p_next
 
 
 def _check_initial_velocities(config: SystemConfig, thetadot0) -> np.ndarray:
@@ -353,43 +368,17 @@ def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajec
     td = _check_initial_velocities(config, thetadot0)
     p = config.model.momentum(td)
     nu = p - coupling(config, th)
-    n_full, rem = _step_plan(config.dt, config.t_final)
-    times = [0.0]
-    thetas = [th.copy()]
-    momenta = [p.copy()]
-    try:
-        for step in range(1, n_full + 1):
-            th, p = _advance_pair(config, th, p, config.dt)
-            if step % config.record_every == 0 and not (step == n_full and rem == 0.0):
-                times.append(step * config.dt)
-                thetas.append(th.copy())
-                momenta.append(p.copy())
-        if rem > 0.0:
-            th, p = _advance_pair(config, th, p, rem)
-        times.append(config.t_final)
-        thetas.append(th.copy())
-        momenta.append(p.copy())
-    except (DomainError, ConvergenceError) as err:
-        err.partial_trajectory = _assemble_momentum(config, times, thetas, momenta, nu, partial=True)
-        raise
-    return _assemble_momentum(config, times, thetas, momenta, nu, partial=False)
-
-
-def _assemble_momentum(config, times, thetas, momenta, nu, partial: bool) -> MomentumTrajectory:
-    stamps = np.asarray(times, dtype=float)
-    phases = np.vstack(thetas)
-    drives = np.vstack(momenta)
-    try:
-        vels = config.model.velocity(drives)
-    except (DomainError, ConvergenceError):
-        if not partial:
-            raise
-        # The model already failed mid-run; keep the recorded drives.
-        vels = np.full_like(drives, np.nan)
-    per_sample_coupling = (config.kappa / config.n) * _sine_sums(phases)
-    residuals = drives - per_sample_coupling - nu[None, :]
-    return MomentumTrajectory(config, stamps, phases, drives, vels, residuals, nu,
-                              partial=partial)
+    times, states, err = _integrate(config, np.stack((th, p)),
+                                    lambda y: _momentum_rates(config, y))
+    thetas, drives = states[:, 0], states[:, 1]
+    residuals = drives - (config.kappa / config.n) * _sine_sums(thetas) - nu
+    traj = MomentumTrajectory(config, times, thetas, drives,
+                              _recorded_velocities(config.model, drives, err),
+                              residuals, nu, partial=err is not None)
+    if err is not None:
+        err.partial_trajectory = traj
+        raise err
+    return traj
 
 
 # ----------------------------------------------------------------------

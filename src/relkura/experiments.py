@@ -70,6 +70,18 @@ COMPARE_FIT_FLOOR = 1e-12
 COMPARE_FIT_CEILING = 0.5
 COMPARE_FIT_SKIP = 0.2
 
+# Tolerances of the checked predicates.  Synchronization: slack on the
+# guaranteed envelope and the trapping bound, and the tolerance on the
+# terminal frequency diameter and pairwise sines.
+SYNC_ENVELOPE_SLACK = 1e-6
+SYNC_ASYMPTOTIC_TOLERANCE = 1e-6
+SYNC_TRAP_SLACK = 1e-6
+# First-order against momentum form: phase agreement and conservation.
+RCS_THETA_TOLERANCE = 1e-6
+RCS_RESIDUAL_TOLERANCE = 1e-8
+# Common natural frequency of the limit scan's identical regime.
+LIMIT_IDENTICAL_VALUE = 0.2
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; one stream per scenario, shared draws in order."""
@@ -116,20 +128,28 @@ def sample_protocol_ensemble(
     freq_interval: tuple[float, float] = (-0.15, 0.15),
     center_frequencies: bool = False,
     phase_halfwidth: float | None = None,
+    omega=None,
 ):
     """Reference sampling protocol: the phase window depends on the draw.
 
-    Frequencies come first; their realized spread fixes the lock angle
-    theta* and phases are then drawn from
+    Frequencies come first (none are drawn when ``omega`` is given, and
+    only drawn ones are centered); their realized spread fixes the lock
+    angle theta* = asin(spread / kappa), or 0 when the spread is 0 or not
+    below kappa and no lock angle exists.  Phases are then drawn from
     [-(pi - theta*)/2, (pi - theta*)/2] unless an explicit half-width is
     given.  Returns (theta0, omega, theta_star).
     """
     gen = make_rng(seed)
-    omega = gen.uniform(freq_interval[0], freq_interval[1], n)
-    if center_frequencies:
-        omega = omega - omega.mean()
+    if omega is None:
+        omega = gen.uniform(freq_interval[0], freq_interval[1], n)
+        if center_frequencies:
+            omega = omega - omega.mean()
+    else:
+        omega = np.asarray(omega, dtype=float)
+        if omega.shape != (n,):
+            raise DomainError(f"omega must have length n={n}")
     spread = float(np.ptp(omega))
-    tstar = theta_star(kappa, spread) if spread > 0.0 else 0.0
+    tstar = theta_star(kappa, spread) if 0.0 < spread < kappa else 0.0
     if phase_halfwidth is None:
         phase_halfwidth = 0.5 * (math.pi - tstar)
     theta0 = gen.uniform(-phase_halfwidth, phase_halfwidth, n)
@@ -457,7 +477,6 @@ def run_limit_scaling(
     dt: float = 0.01,
     record_every: int = 1,
     regimes: tuple[str, ...] = ("heterogeneous", "identical", "zero"),
-    identical_value: float = 0.2,
     freq_interval: tuple[float, float] = (-0.15, 0.15),
     checkpoint_times: tuple[float, ...] = (),
     out_dir=None,
@@ -485,7 +504,7 @@ def run_limit_scaling(
     )
     frequency_choices = {
         "heterogeneous": omega_het,
-        "identical": np.full(n, identical_value),
+        "identical": np.full(n, LIMIT_IDENTICAL_VALUE),
         "zero": np.zeros(n),
     }
     checkpoints = tuple(float(t) for t in checkpoint_times)
@@ -559,7 +578,7 @@ def run_limit_scaling(
         rng=RNG_ALGORITHM,
         config=_config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
                             c_values=list(c_values), regimes=list(regimes),
-                            identical_value=identical_value,
+                            identical_value=LIMIT_IDENTICAL_VALUE,
                             checkpoint_times=list(checkpoints)),
         results={
             "initial_phase_diameter": phase_diameter(theta0),
@@ -582,39 +601,27 @@ def run_sync_predicates(
     record_every: int = 1,
     omega=None,
     freq_interval: tuple[float, float] = (-0.15, 0.15),
-    center_frequencies: bool = True,
-    phase_halfwidth: float | None = None,
-    envelope_slack: float = 1e-6,
-    asymptotic_tolerance: float = 1e-6,
-    trap_slack: float = 1e-6,
     out_dir=None,
 ) -> ExperimentReport:
     """Check the synchronization guarantees on one seeded run.
 
-    Homogeneous runs (zero frequency spread) check: the diameter never
-    exceeds its initial value, the diameter stays below the guaranteed
-    exponential envelope (slack 1 + 1e-6), the terminal frequency
-    diameter is numerically zero, and if the initial order parameter is
-    positive the terminal pairwise sines vanish.  Heterogeneous runs
+    Unless ``omega`` is given, frequencies are drawn and centered; phases
+    follow the reference protocol.  Homogeneous runs (zero frequency
+    spread) check: the diameter never exceeds its initial value, the
+    diameter stays below the guaranteed exponential envelope (slack
+    1 + 1e-6), the terminal frequency diameter is numerically zero, and
+    if the initial order parameter is positive the terminal pairwise
+    sines vanish.  Heterogeneous runs
     record which coupling hypotheses held, then check the diameter enters
     and stays inside the trapping region max(theta*, min(D0, pi - D0)),
     and that the terminal frequency diameter is numerically zero.
     """
-    gen = make_rng(seed)
-    if omega is None:
-        omega = gen.uniform(freq_interval[0], freq_interval[1], n)
-        if center_frequencies:
-            omega = omega - omega.mean()
-    else:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (n,):
-            raise DomainError(f"omega must have length n={n}")
+    theta0, omega, tstar = sample_protocol_ensemble(
+        seed, n=n, kappa=kappa, freq_interval=freq_interval, center_frequencies=True,
+        omega=omega,
+    )
     spread = float(np.ptp(omega))
     homogeneous = spread == 0.0
-    tstar = theta_star(kappa, spread) if 0.0 < spread < kappa else None
-    if phase_halfwidth is None:
-        phase_halfwidth = 0.5 * (math.pi - (tstar or 0.0))
-    theta0 = gen.uniform(-phase_halfwidth, phase_halfwidth, n)
 
     config = SystemConfig(n, kappa, omega, model, dt, t_final, record_every)
     traj = simulate(config, theta0)
@@ -631,7 +638,7 @@ def run_sync_predicates(
         "initial_phase_diameter": d0,
         "initial_order_parameter": r0,
         "omega_diameter": spread,
-        "theta_star": tstar,
+        "theta_star": tstar or None,
         "terminal_phase_diameter": float(pd[-1]),
         "terminal_frequency_diameter": float(fd[-1]),
     }
@@ -652,13 +659,13 @@ def run_sync_predicates(
             )
             rate = predicted_rate(config, d0)
             results["predicted_rate"] = rate
-            envelope = d0 * np.exp(-rate * times) * (1.0 + envelope_slack)
+            envelope = d0 * np.exp(-rate * times) * (1.0 + SYNC_ENVELOPE_SLACK)
             over = pd - envelope
             t_bad, margin = _violation(times, over > 0.0, over)
             predicates.append(
                 PredicateOutcome(
                     name="exponential-envelope",
-                    expected=f"D(t) <= D(0) * exp(-{rate:.6g} t) * (1 + {envelope_slack:g})",
+                    expected=f"D(t) <= D(0) * exp(-{rate:.6g} t) * (1 + {SYNC_ENVELOPE_SLACK:g})",
                     observed={"max_excess": margin},
                     passed=t_bad is None,
                     first_violation_time=t_bad,
@@ -669,10 +676,10 @@ def run_sync_predicates(
         predicates.append(
             PredicateOutcome(
                 name="terminal-frequency-sync",
-                expected=f"terminal frequency diameter < {asymptotic_tolerance:g}",
+                expected=f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
                 observed=fd_end,
-                passed=fd_end < asymptotic_tolerance,
-                margin=float(asymptotic_tolerance - fd_end),
+                passed=fd_end < SYNC_ASYMPTOTIC_TOLERANCE,
+                margin=float(SYNC_ASYMPTOTIC_TOLERANCE - fd_end),
             )
         )
         if r0 > 0.0:
@@ -681,10 +688,11 @@ def run_sync_predicates(
             predicates.append(
                 PredicateOutcome(
                     name="terminal-pairwise-sines",
-                    expected=f"max |sin(theta_i - theta_j)| < {asymptotic_tolerance:g} at t_final",
+                    expected=(f"max |sin(theta_i - theta_j)| < "
+                              f"{SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final"),
                     observed=sines,
-                    passed=sines < asymptotic_tolerance,
-                    margin=float(asymptotic_tolerance - sines),
+                    passed=sines < SYNC_ASYMPTOTIC_TOLERANCE,
+                    margin=float(SYNC_ASYMPTOTIC_TOLERANCE - sines),
                 )
             )
     else:
@@ -692,7 +700,7 @@ def run_sync_predicates(
         results["hypothesis_kappa_gt_omega_diameter_over_d0"] = (
             d0 > 0.0 and kappa > spread / d0
         )
-        bound = max(tstar or 0.0, min(d0, math.pi - d0)) + trap_slack
+        bound = max(tstar, min(d0, math.pi - d0)) + SYNC_TRAP_SLACK
         inside = pd <= bound
         entry = int(np.argmax(inside)) if bool(inside.any()) else None
         results["trap_bound"] = bound
@@ -719,10 +727,10 @@ def run_sync_predicates(
         predicates.append(
             PredicateOutcome(
                 name="terminal-frequency-sync",
-                expected=f"terminal frequency diameter < {asymptotic_tolerance:g}",
+                expected=f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
                 observed=fd_end,
-                passed=fd_end < asymptotic_tolerance,
-                margin=float(asymptotic_tolerance - fd_end),
+                passed=fd_end < SYNC_ASYMPTOTIC_TOLERANCE,
+                margin=float(SYNC_ASYMPTOTIC_TOLERANCE - fd_end),
             )
         )
 
@@ -731,7 +739,7 @@ def run_sync_predicates(
         seed=seed,
         rng=RNG_ALGORITHM,
         config=_config_echo(model, n, kappa, dt, t_final, record_every,
-                            phase_halfwidth=phase_halfwidth),
+                            phase_halfwidth=0.5 * (math.pi - tstar)),
         results=results,
         predicates=predicates,
         data_files=files,
@@ -749,8 +757,6 @@ def run_rcs_crosscheck(
     t_final: float = 10.0,
     record_every: int = 10,
     freq_interval: tuple[float, float] = (-0.15, 0.15),
-    theta_tolerance: float = 1e-6,
-    residual_tolerance: float = 1e-8,
     out_dir=None,
 ) -> ExperimentReport:
     """Cross-validate the first-order and momentum integrators.
@@ -781,21 +787,21 @@ def run_rcs_crosscheck(
     predicates = [
         PredicateOutcome(
             name="phase-agreement",
-            expected=f"max |theta_momentum - theta_first_order| < {theta_tolerance:g}",
+            expected=f"max |theta_momentum - theta_first_order| < {RCS_THETA_TOLERANCE:g}",
             observed=deviation,
-            passed=deviation < theta_tolerance,
-            first_violation_time=None if deviation < theta_tolerance
+            passed=deviation < RCS_THETA_TOLERANCE,
+            first_violation_time=None if deviation < RCS_THETA_TOLERANCE
             else float(momentum_traj.times[dev_idx]),
-            margin=float(theta_tolerance - deviation),
+            margin=float(RCS_THETA_TOLERANCE - deviation),
         ),
         PredicateOutcome(
             name="frequency-conservation",
-            expected=f"max |p - coupling - nu| < {residual_tolerance:g}",
+            expected=f"max |p - coupling - nu| < {RCS_RESIDUAL_TOLERANCE:g}",
             observed=residual,
-            passed=residual < residual_tolerance,
-            first_violation_time=None if residual < residual_tolerance
+            passed=residual < RCS_RESIDUAL_TOLERANCE,
+            first_violation_time=None if residual < RCS_RESIDUAL_TOLERANCE
             else float(momentum_traj.times[res_idx]),
-            margin=float(residual_tolerance - residual),
+            margin=float(RCS_RESIDUAL_TOLERANCE - residual),
         ),
     ]
     files = _emit(out_dir, "first_order", first_config, first_traj)

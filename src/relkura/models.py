@@ -29,8 +29,7 @@ Numerical notes baked into this module:
 * The proper-velocity inverse is ``c*y/hypot(y, c)``, which cannot
   overflow for any finite drive.
 * All evaluators accept scalars or numpy arrays, return the same shape,
-  and are pure functions of immutable state, so a ``FrequencyResponse``
-  can be shared freely across threads.
+  and are pure functions of immutable state.
 """
 
 from __future__ import annotations
@@ -55,8 +54,12 @@ __all__ = [
 
 # Inversion of the full relativistic response: absolute tolerance on the
 # velocity iterate, and a step budget that covers the pure-bisection worst
-# case (bracket width c halves each round) with a wide margin.
+# case (bracket width c halves each round) with a wide margin.  Near c a
+# Newton step is about as large as the remaining gap c - w, so a step
+# below INVERSION_TOL alone does not mean convergence there: the last
+# step must also be at most INVERSION_GAP_FRACTION of that gap.
 INVERSION_TOL = 1e-12
+INVERSION_GAP_FRACTION = 1e-6
 INVERSION_MAX_ITER = 200
 
 
@@ -260,7 +263,9 @@ class FrequencyResponse:
         bracket end (F_full >= F_pv on [0, c)), clamped one ulp below c
         so the strict range bound survives even when the true root is
         within rounding of c.  Newton steps that leave the bracket, or
-        that are not finite, fall back to bisection.
+        that are not finite, fall back to bisection.  The solve stops
+        when every last step is within INVERSION_TOL and within
+        INVERSION_GAP_FRACTION of its gap to c.
         """
         c = self.c
         target = np.abs(y)
@@ -275,9 +280,9 @@ class FrequencyResponse:
                 proposal = w - resid / self._momentum_slope_unchecked(w)
             inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
             proposal = np.where(inside, proposal, 0.5 * (lo + hi))
-            done = np.abs(proposal - w) <= INVERSION_TOL
+            step = np.abs(proposal - w)
             w = proposal
-            if done.all():
+            if (step <= INVERSION_TOL).all() and (step <= INVERSION_GAP_FRACTION * (c - w)).all():
                 break
         else:
             raise ConvergenceError(

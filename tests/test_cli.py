@@ -206,6 +206,25 @@ def test_main_exit_1_on_honest_predicate_failure(tmp_path, capsys):
     assert not all(p["passed"] for p in payload["predicates"])
 
 
+@pytest.mark.parametrize("scenario, flags, code", [
+    ("compare", [], 1),
+    ("limit", ["--t-final", "2"], 0),
+    ("rcs-check", ["--t-final", "0.5"], 0),
+], ids=["compare", "limit", "rcs-check"])
+def test_main_runs_when_frequency_spread_is_not_below_kappa(tmp_path, capsys, scenario,
+                                                            flags, code):
+    # kappa below the drawn spread: no lock angle, theta* falls back to 0 and
+    # the run reports its predicates instead of exiting 3
+    assert main(["--scenario", scenario, "--kappa", "0.1", "--seed", "3", *flags,
+                 "--out", str(tmp_path)]) == code
+    assert "numerical failure" not in capsys.readouterr().err
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["config"]["kappa"] == 0.1
+    if scenario == "compare":
+        assert payload["results"]["omega_diameter"] >= 0.1
+        assert payload["results"]["theta_star"] == 0.0
+
+
 def test_main_rcs_scenario_defaults(tmp_path):
     # rcs-check defaults to dt=1e-3, record_every=10; shorten the horizon
     code = main(["--scenario", "rcs-check", "--n", "4", "--t-final", "2",

@@ -122,24 +122,33 @@ def test_rk4_step_constant_rate_is_exact():
 # ----------------------------------------------------------------------
 
 
+def _runs_of_both_forms(cfg):
+    """First-order and momentum runs of the pair; both share one driver."""
+    theta0 = np.array(PAIR_THETA0)
+    return simulate(cfg, theta0), simulate_momentum(cfg, theta0, np.array(PAIR_NU))
+
+
 def test_simulate_lands_exactly_on_t_final():
     cfg = pair_config(classical(), dt=0.3, t_final=1.0, record_every=1)
-    traj = simulate(cfg, np.array(PAIR_THETA0))
-    assert traj.times[-1] == 1.0
-    # interior stamps are bitwise step * dt, closing stamp exactly t_final
-    assert np.array_equal(traj.times[:-1], 0.3 * np.arange(4))
-    assert not traj.partial
+    for traj in _runs_of_both_forms(cfg):
+        assert traj.times[-1] == 1.0
+        # interior stamps are bitwise step * dt, closing stamp exactly t_final
+        assert np.array_equal(traj.times[:-1], 0.3 * np.arange(4))
+        assert traj.thetas.shape == traj.theta_dots.shape == (5, 2)
+        assert not traj.partial
 
 
 def test_simulate_record_every_keeps_first_and_last():
     cfg = pair_config(classical(), dt=0.1, t_final=1.0, record_every=3)
-    traj = simulate(cfg, np.array(PAIR_THETA0))
-    assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+    for traj in _runs_of_both_forms(cfg):
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+        assert traj.thetas.shape == (5, 2)
     # final step divisible by record_every must not duplicate the endpoint
     cfg5 = pair_config(classical(), dt=0.1, t_final=1.0, record_every=5)
-    traj5 = simulate(cfg5, np.array(PAIR_THETA0))
-    assert np.allclose(traj5.times, [0.0, 0.5, 1.0])
-    assert np.unique(traj5.times).size == traj5.times.size
+    for traj5 in _runs_of_both_forms(cfg5):
+        assert np.allclose(traj5.times, [0.0, 0.5, 1.0])
+        assert np.unique(traj5.times).size == traj5.times.size
+        assert traj5.thetas.shape == (3, 2)
 
 
 def test_simulate_times_are_multiples_not_accumulated():

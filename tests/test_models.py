@@ -7,8 +7,11 @@ high-precision root find, not from the library's own Newton solve.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relkura import (
     FrequencyResponse,
@@ -156,6 +159,78 @@ def test_velocity_stays_strictly_subluminal_for_huge_drives():
     assert model.velocity(1e7) < model.velocity(1e8)
     assert proper_velocity(1.0).velocity(1e300) < 1.0
     assert rapidity(1.0).velocity(1e300) < 1.0
+
+
+def _velocity_reference(kind: str, y: float, c: float):
+    """G(|y|) and its gap c - G(|y|) at 60 digits, from the defining formulas.
+
+    The full response is solved in p = w * gamma, where it reads
+    p * (1 + sqrt(1 + p**2/c**2) / c**2) and has no pole; it is convex and
+    increasing in p, so Newton from a point right of the root converges
+    monotonically.  w = c * p / sqrt(c**2 + p**2) and its gap follow
+    without cancellation; proper-velocity is the same map at p = |y|.
+    """
+    with mpmath.workdps(60):
+        y, c = abs(mpmath.mpf(y)), mpmath.mpf(c)
+        if kind == "rapidity":
+            u = y / c
+            return c * mpmath.tanh(u), 2 * c / (mpmath.exp(2 * u) + 1)
+        p = y
+        if kind == "relativistic":
+            # the response is >= max(p, p/c**2, p**2/c**3), so it is >= y
+            # at this start, which lies right of the root
+            p = min(y, y * c * c, mpmath.sqrt(y * c**3))
+            for _ in range(400):
+                gamma = mpmath.sqrt(1 + (p / c) ** 2)
+                f = p + p * gamma / (c * c) - y
+                slope = 1 + (1 + 2 * (p / c) ** 2) / (gamma * c * c)
+                step = f / slope
+                p -= step
+                if abs(step) <= p * mpmath.mpf(10) ** -55:
+                    break
+            else:
+                raise AssertionError(f"reference root for y={y}, c={c} did not converge")
+        s = mpmath.sqrt(c * c + p * p)
+        return c * p / s, c**3 / (s * (s + p))
+
+
+@pytest.mark.parametrize("y, c", [(1e6, 1.0), (31.6, 1e-3)])
+def test_full_inverse_does_not_stop_short_near_the_bound(y, c):
+    # started at the proper-velocity bound, within ~c**3/(2 y**2) of c,
+    # a Newton step near c is as large as the gap, so a step below the
+    # absolute tolerance used to end the solve far from the root
+    want, gap = _velocity_reference("relativistic", y, c)
+    got = relativistic(c).velocity(y)
+    assert abs(mpmath.mpf(got) - want) <= 1e-6 * gap
+    assert relativistic(c).momentum(got) == pytest.approx(y, rel=1e-6)
+
+
+@st.composite
+def _c_and_drive(draw):
+    # c log-uniform in [1e-3, 1e3]; |y| log-uniform in [1e-300, 1e300] or,
+    # half the time, in the band c**1.5 * 10**[-6, 12] near the bound
+    c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        y = c**1.5 * 10.0 ** draw(st.floats(-6.0, 12.0))
+    else:
+        y = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return c, y * draw(st.sampled_from([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("make", ALL_BOUNDED)
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(c_y=_c_and_drive(), widen=st.floats(0.0, 2.0))
+def test_velocity_properties_against_high_precision_root(make, c_y, widen):
+    c, y = c_y
+    model = make(c)
+    got = model.velocity(y)
+    assert abs(got) < c
+    assert model.velocity(-y) == -got
+    further = y * 10.0**widen
+    assert abs(model.velocity(further)) >= abs(got)
+    want, gap = _velocity_reference(model.kind.value, y, c)
+    error = abs(mpmath.mpf(abs(got)) - want)
+    assert error <= 1e-12 * max(1.0, c) + 1e-6 * gap, (y, c, got)
 
 
 def test_velocity_tiny_drive_follows_rest_slope():
