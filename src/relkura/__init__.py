@@ -5,7 +5,7 @@ The package is organized as a small numpy library:
 * :mod:`relkura.models` -- the drive-response family (forward map,
   inverse, slopes, admissibility checks).
 * :mod:`relkura.dynamics` -- fixed-step RK4 integration in first-order
-  and momentum form.
+  form (one system or a batch as one state) and momentum form.
 * :mod:`relkura.diagnostics` -- observables (diameters, order parameter,
   potential, energy, predicted contraction rate, decay fits).
 * :mod:`relkura.experiments` -- seeded, reproducible scenario runners
@@ -41,6 +41,7 @@ from .dynamics import (
     rhs,
     rk4_step,
     simulate,
+    simulate_batch,
     simulate_momentum,
     write_trajectory_csv,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "sample_ensemble",
     "sample_protocol_ensemble",
     "simulate",
+    "simulate_batch",
     "simulate_momentum",
     "theta_star",
     "write_diagnostics_csv",

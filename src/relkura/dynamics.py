@@ -20,6 +20,11 @@ Conventions that matter for downstream analysis:
   on t_final, and recorded times are computed as step * dt rather than
   accumulated, so sample grids are bit-identical across models and
   forms with the same (dt, t_final, record_every).
+* Several first-order systems on one grid integrate as one (B, n) state
+  (``simulate_batch``; ``simulate`` is a batch of one): one coupling sum
+  for the batch per RK4 stage and one velocity call per model kind.  The
+  full kind's Newton solve stops each row on its own convergence test,
+  so every system gets exactly the floats a run of it alone gives.
 * Recorded velocities are evaluated from the recorded states in one
   vectorized pass after integration.
 * The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .models import FrequencyResponse
+from .models import FrequencyResponse, stack_rows
 
 __all__ = [
     "SystemConfig",
@@ -53,6 +58,7 @@ __all__ = [
     "rhs",
     "rk4_step",
     "simulate",
+    "simulate_batch",
     "momentum_rhs",
     "simulate_momentum",
     "induced_frequencies",
@@ -287,21 +293,101 @@ def _recorded_velocities(model: FrequencyResponse, drives: np.ndarray, err) -> n
         return np.full_like(drives, np.nan)
 
 
+def _grid(config: SystemConfig) -> tuple:
+    return config.n, config.dt, config.t_final, config.record_every
+
+
+def _batch_phases(configs: list[SystemConfig], theta0) -> np.ndarray:
+    """theta0 as a (B, n) array: one shared (n,) row or one row per config."""
+    th = np.array(theta0, dtype=float)
+    if th.ndim <= 1:
+        return np.tile(_check_initial_phases(configs[0], th), (len(configs), 1))
+    if th.shape != (len(configs), configs[0].n):
+        raise ValueError(f"theta0 must have shape (n,) or (B, n) = "
+                         f"{(len(configs), configs[0].n)}")
+    if not np.all(np.isfinite(th)):
+        raise ValueError("theta0 entries must be finite")
+    return th
+
+
+def _kind_groups(configs: list[SystemConfig]) -> list[tuple[np.ndarray, FrequencyResponse]]:
+    """(rows, stacked response) for each model kind in the batch."""
+    rows: dict = {}
+    for b, config in enumerate(configs):
+        rows.setdefault(config.model.kind, []).append(b)
+    return [(np.array(idx), stack_rows([configs[b].model for b in idx]))
+            for idx in rows.values()]
+
+
+def _batch_rates(configs: list[SystemConfig]):
+    """Phase velocities of a (B, n) batch: one coupling sum, one velocity call per kind."""
+    if len(configs) == 1:
+        # one system runs the plain first-order form, which the batched one
+        # matches float for float, so single runs keep rhs and coupling
+        return lambda y: rhs(configs[0], y)
+    omega = np.stack([config.omega for config in configs])
+    scale = np.array([[config.kappa / config.n] for config in configs])
+    groups = _kind_groups(configs)
+
+    def rates(y):
+        drives = omega + scale * _sine_sums(y)
+        out = np.empty_like(drives)
+        for rows, response in groups:
+            out[rows] = response.velocity(drives[rows])
+        return out
+
+    return rates
+
+
+def simulate_batch(configs, theta0) -> list[Trajectory]:
+    """Integrate several first-order systems as one (B, n) state.
+
+    The configs must share n, dt, t_final and record_every, so they share
+    one step plan and one recording grid; kappa, omega and the model may
+    differ per row.  ``theta0`` is one (n,) row for every system or a
+    (B, n) array.  Each step evaluates the coupling for the whole batch
+    and the velocities once per model kind, with the rows of a kind
+    stacked (``models.stack_rows``); every row gets the floats a run of
+    its config alone gives.  The recorded states stay in one (M, B, n)
+    array and each trajectory's ``thetas`` is a view into it.  If the
+    model evaluation fails mid-run the batch stops there and the error
+    propagates with the samples recorded so far attached, one partial
+    trajectory per system, as ``partial_trajectories``.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("simulate_batch needs at least one config")
+    if any(_grid(config) != _grid(configs[0]) for config in configs):
+        raise ValueError("batched configs must share n, dt, t_final and record_every")
+    th = _batch_phases(configs, theta0)
+    times, states, err = _integrate(configs[0], th, _batch_rates(configs))
+    trajs = []
+    for b, config in enumerate(configs):
+        thetas = states[:, b]
+        drives = config.omega + (config.kappa / config.n) * _sine_sums(thetas)
+        trajs.append(Trajectory(config, times, thetas,
+                                _recorded_velocities(config.model, drives, err),
+                                partial=err is not None))
+    if err is not None:
+        err.partial_trajectories = trajs
+        raise err
+    return trajs
+
+
 def simulate(config: SystemConfig, theta0) -> Trajectory:
     """Integrate the first-order form from theta0 over the config time grid.
 
-    Records every ``record_every``-th step plus the initial and final
-    states.  If the model evaluation fails mid-run the error propagates
-    with the samples recorded so far attached as ``partial_trajectory``.
+    A batch of one (``simulate_batch``).  Records every ``record_every``-th
+    step plus the initial and final states.  If the model evaluation
+    fails mid-run the error propagates with the samples recorded so far
+    attached as ``partial_trajectory``.
     """
-    th = _check_initial_phases(config, theta0)
-    times, thetas, err = _integrate(config, th, lambda y: rhs(config, y))
-    drives = config.omega + (config.kappa / config.n) * _sine_sums(thetas)
-    traj = Trajectory(config, times, thetas, _recorded_velocities(config.model, drives, err),
-                      partial=err is not None)
-    if err is not None:
-        err.partial_trajectory = traj
-        raise err
+    try:
+        (traj,) = simulate_batch([config], _check_initial_phases(config, theta0))
+    except (DomainError, ConvergenceError) as err:
+        if hasattr(err, "partial_trajectories"):
+            (err.partial_trajectory,) = err.partial_trajectories
+        raise
     return traj
 
 

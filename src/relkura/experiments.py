@@ -39,6 +39,7 @@ from .dynamics import (
     coupling,
     induced_frequencies,
     simulate,
+    simulate_batch,
     simulate_momentum,
 )
 from .errors import DegenerateFitError, DomainError
@@ -134,10 +135,11 @@ def sample_protocol_ensemble(
 
     Frequencies come first (none are drawn when ``omega`` is given, and
     only drawn ones are centered); their realized spread fixes the lock
-    angle theta* = asin(spread / kappa), or 0 when the spread is 0 or not
-    below kappa and no lock angle exists.  Phases are then drawn from
-    [-(pi - theta*)/2, (pi - theta*)/2] unless an explicit half-width is
-    given.  Returns (theta0, omega, theta_star).
+    angle theta* = asin(spread / kappa), which is 0 for identical
+    frequencies and None when the spread is not below kappa and no lock
+    angle exists.  Phases are then drawn from [-(pi - theta*)/2,
+    (pi - theta*)/2], with theta* taken as 0 where it is None, unless an
+    explicit half-width is given.  Returns (theta0, omega, theta_star).
     """
     gen = make_rng(seed)
     if omega is None:
@@ -149,9 +151,9 @@ def sample_protocol_ensemble(
         if omega.shape != (n,):
             raise DomainError(f"omega must have length n={n}")
     spread = float(np.ptp(omega))
-    tstar = theta_star(kappa, spread) if 0.0 < spread < kappa else 0.0
+    tstar = theta_star(kappa, spread) if spread < kappa else None
     if phase_halfwidth is None:
-        phase_halfwidth = 0.5 * (math.pi - tstar)
+        phase_halfwidth = 0.5 * (math.pi - (tstar or 0.0))
     theta0 = gen.uniform(-phase_halfwidth, phase_halfwidth, n)
     return theta0, omega, tstar
 
@@ -284,14 +286,17 @@ def run_four_model_comparison(
     fits the frequency diameter (exponential in both the homogeneous and
     phase-locking regimes) after dropping the sorting transient, records
     phase snapshots at t = 0, 1, 2, 3, and asserts the full relativistic
-    kind decays slowest.
+    kind decays slowest.  Without a lock angle (frequency spread not below
+    kappa) the diameters need not decay: the fitted rates are still
+    reported, flagged ``decay_rates_meaningful: false``, and nothing is
+    asserted.
     """
     theta0, omega, tstar = sample_protocol_ensemble(
         seed, n=n, kappa=kappa, freq_interval=freq_interval
     )
     models = [classical(), relativistic(c), proper_velocity(c), rapidity(c)]
     configs = [SystemConfig(n, kappa, omega, m, dt, t_final, record_every) for m in models]
-    trajs = [simulate(cfg, theta0) for cfg in configs]
+    trajs = simulate_batch(configs, theta0)
 
     snapshot_times = [t for t in (0.0, 1.0, 2.0, 3.0) if t <= t_final]
     rates, terminal, snapshots, files = {}, {}, {}, []
@@ -306,18 +311,28 @@ def run_four_model_comparison(
         snapshots[label] = traj.thetas[idx].tolist()
         files += _emit(out_dir, label, config, traj)
 
-    observed = {k: v["rate"] for k, v in rates.items()}
-    others = [v for k, v in observed.items() if k != "relativistic"]
-    margin = min(others) - observed["relativistic"]
-    predicates = [
-        PredicateOutcome(
-            name="relativistic-slowest-decay",
-            expected="relativistic frequency-diameter decay rate strictly smallest",
-            observed=observed,
-            passed=margin > 0.0,
-            margin=float(margin),
+    predicates = []
+    if tstar is not None:
+        observed = {k: v["rate"] for k, v in rates.items()}
+        others = [v for k, v in observed.items() if k != "relativistic"]
+        margin = min(others) - observed["relativistic"]
+        predicates.append(
+            PredicateOutcome(
+                name="relativistic-slowest-decay",
+                expected="relativistic frequency-diameter decay rate strictly smallest",
+                observed=observed,
+                passed=margin > 0.0,
+                margin=float(margin),
+            )
         )
-    ]
+    results = {
+        "theta_star": tstar,
+        "omega_diameter": float(np.ptp(omega)),
+        "initial_phase_diameter": phase_diameter(theta0),
+        "decay_rates": rates,
+    }
+    if tstar is None:
+        results["decay_rates_meaningful"] = False
     report = ExperimentReport(
         scenario="compare",
         seed=seed,
@@ -325,10 +340,7 @@ def run_four_model_comparison(
         config=_config_echo(relativistic(c), n, kappa, dt, t_final, record_every,
                             freq_interval=list(freq_interval), kinds=[m.kind.value for m in models]),
         results={
-            "theta_star": tstar,
-            "omega_diameter": float(np.ptp(omega)),
-            "initial_phase_diameter": phase_diameter(theta0),
-            "decay_rates": rates,
+            **results,
             "fit_series": "frequency_diameter",
             "fit_window": {
                 "floor": COMPARE_FIT_FLOOR,
@@ -377,7 +389,7 @@ def run_rate_vs_c(
     configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
                for c in c_values]
     configs.append(SystemConfig(n, kappa, omega, classical(), dt, t_final, record_every))
-    trajs = [simulate(cfg, theta0) for cfg in configs]
+    trajs = simulate_batch(configs, theta0)
 
     d0 = phase_diameter(theta0)
     rows, files = [], []
@@ -516,8 +528,7 @@ def run_limit_scaling(
         base = SystemConfig(n, kappa, omega, classical(), dt, t_final, record_every)
         configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
                    for c in c_values]
-        reference = simulate(base, theta0)
-        rest = [simulate(cfg, theta0) for cfg in configs]
+        reference, *rest = simulate_batch([base, *configs], theta0)
         files += _emit(out_dir, f"{regime}_classical", base, reference)
 
         rows = []
@@ -638,7 +649,7 @@ def run_sync_predicates(
         "initial_phase_diameter": d0,
         "initial_order_parameter": r0,
         "omega_diameter": spread,
-        "theta_star": tstar or None,
+        "theta_star": tstar,
         "terminal_phase_diameter": float(pd[-1]),
         "terminal_frequency_diameter": float(fd[-1]),
     }
@@ -700,7 +711,7 @@ def run_sync_predicates(
         results["hypothesis_kappa_gt_omega_diameter_over_d0"] = (
             d0 > 0.0 and kappa > spread / d0
         )
-        bound = max(tstar, min(d0, math.pi - d0)) + SYNC_TRAP_SLACK
+        bound = max(tstar or 0.0, min(d0, math.pi - d0)) + SYNC_TRAP_SLACK
         inside = pd <= bound
         entry = int(np.argmax(inside)) if bool(inside.any()) else None
         results["trap_bound"] = bound
@@ -739,7 +750,7 @@ def run_sync_predicates(
         seed=seed,
         rng=RNG_ALGORITHM,
         config=_config_echo(model, n, kappa, dt, t_final, record_every,
-                            phase_halfwidth=0.5 * (math.pi - tstar)),
+                            phase_halfwidth=0.5 * (math.pi - (tstar or 0.0))),
         results=results,
         predicates=predicates,
         data_files=files,

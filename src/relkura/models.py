@@ -18,7 +18,10 @@ unique subluminal velocity.  ``proper-velocity`` and ``rapidity`` invert
 in closed form; the full response has no closed-form inverse and is
 solved by a bracketed Newton iteration with a bisection safeguard.  The
 closed-form proper-velocity inverse bounds the full inverse from above,
-which gives a bracket that never needs to be widened.
+which gives a bracket that never needs to be widened.  ``stack_rows``
+stacks responses of one kind so that one ``velocity`` call maps a batch
+of systems, one per row, each with its own bound and, for the full
+kind, its own stop test.
 
 Numerical notes baked into this module:
 
@@ -99,6 +102,66 @@ def _finish(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _lorentz(w: np.ndarray, c) -> np.ndarray:
+    return 1.0 / np.sqrt((1.0 - w / c) * (1.0 + w / c))
+
+
+def _full_momentum(w: np.ndarray, c) -> np.ndarray:
+    """Full response w * gamma * (1 + gamma/c**2)."""
+    g = _lorentz(w, c)
+    return w * g * (1.0 + g / (c * c))
+
+
+def _full_momentum_slope(w: np.ndarray, c, c_cubed) -> np.ndarray:
+    span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
+    return c_cubed / span**1.5 + (c * c + w * w) / (span * span)
+
+
+def _solve_full(target: np.ndarray, c, c_cubed) -> np.ndarray:
+    """Safeguarded Newton solve of F(w) = target >= 0 for the full response.
+
+    ``target`` is (R, m), one system per row; ``c`` and ``c_cubed`` are
+    scalars or (R, 1) columns.  The proper-velocity inverse gives the
+    upper bracket end (F_full >= F_pv on [0, c)), clamped one ulp below c
+    so the strict range bound survives even when the true root is within
+    rounding of c.  Newton steps that leave the bracket, or that are not
+    finite, fall back to bisection.  A row stops when every last step in
+    it is within INVERSION_TOL and within INVERSION_GAP_FRACTION of its
+    gap to c; its iterate is then frozen and later rounds run on the
+    other rows only, so a row gets the same floats whether it is solved
+    alone or with others.
+    """
+    hi = np.minimum(c * (target / np.hypot(target, c)), np.nextafter(c, 0.0))
+    lo = np.zeros_like(hi)
+    w = hi.copy()
+    out = np.empty_like(w)
+    rows = np.arange(len(w))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(INVERSION_MAX_ITER):
+            resid = _full_momentum(w, c) - target
+            lo = np.where(resid < 0.0, w, lo)
+            hi = np.where(resid > 0.0, w, hi)
+            proposal = w - resid / _full_momentum_slope(w, c, c_cubed)
+            inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
+            proposal = np.where(inside, proposal, 0.5 * (lo + hi))
+            step = np.abs(proposal - w)
+            w = proposal
+            done = (step <= INVERSION_TOL).all(axis=1)
+            if done.any():
+                done &= (step <= INVERSION_GAP_FRACTION * (c - w)).all(axis=1)
+                out[rows[done]] = w[done]
+                if done.all():
+                    return out
+                keep = ~done
+                rows, w, lo, hi, target = rows[keep], w[keep], lo[keep], hi[keep], target[keep]
+                if np.ndim(c):
+                    c, c_cubed = c[keep], c_cubed[keep]
+    raise ConvergenceError(
+        f"drive inversion did not reach {INVERSION_TOL} within "
+        f"{INVERSION_MAX_ITER} iterations"
+    )
+
+
 @dataclass(frozen=True)
 class FrequencyResponse:
     """One member of the drive-response family.
@@ -166,10 +229,6 @@ class FrequencyResponse:
                 f" for kind {self.kind.value!r}"
             )
 
-    def _lorentz(self, w: np.ndarray) -> np.ndarray:
-        c = self.c
-        return 1.0 / np.sqrt((1.0 - w / c) * (1.0 + w / c))
-
     def _momentum_unchecked(self, w: np.ndarray) -> np.ndarray:
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
@@ -177,10 +236,9 @@ class FrequencyResponse:
         c = self.c
         if kind is ModelKind.RAPIDITY:
             return c * np.arctanh(w / c)
-        g = self._lorentz(w)
         if kind is ModelKind.PROPER_VELOCITY:
-            return w * g
-        return w * g * (1.0 + g / (c * c))
+            return w * _lorentz(w, c)
+        return _full_momentum(w, c)
 
     def _momentum_slope_unchecked(self, w: np.ndarray) -> np.ndarray:
         kind = self.kind
@@ -192,7 +250,7 @@ class FrequencyResponse:
             return (c * c) / span
         if kind is ModelKind.PROPER_VELOCITY:
             return c**3 / span**1.5
-        return c**3 / span**1.5 + (c * c + w * w) / (span * span)
+        return _full_momentum_slope(w, c, c**3)
 
     # ------------------------------------------------------------------
     # inverse response G and its derivative
@@ -256,39 +314,21 @@ class FrequencyResponse:
         return _finish(out, scalar)
 
     def _invert_full(self, y: np.ndarray) -> np.ndarray:
-        """Safeguarded Newton solve of F(w) = y for the full response.
+        """Full-response inverse through ``_solve_full``.
 
         Works on |y| and restores the sign afterwards, which makes the
-        inverse exactly odd.  The proper-velocity inverse gives the upper
-        bracket end (F_full >= F_pv on [0, c)), clamped one ulp below c
-        so the strict range bound survives even when the true root is
-        within rounding of c.  Newton steps that leave the bracket, or
-        that are not finite, fall back to bisection.  The solve stops
-        when every last step is within INVERSION_TOL and within
-        INVERSION_GAP_FRACTION of its gap to c.
+        inverse exactly odd.  A scalar c makes the whole input one system
+        with one stop test; a (B, 1) column of bounds (see ``stack_rows``)
+        makes each row of a (B, m) input its own system.
         """
         c = self.c
-        target = np.abs(y)
-        hi = np.minimum(c * (target / np.hypot(target, c)), np.nextafter(c, 0.0))
-        lo = np.zeros_like(hi)
-        w = hi.copy()
-        for _ in range(INVERSION_MAX_ITER):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                resid = self._momentum_unchecked(w) - target
-                lo = np.where(resid < 0.0, w, lo)
-                hi = np.where(resid > 0.0, w, hi)
-                proposal = w - resid / self._momentum_slope_unchecked(w)
-            inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
-            proposal = np.where(inside, proposal, 0.5 * (lo + hi))
-            step = np.abs(proposal - w)
-            w = proposal
-            if (step <= INVERSION_TOL).all() and (step <= INVERSION_GAP_FRACTION * (c - w)).all():
-                break
+        if np.ndim(c):
+            # Python's pow per bound: numpy's array power can differ from
+            # it in the last ulp, and a row must match its own response
+            cubes = np.array([[b**3] for b in c[:, 0].tolist()])
+            w = _solve_full(np.abs(y), c, cubes)
         else:
-            raise ConvergenceError(
-                f"drive inversion did not reach {INVERSION_TOL} within "
-                f"{INVERSION_MAX_ITER} iterations"
-            )
+            w = _solve_full(np.abs(y).reshape(1, -1), c, c**3).reshape(y.shape)
         return np.sign(y) * w
 
     # ------------------------------------------------------------------
@@ -373,3 +413,24 @@ def proper_velocity(c: float) -> FrequencyResponse:
 def rapidity(c: float) -> FrequencyResponse:
     """Rapidity response ``c * atanh(w/c)`` with bound ``c``."""
     return FrequencyResponse(ModelKind.RAPIDITY, float(c))
+
+
+def stack_rows(responses) -> FrequencyResponse:
+    """One response that maps a (B, m) array of drives row by row.
+
+    Row b follows ``responses[b]``, which must all share one kind: the
+    stacked ``c`` is a (B, 1) column of their bounds, and the full kind's
+    solve stops each row on its own test, so ``velocity`` gives every row
+    the floats a call on its own response gives.  A single response, or
+    classical ones (which have no bound), come back as they are.  Only
+    ``velocity`` is meant to be called on the stacked response.
+    """
+    first = responses[0]
+    if any(r.kind is not first.kind for r in responses):
+        raise ValueError("stacked responses must share one kind")
+    if len(responses) == 1 or first.kind is ModelKind.CLASSICAL:
+        return first
+    stacked = object.__new__(FrequencyResponse)
+    object.__setattr__(stacked, "kind", first.kind)
+    object.__setattr__(stacked, "c", np.array([[r.c] for r in responses]))
+    return stacked

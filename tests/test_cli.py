@@ -206,23 +206,38 @@ def test_main_exit_1_on_honest_predicate_failure(tmp_path, capsys):
     assert not all(p["passed"] for p in payload["predicates"])
 
 
-@pytest.mark.parametrize("scenario, flags, code", [
-    ("compare", [], 1),
-    ("limit", ["--t-final", "2"], 0),
-    ("rcs-check", ["--t-final", "0.5"], 0),
+@pytest.mark.parametrize("scenario, flags", [
+    ("compare", []),
+    ("limit", ["--t-final", "2"]),
+    ("rcs-check", ["--t-final", "0.5"]),
 ], ids=["compare", "limit", "rcs-check"])
 def test_main_runs_when_frequency_spread_is_not_below_kappa(tmp_path, capsys, scenario,
-                                                            flags, code):
-    # kappa below the drawn spread: no lock angle, theta* falls back to 0 and
-    # the run reports its predicates instead of exiting 3
+                                                            flags):
+    # kappa below the drawn spread: no lock angle, the phase window falls back
+    # to the half circle and the run reports its predicates instead of exiting 3
     assert main(["--scenario", scenario, "--kappa", "0.1", "--seed", "3", *flags,
-                 "--out", str(tmp_path)]) == code
+                 "--out", str(tmp_path)]) == 0
     assert "numerical failure" not in capsys.readouterr().err
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["config"]["kappa"] == 0.1
     if scenario == "compare":
-        assert payload["results"]["omega_diameter"] >= 0.1
-        assert payload["results"]["theta_star"] == 0.0
+        # the frequency diameters need not decay, so no decay ordering is checked
+        results = payload["results"]
+        assert results["omega_diameter"] >= 0.1
+        assert results["theta_star"] is None
+        assert results["decay_rates_meaningful"] is False
+        assert payload["predicates"] == []
+
+
+def test_main_reports_a_zero_lock_angle_as_zero(tmp_path):
+    # identical frequencies lock at theta* = asin(0) = 0, a real angle
+    cfg = tmp_path / "sync.json"
+    cfg.write_text(json.dumps({"scenario": "sync-check", "omega": [0.1] * 4, "n": 4,
+                               "t_final": 5.0}))
+    main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["results"]["homogeneous"] is True
+    assert payload["results"]["theta_star"] == 0.0
 
 
 def test_main_rcs_scenario_defaults(tmp_path):

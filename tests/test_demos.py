@@ -2,7 +2,7 @@
 
 Every demo is loaded without running its ``main`` so a renamed or removed
 API it imports fails here.  The two fastest are also run end to end into
-a temporary directory; running all seven would take about 45 s.
+a temporary directory; running all eight would take about a minute.
 """
 
 import runpy
@@ -15,7 +15,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_all_demos_are_collected():
-    assert len(DEMOS) == 7
+    assert len(DEMOS) == 8
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)

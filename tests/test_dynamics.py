@@ -19,10 +19,13 @@ from relkura import (
     dynamics,
     induced_frequencies,
     potential,
+    proper_velocity,
+    rapidity,
     relativistic,
     rhs,
     rk4_step,
     simulate,
+    simulate_batch,
     simulate_momentum,
 )
 from relkura.dynamics import _momentum_coupling
@@ -266,16 +269,117 @@ def test_failure_on_the_recorded_samples_of_a_finished_run_raises(monkeypatch):
     original = FrequencyResponse.velocity
 
     def failing_on_records(self, drive):
-        if np.ndim(drive) == 2:
+        # the steps see (1, n) batch drives or (n,) momenta, the recorded
+        # pass all M > 1 samples at once
+        if np.ndim(drive) == 2 and len(drive) > 1:
             raise DomainError("synthetic failure on the recorded samples")
         return original(self, drive)
 
     monkeypatch.setattr(FrequencyResponse, "velocity", failing_on_records)
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
-    with pytest.raises(DomainError, match="recorded samples"):
+    with pytest.raises(DomainError, match="recorded samples") as excinfo:
         simulate(cfg, np.array(PAIR_THETA0))
-    with pytest.raises(DomainError, match="recorded samples"):
+    assert not hasattr(excinfo.value, "partial_trajectory")
+    with pytest.raises(DomainError, match="recorded samples") as excinfo:
         simulate_momentum(cfg, np.array(PAIR_THETA0), np.array([0.2, -0.1]))
+    assert not hasattr(excinfo.value, "partial_trajectory")
+
+
+# ----------------------------------------------------------------------
+# batched integration
+# ----------------------------------------------------------------------
+
+
+def _assert_batch_equals_serial(configs, theta0):
+    batch = simulate_batch(configs, theta0)
+    assert len(batch) == len(configs)
+    rows_theta0 = np.broadcast_to(theta0, (len(configs), configs[0].n))
+    for config, row_theta0, traj in zip(configs, rows_theta0, batch):
+        alone = simulate(config, row_theta0)
+        assert traj.config is config
+        assert not traj.partial
+        # the same floats, not merely close ones
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.thetas, alone.thetas)
+        assert np.array_equal(traj.theta_dots, alone.theta_dots)
+
+
+def test_simulate_batch_matches_serial_runs_across_kinds():
+    # every kind, the full kind in two rows apart from each other, distinct
+    # kappa, omega, c and theta0 per row, record_every 7 and a closing
+    # fractional step (66 steps of 0.03, then 0.02)
+    gen = np.random.default_rng(11)
+    n = 6
+    models = [classical(), relativistic(1.28), proper_velocity(1.3), rapidity(2.2),
+              relativistic(3.63), classical()]
+    kappas = [0.5, 1.0, 1.5, 2.0, 0.8, 1.2]
+    configs = [SystemConfig(n, kappa, gen.uniform(-0.3, 0.3, n), model, 0.03, 2.0, 7)
+               for kappa, model in zip(kappas, models)]
+    _assert_batch_equals_serial(configs, gen.uniform(-1.2, 1.2, (len(configs), n)))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_simulate_batch_matches_serial_runs_of_the_rate_sweep(seed):
+    # the rate-vs-c batch: identical oscillators from one shared theta0, the
+    # full kind at four bounds, whose Newton solves stop after different
+    # numbers of rounds, and the classical reference
+    gen = np.random.default_rng(seed)
+    n = 10
+    models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
+    configs = [SystemConfig(n, 1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
+    _assert_batch_equals_serial(configs, gen.uniform(-1.5, 1.5, n))
+
+
+def test_simulate_batch_attaches_partial_trajectories_on_failure(monkeypatch):
+    configs = [pair_config(model, dt=0.1, t_final=5.0, record_every=1)
+               for model in (relativistic(1.0), relativistic(2.0), classical())]
+    theta0 = np.array(PAIR_THETA0)
+    full = simulate_batch(configs, theta0)
+    calls = {"n": 0}
+    original = FrequencyResponse.velocity
+
+    def failing(self, drive):
+        calls["n"] += 1
+        if calls["n"] > 30:
+            raise DomainError("synthetic mid-run failure")
+        return original(self, drive)
+
+    monkeypatch.setattr(FrequencyResponse, "velocity", failing)
+    with pytest.raises(DomainError) as excinfo:
+        simulate_batch(configs, theta0)
+    partials = excinfo.value.partial_trajectories
+    assert [p.config for p in partials] == configs
+    rows = partials[0].times.size
+    assert 1 < rows < 51
+    for partial, whole in zip(partials, full):
+        assert partial.partial
+        assert np.array_equal(partial.times, whole.times[:rows])
+        assert np.array_equal(partial.thetas, whole.thetas[:rows])
+        # velocities cannot be recomputed once the model fails
+        assert np.all(np.isnan(partial.theta_dots))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 3), ("dt", 0.05), ("t_final", 2.0), ("record_every", 2),
+])
+def test_simulate_batch_rejects_configs_on_different_grids(field, value):
+    base = dict(n=2, kappa=1.0, omega=np.array(PAIR_NU), model=classical(),
+                dt=0.1, t_final=1.0, record_every=1)
+    other = {**base, field: value}
+    if field == "n":
+        other["omega"] = np.zeros(3)
+    with pytest.raises(ValueError, match="share n, dt, t_final and record_every"):
+        simulate_batch([SystemConfig(**base), SystemConfig(**other)], np.array(PAIR_THETA0))
+
+
+def test_simulate_batch_validates_its_inputs():
+    cfg = pair_config(classical(), dt=0.1)
+    with pytest.raises(ValueError):
+        simulate_batch([], np.array(PAIR_THETA0))
+    with pytest.raises(ValueError):
+        simulate_batch([cfg, cfg], np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        simulate_batch([cfg, cfg], np.array([[0.0, 1.0], [math.inf, 0.0]]))
 
 
 # ----------------------------------------------------------------------

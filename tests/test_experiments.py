@@ -91,9 +91,9 @@ def test_sample_protocol_ensemble_given_omega_and_no_lock_angle():
     omega = np.array([-0.3, 0.0, 0.2, 0.1])
     theta0, got, tstar = sample_protocol_ensemble(21, n=4, kappa=0.5, omega=omega)
     assert np.array_equal(got, omega)
-    # spread 0.5 is not below kappa: no lock angle, so theta* is 0 and the
-    # window the half circle; a given omega takes no draws from the stream
-    assert tstar == 0.0
+    # spread 0.5 is not below kappa: no lock angle, so theta* is None and
+    # the window the half circle; a given omega takes no draws from the stream
+    assert tstar is None
     assert np.array_equal(theta0, make_rng(21).uniform(-0.5 * math.pi, 0.5 * math.pi, 4))
     with pytest.raises(DomainError):
         sample_protocol_ensemble(21, n=5, omega=omega)

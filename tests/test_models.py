@@ -22,6 +22,7 @@ from relkura import (
     relativistic,
 )
 from relkura.errors import DomainError
+from relkura.models import stack_rows
 
 # (w, c) -> (full, proper-velocity, rapidity), 50-digit values
 MOMENTUM_REFERENCE = {
@@ -389,3 +390,26 @@ def test_scalar_in_scalar_out_array_in_array_out():
     arr = np.array([[0.1, 0.2], [0.3, 0.4]])
     assert model.momentum(arr).shape == (2, 2)
     assert model.velocity(model.momentum(arr)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity],
+                         ids=["relativistic", "proper_velocity", "rapidity"])
+def test_stacked_rows_get_the_floats_of_their_own_response(make):
+    # bounds whose cubes numpy's SIMD array power rounds differently from
+    # Python's pow (1.28 to 3.96), drives from rest to deep saturation
+    bounds = (0.5, 1.0, 1.28, 2.82, 3.63, 3.96, 10.0)
+    gen = np.random.default_rng(5)
+    drives = np.stack([gen.choice([-1.0, 1.0], 16) * c**1.5 * 10.0 ** gen.uniform(-8, 9, 16)
+                       for c in bounds])
+    stacked = stack_rows([make(c) for c in bounds]).velocity(drives)
+    for c, row, got in zip(bounds, drives, stacked):
+        assert np.array_equal(got, make(c).velocity(row))
+
+
+def test_stack_rows_passes_single_and_classical_responses_through():
+    single = relativistic(2.0)
+    assert stack_rows([single]) is single
+    both = [classical(), classical()]
+    assert stack_rows(both) is both[0]
+    with pytest.raises(ValueError):
+        stack_rows([relativistic(1.0), rapidity(1.0)])
