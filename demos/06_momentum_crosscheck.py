@@ -1,11 +1,14 @@
 """Two integrators, one flow.
 
-The first-order form inverts the response at every stage; the momentum
-form evolves (theta, p) and only inverts when a velocity is needed.  Both
-describe the same dynamics, so integrating both from consistent initial
-data gives a cross-check with no shared code path: the phase histories
-must agree, and the momentum form must conserve its induced frequencies
-p - coupling along the whole run.
+The first-order form inverts the response of natural frequency plus
+sine coupling; the momentum form evolves (theta, p), inverts the
+momentum p, and drives p with the cosine-weighted velocity differences.
+Both describe the same dynamics from consistent initial data, so each
+checks the other: the phase histories must agree, and the momentum form
+must conserve its induced frequencies p - coupling along the whole run.
+The ODE each form integrates is its own; what they share is the RK4
+driver and the inverse response, which both forms' drives go through in
+one call per stage (each with its own Newton stop).
 
 Run:  python demos/06_momentum_crosscheck.py [outdir]
 """

@@ -5,7 +5,8 @@ The package is organized as a small numpy library:
 * :mod:`relkura.models` -- the drive-response family (forward map,
   inverse, slopes, admissibility checks).
 * :mod:`relkura.dynamics` -- fixed-step RK4 integration in first-order
-  form (one system or a batch as one state) and momentum form.
+  form (one system or a batch as one state) and momentum form (both
+  forms of one system as one state).
 * :mod:`relkura.diagnostics` -- observables (diameters, order parameter,
   potential, energy, predicted contraction rate, decay fits).
 * :mod:`relkura.experiments` -- seeded, reproducible scenario runners
@@ -30,18 +31,15 @@ from .diagnostics import (
     write_diagnostics_csv,
 )
 from .dynamics import (
-    MomentumState,
     MomentumTrajectory,
-    PhaseState,
     SystemConfig,
     Trajectory,
     coupling,
     induced_frequencies,
-    momentum_rhs,
     rhs,
-    rk4_step,
     simulate,
     simulate_batch,
+    simulate_both_forms,
     simulate_momentum,
     write_trajectory_csv,
 )
@@ -90,10 +88,8 @@ __all__ = [
     "ExperimentReport",
     "FrequencyResponse",
     "ModelKind",
-    "MomentumState",
     "MomentumTrajectory",
     "OrderParameter",
-    "PhaseState",
     "PotentialValue",
     "PredicateOutcome",
     "RelkuraError",
@@ -110,7 +106,6 @@ __all__ = [
     "induced_frequencies",
     "l1_discrepancy",
     "make_rng",
-    "momentum_rhs",
     "order_parameter",
     "phase_diameter",
     "potential",
@@ -119,7 +114,6 @@ __all__ = [
     "rapidity",
     "relativistic",
     "rhs",
-    "rk4_step",
     "run_four_model_comparison",
     "run_limit_scaling",
     "run_rate_vs_c",
@@ -129,6 +123,7 @@ __all__ = [
     "sample_protocol_ensemble",
     "simulate",
     "simulate_batch",
+    "simulate_both_forms",
     "simulate_momentum",
     "theta_star",
     "write_diagnostics_csv",

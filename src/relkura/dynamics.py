@@ -14,19 +14,24 @@ Conventions that matter for downstream analysis:
 * Phases live on the real line and are never wrapped modulo 2*pi.
   Diameters, l1 comparisons between models, and the potential would all
   be corrupted by wrapping.
-* Both forms run through one fixed-step classical RK4 driver; the
-  momentum form integrates the stacked state (theta, p) as one (2, n)
-  array.  The final step is shortened so every trajectory lands exactly
-  on t_final, and recorded times are computed as step * dt rather than
-  accumulated, so sample grids are bit-identical across models and
-  forms with the same (dt, t_final, record_every).
+* Everything runs through one fixed-step classical RK4 driver.  The
+  final step is shortened so every trajectory lands exactly on t_final,
+  and recorded times are computed as step * dt rather than accumulated,
+  so sample grids are bit-identical across models and forms with the
+  same (dt, t_final, record_every).
 * Several first-order systems on one grid integrate as one (B, n) state
   (``simulate_batch``; ``simulate`` is a batch of one): one coupling sum
   for the batch per RK4 stage and one velocity call per model kind.  The
   full kind's Newton solve stops each row on its own convergence test,
   so every system gets exactly the floats a run of it alone gives.
+* The two forms of one system integrate as one stacked (3, n) state
+  (theta_m, p, theta_f) (``simulate_both_forms``; ``simulate_momentum``
+  is its momentum half): each RK4 stage inverts the momenta p and the
+  first-order drives in one velocity call on two stacked rows, and the
+  per-row stop test gives each form the floats a run of it alone gives.
+  Only the ODE each form integrates is its own.
 * Recorded velocities are evaluated from the recorded states in one
-  vectorized pass after integration.
+  vectorized pass per system after integration.
 * The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
   oscillators: Kuramoto's order-parameter identity rewrites
   sum_j sin(theta_j - theta_i) as cos(theta_i) * S - sin(theta_i) * C
@@ -40,6 +45,7 @@ Conventions that matter for downstream analysis:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -50,16 +56,13 @@ from .models import FrequencyResponse, stack_rows
 
 __all__ = [
     "SystemConfig",
-    "PhaseState",
-    "MomentumState",
     "Trajectory",
     "MomentumTrajectory",
     "coupling",
     "rhs",
-    "rk4_step",
     "simulate",
     "simulate_batch",
-    "momentum_rhs",
+    "simulate_both_forms",
     "simulate_momentum",
     "induced_frequencies",
     "write_trajectory_csv",
@@ -101,23 +104,6 @@ class SystemConfig:
             raise ValueError("t_final must be finite and >= dt")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Phases at one instant."""
-
-    t: float
-    theta: np.ndarray
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """Phases and momentum-like drives at one instant."""
-
-    t: float
-    theta: np.ndarray
-    p: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -218,12 +204,6 @@ def _rk4(rates, y: np.ndarray, dt: float) -> np.ndarray:
     k3 = rates(y + 0.5 * dt * k2)
     k4 = rates(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_step(config: SystemConfig, state: PhaseState) -> PhaseState:
-    """One classical RK4 step of length config.dt."""
-    theta = np.asarray(state.theta, dtype=float)
-    return PhaseState(state.t + config.dt, _rk4(lambda y: rhs(config, y), theta, config.dt))
 
 
 def _step_plan(dt: float, t_final: float) -> tuple[int, float]:
@@ -396,23 +376,6 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
 # ----------------------------------------------------------------------
 
 
-def momentum_rhs(config: SystemConfig, state: MomentumState) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (theta_dot, p_dot) of the momentum form.
-
-    Supported for all kinds; for the classical kind it reduces to the
-    usual second-order phase model with unit inertia.
-    """
-    y = np.stack((np.asarray(state.theta, dtype=float), np.asarray(state.p, dtype=float)))
-    theta_dot, p_dot = _momentum_rates(config, y)
-    return theta_dot, p_dot
-
-
-def _momentum_rates(config: SystemConfig, y: np.ndarray) -> np.ndarray:
-    """Derivative of the stacked momentum state y = (theta, p), shape (2, n)."""
-    v = config.model.velocity(y[1])
-    return np.stack((v, _momentum_coupling(config, y[0], v)))
-
-
 def _momentum_coupling(config, theta, v):
     diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
     rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
@@ -441,30 +404,74 @@ def induced_frequencies(config: SystemConfig, theta0, thetadot0) -> np.ndarray:
     return config.model.momentum(td) - coupling(config, th)
 
 
-def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajectory:
-    """Integrate the momentum form from consistent initial data.
+def _both_forms_rates(config: SystemConfig, nu: np.ndarray):
+    """Derivative of the stacked state y = (theta_m, p, theta_f), shape (3, n).
 
-    ``config.omega`` is not used by the flow: the natural frequencies are
-    induced from the initial data and recorded on the result, together
-    with the per-sample conservation residuals.  If the model evaluation
-    fails mid-run the error propagates with the samples recorded so far
-    attached as ``partial_trajectory``.
+    One velocity call inverts the momenta p and the first-order drives
+    nu + coupling(theta_f) as two stacked rows, each with its own stop test.
+    """
+    response = stack_rows([config.model, config.model])
+    scale = config.kappa / config.n
+
+    def rates(y):
+        v = response.velocity(np.stack((y[1], nu + scale * _sine_sums(y[2]))))
+        return np.stack((v[0], _momentum_coupling(config, y[0], v[0]), v[1]))
+
+    return rates
+
+
+def simulate_both_forms(config: SystemConfig, theta0,
+                        thetadot0) -> tuple[MomentumTrajectory, Trajectory]:
+    """Integrate the momentum and first-order forms of one system together.
+
+    The natural frequencies nu are induced from the initial data
+    (``config.omega`` is not used) and recorded on the momentum result
+    with its per-sample conservation residuals; the first-order result
+    runs ``config`` with omega = nu from theta0.  Both forms integrate as
+    one (3, n) state on the config's grid, and each gets the floats a run
+    of it alone gives: the first-order half equals ``simulate``.  If the
+    model evaluation fails mid-run the error propagates with the samples
+    recorded so far attached, as the pair ``partial_trajectories``.
     """
     th = _check_initial_phases(config, theta0)
     td = _check_initial_velocities(config, thetadot0)
     p = config.model.momentum(td)
     nu = p - coupling(config, th)
-    times, states, err = _integrate(config, np.stack((th, p)),
-                                    lambda y: _momentum_rates(config, y))
-    thetas, drives = states[:, 0], states[:, 1]
-    residuals = drives - (config.kappa / config.n) * _sine_sums(thetas) - nu
-    traj = MomentumTrajectory(config, times, thetas, drives,
-                              _recorded_velocities(config.model, drives, err),
-                              residuals, nu, partial=err is not None)
+    times, states, err = _integrate(config, np.stack((th, p, th)),
+                                    _both_forms_rates(config, nu))
+    scale = config.kappa / config.n
+    thetas, drives, first_thetas = states[:, 0], states[:, 1], states[:, 2]
+    residuals = drives - scale * _sine_sums(thetas) - nu
+    momentum = MomentumTrajectory(config, times, thetas, drives,
+                                  _recorded_velocities(config.model, drives, err),
+                                  residuals, nu, partial=err is not None)
+    first_drives = nu + scale * _sine_sums(first_thetas)
+    first = Trajectory(dataclasses.replace(config, omega=nu), times, first_thetas,
+                       _recorded_velocities(config.model, first_drives, err),
+                       partial=err is not None)
     if err is not None:
-        err.partial_trajectory = traj
+        err.partial_trajectories = (momentum, first)
         raise err
-    return traj
+    return momentum, first
+
+
+def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajectory:
+    """Integrate the momentum form from consistent initial data.
+
+    The momentum half of ``simulate_both_forms``: ``config.omega`` is not
+    used by the flow, the natural frequencies are induced from the initial
+    data and recorded on the result, together with the per-sample
+    conservation residuals.  If the model evaluation fails mid-run the
+    error propagates with the samples recorded so far attached as
+    ``partial_trajectory``.
+    """
+    try:
+        momentum, _ = simulate_both_forms(config, theta0, thetadot0)
+    except (DomainError, ConvergenceError) as err:
+        if hasattr(err, "partial_trajectories"):
+            err.partial_trajectory = err.partial_trajectories[0]
+        raise
+    return momentum
 
 
 # ----------------------------------------------------------------------

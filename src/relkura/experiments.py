@@ -37,10 +37,9 @@ from .dynamics import (
     SystemConfig,
     Trajectory,
     coupling,
-    induced_frequencies,
     simulate,
     simulate_batch,
-    simulate_momentum,
+    simulate_both_forms,
 )
 from .errors import DegenerateFitError, DomainError
 from .models import FrequencyResponse, classical, proper_velocity, rapidity, relativistic
@@ -210,6 +209,24 @@ def _plain(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
+
+
+def _below(name: str, expected: str, value: float, bound: float, observed=None,
+           violation_time: float | None = None) -> PredicateOutcome:
+    """The predicate value < bound, with margin bound - value.
+
+    ``observed`` defaults to the value itself; ``violation_time`` is
+    reported only when the predicate fails.
+    """
+    passed = value < bound
+    return PredicateOutcome(
+        name=name,
+        expected=expected,
+        observed=value if observed is None else observed,
+        passed=passed,
+        first_violation_time=None if passed else violation_time,
+        margin=float(bound - value),
+    )
 
 
 def _violation(times: np.ndarray, bad: np.ndarray, margins: np.ndarray):
@@ -445,26 +462,16 @@ def run_rate_vs_c(
             r5 = by_c[c_values.index(5.0)]
             r10 = by_c[c_values.index(10.0)]
             rel = abs(r5 - r10) / abs(r10)
-            predicates.append(
-                PredicateOutcome(
-                    name="rate-c5-c10-within-10pct",
-                    expected="|rate(5) - rate(10)| / rate(10) < 0.10",
-                    observed={"rate_5": r5, "rate_10": r10, "relative_gap": rel},
-                    passed=rel < 0.10,
-                    margin=float(0.10 - rel),
-                )
-            )
+            predicates.append(_below(
+                "rate-c5-c10-within-10pct", "|rate(5) - rate(10)| / rate(10) < 0.10",
+                rel, 0.10, observed={"rate_5": r5, "rate_10": r10, "relative_gap": rel},
+            ))
         rel_cl = abs(by_c[-1] - classical_rate) / abs(classical_rate)
-        predicates.append(
-            PredicateOutcome(
-                name="largest-c-rate-near-classical",
-                expected="largest-c rate within 15% of the classical rate",
-                observed={"rate": by_c[-1], "classical_rate": classical_rate,
-                          "relative_gap": rel_cl},
-                passed=rel_cl < 0.15,
-                margin=float(0.15 - rel_cl),
-            )
-        )
+        predicates.append(_below(
+            "largest-c-rate-near-classical", "largest-c rate within 15% of the classical rate",
+            rel_cl, 0.15,
+            observed={"rate": by_c[-1], "classical_rate": classical_rate, "relative_gap": rel_cl},
+        ))
 
     report = ExperimentReport(
         scenario="rate-vs-c",
@@ -573,15 +580,11 @@ def run_limit_scaling(
                 first = row["checkpoints"][stamps[0]]["c2_sup_l1"]
                 last = row["checkpoints"][stamps[-1]]["c2_sup_l1"]
                 growth = last / first - 1.0 if first > 0.0 else 0.0
-                predicates.append(
-                    PredicateOutcome(
-                        name=f"zero-bounded-c{row['c']:g}",
-                        expected="c^2 * sup l1 grows < 5% between first and last checkpoint",
-                        observed={"first": first, "last": last, "growth": growth},
-                        passed=growth < 0.05,
-                        margin=float(0.05 - growth),
-                    )
-                )
+                predicates.append(_below(
+                    f"zero-bounded-c{row['c']:g}",
+                    "c^2 * sup l1 grows < 5% between first and last checkpoint",
+                    growth, 0.05, observed={"first": first, "last": last, "growth": growth},
+                ))
 
     report = ExperimentReport(
         scenario="limit",
@@ -643,6 +646,11 @@ def run_sync_predicates(
     d0 = float(pd[0])
     r0 = order_parameter(theta0).r
     times = traj.times
+    frequency_sync = _below(
+        "terminal-frequency-sync",
+        f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
+        float(fd[-1]), SYNC_ASYMPTOTIC_TOLERANCE,
+    )
     predicates = []
     results = {
         "homogeneous": homogeneous,
@@ -683,29 +691,15 @@ def run_sync_predicates(
                     margin=margin,
                 )
             )
-        fd_end = float(fd[-1])
-        predicates.append(
-            PredicateOutcome(
-                name="terminal-frequency-sync",
-                expected=f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
-                observed=fd_end,
-                passed=fd_end < SYNC_ASYMPTOTIC_TOLERANCE,
-                margin=float(SYNC_ASYMPTOTIC_TOLERANCE - fd_end),
-            )
-        )
+        predicates.append(frequency_sync)
         if r0 > 0.0:
             final = traj.thetas[-1]
             sines = float(np.max(np.abs(np.sin(final[None, :] - final[:, None]))))
-            predicates.append(
-                PredicateOutcome(
-                    name="terminal-pairwise-sines",
-                    expected=(f"max |sin(theta_i - theta_j)| < "
-                              f"{SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final"),
-                    observed=sines,
-                    passed=sines < SYNC_ASYMPTOTIC_TOLERANCE,
-                    margin=float(SYNC_ASYMPTOTIC_TOLERANCE - sines),
-                )
-            )
+            predicates.append(_below(
+                "terminal-pairwise-sines",
+                f"max |sin(theta_i - theta_j)| < {SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final",
+                sines, SYNC_ASYMPTOTIC_TOLERANCE,
+            ))
     else:
         results["hypothesis_kappa_gt_omega_diameter"] = kappa > spread
         results["hypothesis_kappa_gt_omega_diameter_over_d0"] = (
@@ -734,16 +728,7 @@ def run_sync_predicates(
                 margin=margin,
             )
         )
-        fd_end = float(fd[-1])
-        predicates.append(
-            PredicateOutcome(
-                name="terminal-frequency-sync",
-                expected=f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
-                observed=fd_end,
-                passed=fd_end < SYNC_ASYMPTOTIC_TOLERANCE,
-                margin=float(SYNC_ASYMPTOTIC_TOLERANCE - fd_end),
-            )
-        )
+        predicates.append(frequency_sync)
 
     report = ExperimentReport(
         scenario="sync-check",
@@ -784,10 +769,8 @@ def run_rcs_crosscheck(
     model = relativistic(c)
     config = SystemConfig(n, kappa, omega, model, dt, t_final, record_every)
     thetadot0 = model.velocity(omega + coupling(config, theta0))
-    nu = induced_frequencies(config, theta0, thetadot0)
-    momentum_traj = simulate_momentum(config, theta0, thetadot0)
-    first_config = SystemConfig(n, kappa, nu, model, dt, t_final, record_every)
-    first_traj = simulate(first_config, theta0)
+    momentum_traj, first_traj = simulate_both_forms(config, theta0, thetadot0)
+    nu = momentum_traj.induced_omega
 
     gaps = np.abs(momentum_traj.thetas - first_traj.thetas).max(axis=1)
     deviation = float(np.max(gaps))
@@ -796,26 +779,16 @@ def run_rcs_crosscheck(
     residual = float(np.max(res))
     res_idx = int(np.argmax(res))
     predicates = [
-        PredicateOutcome(
-            name="phase-agreement",
-            expected=f"max |theta_momentum - theta_first_order| < {RCS_THETA_TOLERANCE:g}",
-            observed=deviation,
-            passed=deviation < RCS_THETA_TOLERANCE,
-            first_violation_time=None if deviation < RCS_THETA_TOLERANCE
-            else float(momentum_traj.times[dev_idx]),
-            margin=float(RCS_THETA_TOLERANCE - deviation),
-        ),
-        PredicateOutcome(
-            name="frequency-conservation",
-            expected=f"max |p - coupling - nu| < {RCS_RESIDUAL_TOLERANCE:g}",
-            observed=residual,
-            passed=residual < RCS_RESIDUAL_TOLERANCE,
-            first_violation_time=None if residual < RCS_RESIDUAL_TOLERANCE
-            else float(momentum_traj.times[res_idx]),
-            margin=float(RCS_RESIDUAL_TOLERANCE - residual),
-        ),
+        _below("phase-agreement",
+               f"max |theta_momentum - theta_first_order| < {RCS_THETA_TOLERANCE:g}",
+               deviation, RCS_THETA_TOLERANCE,
+               violation_time=float(momentum_traj.times[dev_idx])),
+        _below("frequency-conservation",
+               f"max |p - coupling - nu| < {RCS_RESIDUAL_TOLERANCE:g}",
+               residual, RCS_RESIDUAL_TOLERANCE,
+               violation_time=float(momentum_traj.times[res_idx])),
     ]
-    files = _emit(out_dir, "first_order", first_config, first_traj)
+    files = _emit(out_dir, "first_order", first_traj.config, first_traj)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

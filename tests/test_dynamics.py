@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from relkura import (
     FrequencyResponse,
-    MomentumState,
-    PhaseState,
     SystemConfig,
     classical,
     coupling,
@@ -23,9 +21,9 @@ from relkura import (
     rapidity,
     relativistic,
     rhs,
-    rk4_step,
     simulate,
     simulate_batch,
+    simulate_both_forms,
     simulate_momentum,
 )
 from relkura.dynamics import _momentum_coupling
@@ -111,13 +109,13 @@ def test_rhs_applies_inverse_response():
 
 
 def test_rk4_step_constant_rate_is_exact():
-    # kappa = 0 decouples the system; RK4 reproduces linear motion exactly
+    # kappa = 0 decouples the system; one RK4 step reproduces linear motion
     om = np.array([0.5, -1.5])
-    cfg = SystemConfig(2, 0.0, om, classical(), 0.25, 1.0)
-    state = PhaseState(0.0, np.array([0.1, 0.2]))
-    stepped = rk4_step(cfg, state)
-    assert stepped.t == 0.25
-    assert stepped.theta == pytest.approx(state.theta + 0.25 * om, rel=1e-15)
+    cfg = SystemConfig(2, 0.0, om, classical(), 0.25, 0.25)
+    theta0 = np.array([0.1, 0.2])
+    traj = simulate(cfg, theta0)
+    assert np.array_equal(traj.times, [0.0, 0.25])
+    assert traj.thetas[-1] == pytest.approx(theta0 + 0.25 * om, rel=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +237,9 @@ def test_simulate_attaches_partial_trajectory_on_failure(monkeypatch):
 
 
 def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
+    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
+    theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
+    whole = simulate_both_forms(cfg, theta0, thetadot0)
     calls = {"n": 0}
     original = FrequencyResponse.velocity
 
@@ -249,9 +250,8 @@ def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
         return original(self, drive)
 
     monkeypatch.setattr(FrequencyResponse, "velocity", failing)
-    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
     with pytest.raises(DomainError) as excinfo:
-        simulate_momentum(cfg, np.array(PAIR_THETA0), np.array([0.2, -0.1]))
+        simulate_momentum(cfg, theta0, thetadot0)
     partial = excinfo.value.partial_trajectory
     assert partial.partial
     assert partial.times[0] == 0.0
@@ -262,6 +262,22 @@ def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
     assert np.all(np.isfinite(partial.residuals))
     assert np.all(np.isnan(partial.theta_dots[0]))
 
+    # the fused run attaches both forms' samples up to the failure
+    calls["n"] = 0
+    with pytest.raises(DomainError) as excinfo:
+        simulate_both_forms(cfg, theta0, thetadot0)
+    partials = excinfo.value.partial_trajectories
+    rows = partials[0].times.size
+    assert 1 < rows < 51
+    assert np.array_equal(partials[0].momenta, whole[0].momenta[:rows])
+    assert np.array_equal(partials[0].residuals, whole[0].residuals[:rows])
+    assert np.array_equal(partials[1].config.omega, whole[1].config.omega)
+    for part, full in zip(partials, whole):
+        assert part.partial
+        assert np.array_equal(part.times, full.times[:rows])
+        assert np.array_equal(part.thetas, full.thetas[:rows])
+        assert np.all(np.isnan(part.theta_dots))
+
 
 def test_failure_on_the_recorded_samples_of_a_finished_run_raises(monkeypatch):
     # The last recorded state is first evaluated when the samples are
@@ -269,9 +285,9 @@ def test_failure_on_the_recorded_samples_of_a_finished_run_raises(monkeypatch):
     original = FrequencyResponse.velocity
 
     def failing_on_records(self, drive):
-        # the steps see (1, n) batch drives or (n,) momenta, the recorded
-        # pass all M > 1 samples at once
-        if np.ndim(drive) == 2 and len(drive) > 1:
+        # the steps see (1, n) batch drives or the two stacked rows of
+        # both forms, the recorded pass all M = 11 samples at once
+        if np.ndim(drive) == 2 and len(drive) > 2:
             raise DomainError("synthetic failure on the recorded samples")
         return original(self, drive)
 
@@ -482,16 +498,67 @@ def test_momentum_form_rejects_superluminal_start():
 
 
 def test_momentum_rhs_classical_reduces_to_second_order():
-    from relkura import momentum_rhs
-
-    cfg = SystemConfig(2, 1.0, np.zeros(2), classical(), 0.01, 0.5, 1)
-    state = MomentumState(0.0, np.array([0.3, -0.3]), np.array([0.1, -0.1]))
-    theta_dot, p_dot = momentum_rhs(cfg, state)
-    assert np.array_equal(theta_dot, state.p)  # classical: velocity == drive
-    # cos-weighted velocity differences, pair closed form
+    # the classical momentum form is the second-order phase model with unit
+    # inertia: theta' = p exactly, and p' the cos-weighted velocity differences
+    dt = 1e-8
+    cfg = SystemConfig(2, 1.0, np.zeros(2), classical(), dt, dt, 1)
+    traj = simulate_momentum(cfg, np.array([0.3, -0.3]), np.array([0.1, -0.1]))
+    assert np.array_equal(traj.theta_dots, traj.momenta)  # classical: velocity == drive
+    # pair closed form of p'(0); one RK4 step of length dt resolves it to O(dt)
     expected = 0.5 * math.cos(-0.6) * (-0.2)
-    assert p_dot[0] == pytest.approx(expected, rel=1e-14)
-    assert p_dot[1] == pytest.approx(-expected, rel=1e-14)
+    p_dot = (traj.momenta[1] - traj.momenta[0]) / dt
+    assert p_dot[0] == pytest.approx(expected, rel=1e-6)
+    assert p_dot[1] == pytest.approx(-expected, rel=1e-6)
+
+
+def _momentum_form_alone(config, theta0, thetadot0):
+    """The momentum form as its own (2, n) state: one velocity call per stage."""
+    theta0 = np.asarray(theta0, dtype=float)
+    p0 = config.model.momentum(np.asarray(thetadot0, dtype=float))
+    nu = p0 - coupling(config, theta0)
+
+    def rates(y):
+        v = config.model.velocity(y[1])
+        return np.stack((v, _momentum_coupling(config, y[0], v)))
+
+    times, states, err = dynamics._integrate(config, np.stack((theta0, p0)), rates)
+    assert err is None
+    thetas, momenta = states[:, 0], states[:, 1]
+    return {"times": times, "thetas": thetas, "momenta": momenta,
+            "theta_dots": config.model.velocity(momenta),
+            "residuals": momenta - coupling(config, thetas) - nu}
+
+
+# The stacked rows hold the same drive up to rounding, so a joint stop test
+# would change the floats only at the rare stages where their Newton solves
+# stop after different numbers of rounds: 20 time units contain such stages
+# for every full-kind case below.
+@pytest.mark.parametrize("n, model, dt, t_final, record_every", [
+    (10, relativistic(1.0), 0.05, 20.0, 1),
+    # c**3 is where numpy's array power and Python's pow can part by an ulp
+    (10, relativistic(1.28), 0.05, 20.0, 1),
+    # the first-order sums take the O(n) branch above PAIRWISE_MAX_N
+    (30, relativistic(1.0), 0.05, 20.0, 1),
+    # 666 steps of 0.03, then a closing step of 0.02
+    (10, relativistic(1.5), 0.03, 20.0, 7),
+    (10, classical(), 0.05, 20.0, 1),
+    (10, rapidity(1.5), 0.05, 20.0, 1),
+])
+def test_both_forms_match_each_form_run_alone(n, model, dt, t_final, record_every):
+    gen = np.random.default_rng(n)
+    cfg = SystemConfig(n, 1.0, gen.uniform(-0.1, 0.1, n), model, dt, t_final, record_every)
+    theta0 = gen.uniform(-1.2, 1.2, n)
+    thetadot0 = gen.uniform(-0.3, 0.3, n)
+    momentum, first = simulate_both_forms(cfg, theta0, thetadot0)
+    assert not (momentum.partial or first.partial)
+    assert np.array_equal(first.config.omega, momentum.induced_omega)
+    # the same floats as each form integrated on its own, not merely close ones
+    alone = simulate(first.config, theta0)
+    for name in ("times", "thetas", "theta_dots"):
+        assert np.array_equal(getattr(first, name), getattr(alone, name)), name
+    reference = _momentum_form_alone(cfg, theta0, thetadot0)
+    for name, expected in reference.items():
+        assert np.array_equal(getattr(momentum, name), expected), name
 
 
 # ----------------------------------------------------------------------
