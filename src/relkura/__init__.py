@@ -12,121 +12,24 @@ The package is organized as a small numpy library:
 * :mod:`relkura.experiments` -- seeded, reproducible scenario runners
   with JSON-serializable reports.
 * :mod:`relkura.cli` -- the ``relkura`` command.
+
+The package re-exports each library module's ``__all__``; that list is the
+one place a public name is declared.
 """
 
-from .diagnostics import (
-    DecayFit,
-    DiagnosticsSeries,
-    OrderParameter,
-    PotentialValue,
-    compute_diagnostics,
-    energy,
-    fit_decay_rate,
-    l1_discrepancy,
-    order_parameter,
-    phase_diameter,
-    potential,
-    predicted_rate,
-    theta_star,
-    write_diagnostics_csv,
-)
-from .dynamics import (
-    MomentumTrajectory,
-    SystemConfig,
-    Trajectory,
-    coupling,
-    induced_frequencies,
-    rhs,
-    simulate,
-    simulate_batch,
-    simulate_both_forms,
-    simulate_momentum,
-    write_trajectory_csv,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateFitError,
-    DomainError,
-    RelkuraError,
-    UnsupportedModelError,
-)
-from .experiments import (
-    RNG_ALGORITHM,
-    ExperimentReport,
-    PredicateOutcome,
-    SamplingSpec,
-    make_rng,
-    run_four_model_comparison,
-    run_limit_scaling,
-    run_rate_vs_c,
-    run_rcs_crosscheck,
-    run_sync_predicates,
-    sample_ensemble,
-    sample_protocol_ensemble,
-)
-from .models import (
-    AdmissibilityReport,
-    FrequencyResponse,
-    ModelKind,
-    classical,
-    proper_velocity,
-    rapidity,
-    relativistic,
-)
+from . import diagnostics, dynamics, errors, experiments, models
+from .diagnostics import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .models import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
-    "ConfigError",
-    "ConvergenceError",
-    "DecayFit",
-    "DegenerateFitError",
-    "DiagnosticsSeries",
-    "DomainError",
-    "ExperimentReport",
-    "FrequencyResponse",
-    "ModelKind",
-    "MomentumTrajectory",
-    "OrderParameter",
-    "PotentialValue",
-    "PredicateOutcome",
-    "RelkuraError",
-    "RNG_ALGORITHM",
-    "SamplingSpec",
-    "SystemConfig",
-    "Trajectory",
-    "UnsupportedModelError",
-    "classical",
-    "compute_diagnostics",
-    "coupling",
-    "energy",
-    "fit_decay_rate",
-    "induced_frequencies",
-    "l1_discrepancy",
-    "make_rng",
-    "order_parameter",
-    "phase_diameter",
-    "potential",
-    "predicted_rate",
-    "proper_velocity",
-    "rapidity",
-    "relativistic",
-    "rhs",
-    "run_four_model_comparison",
-    "run_limit_scaling",
-    "run_rate_vs_c",
-    "run_rcs_crosscheck",
-    "run_sync_predicates",
-    "sample_ensemble",
-    "sample_protocol_ensemble",
-    "simulate",
-    "simulate_batch",
-    "simulate_both_forms",
-    "simulate_momentum",
-    "theta_star",
-    "write_diagnostics_csv",
-    "write_trajectory_csv",
-    "__version__",
+    *diagnostics.__all__,
+    *dynamics.__all__,
+    *errors.__all__,
+    *experiments.__all__,
+    *models.__all__,
 ]

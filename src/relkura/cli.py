@@ -62,6 +62,16 @@ _C_LIST_DEFAULTS = {
     "limit": [5.0, 10.0, 20.0],
 }
 
+# Config keys that only some scenarios read.  Setting one for another
+# scenario is a configuration error rather than a silently dropped value.
+_SCENARIO_KEYS = {
+    "theta0": ("simulate",),
+    "omega": ("simulate", "sync-check"),
+    "c_list": ("rate-vs-c", "limit"),
+    "regimes": ("limit",),
+    "checkpoints": ("limit",),
+}
+
 
 @dataclass
 class RunConfig:
@@ -181,6 +191,10 @@ def _validate(cfg: RunConfig) -> None:
     for name in ("theta0", "omega"):
         if getattr(cfg, name) is not None and len(_finite_list(cfg, name)) != cfg.n:
             raise ConfigError(name, f"must have exactly n={cfg.n} entries")
+    for name, readers in _SCENARIO_KEYS.items():
+        if getattr(cfg, name) is not None and cfg.scenario not in readers:
+            raise ConfigError(name, f"is read only by {' and '.join(readers)}, "
+                                    f"not by {cfg.scenario}")
     if not isinstance(cfg.homogeneous, bool):
         raise ConfigError("homogeneous", "must be true or false")
     if not isinstance(cfg.out, str) or not cfg.out:

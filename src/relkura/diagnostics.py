@@ -1,9 +1,10 @@
 """Observables over phase configurations and recorded trajectories.
 
-Scalar observables (diameter, order parameter, potential, energy,
-predicted contraction rate) operate on single configurations; the
-trajectory-level helpers evaluate them along a recorded run and export
-the series as plot-ready CSV.
+Scalar observables (diameter, order parameter, energy, predicted
+contraction rate) operate on single configurations; the potential takes
+one configuration or a stack of them along the last axis.  The
+trajectory-level helpers evaluate the observables along a recorded run
+and export the series as plot-ready CSV.
 
 The energy observable is the integral of w * F'(w) from 0 to |w_i| per
 oscillator, summed; each bounded kind has it in closed form:
@@ -30,14 +31,12 @@ from .models import FrequencyResponse, ModelKind
 
 __all__ = [
     "OrderParameter",
-    "PotentialValue",
     "DecayFit",
     "DiagnosticsSeries",
     "phase_diameter",
     "order_parameter",
     "potential",
     "energy",
-    "l1_discrepancy",
     "predicted_rate",
     "fit_decay_rate",
     "theta_star",
@@ -60,27 +59,6 @@ class OrderParameter:
 
     r: float
     phi: float | None
-
-
-@dataclass(frozen=True)
-class PotentialValue:
-    """Gradient-flow potential of a configuration.
-
-    ``pair_term`` is the pairwise (1 - cos) sum scaled by kappa/(2n),
-    evaluated in O(n) through sum_ij cos(theta_j - theta_i) =
-    |sum e^{i theta}|**2 as kappa/2 * sum_j |e^{i theta_j} - z|**2, z the
-    mean phasor, a form that keeps its digits near synchrony.
-    ``pair_term_from_order`` re-derives it from the order parameter via
-    kappa*n/2 * (1 - r**2), an exact identity useful as a cross-check
-    away from synchrony.
-    ``frequencies_centered`` flags |sum(omega)| <= 1e-9; without that the
-    linear term makes the potential meaningful only up to drift.
-    """
-
-    value: float
-    pair_term: float
-    pair_term_from_order: float
-    frequencies_centered: bool
 
 
 @dataclass(frozen=True)
@@ -124,18 +102,22 @@ def _phasor_spread(theta: np.ndarray) -> np.ndarray:
     return (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
 
 
-def potential(theta, kappa: float, omega) -> PotentialValue:
+def potential(theta, kappa: float, omega):
+    """Gradient-flow potential -omega . theta + pair term, along the last axis.
+
+    ``theta`` is one configuration (n,) or a stack (..., n); the result is
+    a scalar or one value per row.  The pair term is the pairwise
+    (1 - cos) sum scaled by kappa/(2n), evaluated in O(n) as
+    kappa/2 * sum_j |e^{i theta_j} - z|**2, z the row's mean phasor, a
+    form that keeps its digits near synchrony; with omega = 0 the
+    potential is the pair term alone.  Unless sum(omega) = 0 the linear
+    term makes the potential meaningful only up to drift.
+    """
     th = np.asarray(theta, dtype=float)
     om = np.asarray(omega, dtype=float)
-    if th.shape != om.shape:
-        raise ValueError("theta and omega must have matching shapes")
-    n = th.size
-    r = order_parameter(th).r
-    pair = 0.5 * kappa * float(_phasor_spread(th))
-    from_order = 0.5 * kappa * n * (1.0 - r * r)
-    value = -float(om @ th) + pair
-    centered = abs(float(om.sum())) <= 1e-9
-    return PotentialValue(value, pair, from_order, centered)
+    if th.size == 0 or om.shape != th.shape[-1:]:
+        raise ValueError("potential needs phases and an omega of their last-axis length")
+    return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
 
 
 def energy(model: FrequencyResponse, theta_dot) -> float:
@@ -160,15 +142,6 @@ def energy(model: FrequencyResponse, theta_dot) -> float:
     if model.kind is ModelKind.RAPIDITY:
         return float(np.sum(c * c * log_gamma))
     return float(np.sum(c * c * gamma_m1 + gamma2_m1 - log_gamma))
-
-
-def l1_discrepancy(a, b) -> float:
-    """Sum of absolute componentwise differences between two phase vectors."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise ValueError("l1_discrepancy needs vectors of matching shape")
-    return float(np.abs(av - bv).sum())
 
 
 def predicted_rate(config: SystemConfig, initial_diameter: float) -> float:
@@ -251,7 +224,7 @@ def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> Diagnos
     z = np.exp(1j * th).mean(axis=1)
     r = np.abs(z)
     phi = np.where(r > R_UNDEFINED_BELOW, np.angle(z), np.nan)
-    pots = -(th @ config.omega) + 0.5 * config.kappa * _phasor_spread(th)
+    pots = potential(th, config.kappa, config.omega)
     if config.model.kind is ModelKind.CLASSICAL:
         en = np.full(th.shape[0], np.nan)
     else:

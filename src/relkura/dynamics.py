@@ -32,6 +32,11 @@ Conventions that matter for downstream analysis:
   Only the ODE each form integrates is its own.
 * Recorded velocities are evaluated from the recorded states in one
   vectorized pass per system after integration.
+* A model failure mid-run propagates with the samples recorded so far
+  attached to the error as ``partial_trajectories``: one trajectory per
+  batched system, or the (momentum, first-order) pair of the two forms.
+  ``simulate`` and ``simulate_momentum`` return one item of those
+  integrators' results, so their errors carry the same attribute.
 * The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
   oscillators: Kuramoto's order-parameter identity rewrites
   sum_j sin(theta_j - theta_i) as cos(theta_i) * S - sin(theta_i) * C
@@ -64,7 +69,6 @@ __all__ = [
     "simulate_batch",
     "simulate_both_forms",
     "simulate_momentum",
-    "induced_frequencies",
     "write_trajectory_csv",
 ]
 
@@ -358,17 +362,10 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
     """Integrate the first-order form from theta0 over the config time grid.
 
     A batch of one (``simulate_batch``).  Records every ``record_every``-th
-    step plus the initial and final states.  If the model evaluation
-    fails mid-run the error propagates with the samples recorded so far
-    attached as ``partial_trajectory``.
+    step plus the initial and final states; a mid-run model failure
+    carries the samples recorded so far as ``partial_trajectories``.
     """
-    try:
-        (traj,) = simulate_batch([config], _check_initial_phases(config, theta0))
-    except (DomainError, ConvergenceError) as err:
-        if hasattr(err, "partial_trajectories"):
-            (err.partial_trajectory,) = err.partial_trajectories
-        raise
-    return traj
+    return simulate_batch([config], _check_initial_phases(config, theta0))[0]
 
 
 # ----------------------------------------------------------------------
@@ -392,18 +389,6 @@ def _check_initial_velocities(config: SystemConfig, thetadot0) -> np.ndarray:
     return td
 
 
-def induced_frequencies(config: SystemConfig, theta0, thetadot0) -> np.ndarray:
-    """Natural frequencies consistent with the given initial phases and velocities.
-
-    nu_i = F(thetadot_i(0)) - coupling_i(0).  The momentum form conserves
-    these exactly along the flow, which is what the recorded residuals
-    measure.
-    """
-    th = _check_initial_phases(config, theta0)
-    td = _check_initial_velocities(config, thetadot0)
-    return config.model.momentum(td) - coupling(config, th)
-
-
 def _both_forms_rates(config: SystemConfig, nu: np.ndarray):
     """Derivative of the stacked state y = (theta_m, p, theta_f), shape (3, n).
 
@@ -424,9 +409,10 @@ def simulate_both_forms(config: SystemConfig, theta0,
                         thetadot0) -> tuple[MomentumTrajectory, Trajectory]:
     """Integrate the momentum and first-order forms of one system together.
 
-    The natural frequencies nu are induced from the initial data
-    (``config.omega`` is not used) and recorded on the momentum result
-    with its per-sample conservation residuals; the first-order result
+    The natural frequencies nu_i = F(thetadot_i(0)) - coupling_i(0) are
+    induced from the initial data (``config.omega`` is not used) and
+    recorded on the momentum result as ``induced_omega``, with its
+    per-sample conservation residuals; the first-order result
     runs ``config`` with omega = nu from theta0.  Both forms integrate as
     one (3, n) state on the config's grid, and each gets the floats a run
     of it alone gives: the first-order half equals ``simulate``.  If the
@@ -461,17 +447,10 @@ def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajec
     The momentum half of ``simulate_both_forms``: ``config.omega`` is not
     used by the flow, the natural frequencies are induced from the initial
     data and recorded on the result, together with the per-sample
-    conservation residuals.  If the model evaluation fails mid-run the
-    error propagates with the samples recorded so far attached as
-    ``partial_trajectory``.
+    conservation residuals.  A mid-run model failure carries both forms'
+    samples recorded so far as ``partial_trajectories``.
     """
-    try:
-        momentum, _ = simulate_both_forms(config, theta0, thetadot0)
-    except (DomainError, ConvergenceError) as err:
-        if hasattr(err, "partial_trajectories"):
-            err.partial_trajectory = err.partial_trajectories[0]
-        raise
-    return momentum
+    return simulate_both_forms(config, theta0, thetadot0)[0]
 
 
 # ----------------------------------------------------------------------

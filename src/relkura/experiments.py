@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
-    DiagnosticsSeries,
     compute_diagnostics,
     fit_decay_rate,
     order_parameter,
@@ -47,8 +46,6 @@ from .models import FrequencyResponse, classical, proper_velocity, rapidity, rel
 __all__ = [
     "RNG_ALGORITHM",
     "make_rng",
-    "SamplingSpec",
-    "sample_ensemble",
     "sample_protocol_ensemble",
     "PredicateOutcome",
     "ExperimentReport",
@@ -88,46 +85,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Seeded uniform sampling of an ensemble.
-
-    ``phase_interval`` bounds the initial phases, ``freq_interval`` the
-    natural frequencies; degenerate intervals are allowed and produce
-    the constant value.
-    """
-
-    seed: int
-    phase_interval: tuple[float, float]
-    freq_interval: tuple[float, float]
-    n: int
-
-    def __post_init__(self):
-        if self.phase_interval[0] > self.phase_interval[1]:
-            raise DomainError("phase_interval must satisfy low <= high")
-        if self.freq_interval[0] > self.freq_interval[1]:
-            raise DomainError("freq_interval must satisfy low <= high")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-
-
-def sample_ensemble(spec: SamplingSpec, center_frequencies: bool = False):
-    """Draw (theta0, omega); frequencies first, then phases, one stream."""
-    gen = make_rng(spec.seed)
-    omega = gen.uniform(spec.freq_interval[0], spec.freq_interval[1], spec.n)
-    theta0 = gen.uniform(spec.phase_interval[0], spec.phase_interval[1], spec.n)
-    if center_frequencies:
-        omega = omega - omega.mean()
-    return theta0, omega
-
-
 def sample_protocol_ensemble(
     seed: int,
     n: int = 10,
     kappa: float = 1.0,
     freq_interval: tuple[float, float] = (-0.15, 0.15),
     center_frequencies: bool = False,
-    phase_halfwidth: float | None = None,
     omega=None,
 ):
     """Reference sampling protocol: the phase window depends on the draw.
@@ -137,8 +100,8 @@ def sample_protocol_ensemble(
     angle theta* = asin(spread / kappa), which is 0 for identical
     frequencies and None when the spread is not below kappa and no lock
     angle exists.  Phases are then drawn from [-(pi - theta*)/2,
-    (pi - theta*)/2], with theta* taken as 0 where it is None, unless an
-    explicit half-width is given.  Returns (theta0, omega, theta_star).
+    (pi - theta*)/2], with theta* taken as 0 where it is None.  Returns
+    (theta0, omega, theta_star).
     """
     gen = make_rng(seed)
     if omega is None:
@@ -151,9 +114,8 @@ def sample_protocol_ensemble(
             raise DomainError(f"omega must have length n={n}")
     spread = float(np.ptp(omega))
     tstar = theta_star(kappa, spread) if spread < kappa else None
-    if phase_halfwidth is None:
-        phase_halfwidth = 0.5 * (math.pi - (tstar or 0.0))
-    theta0 = gen.uniform(-phase_halfwidth, phase_halfwidth, n)
+    halfwidth = 0.5 * (math.pi - (tstar or 0.0))
+    theta0 = gen.uniform(-halfwidth, halfwidth, n)
     return theta0, omega, tstar
 
 
@@ -242,8 +204,7 @@ def _violation(times: np.ndarray, bad: np.ndarray, margins: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _emit(out_dir, label: str, config: SystemConfig, traj: Trajectory,
-          series: DiagnosticsSeries | None = None) -> list[str]:
+def _emit(out_dir, label: str, traj: Trajectory) -> list[str]:
     """Write trajectory and diagnostics CSVs for one run; returns filenames."""
     if out_dir is None:
         return []
@@ -251,9 +212,7 @@ def _emit(out_dir, label: str, config: SystemConfig, traj: Trajectory,
     out.mkdir(parents=True, exist_ok=True)
     names = [f"trajectory_{label}.csv", f"diagnostics_{label}.csv"]
     traj.write_csv(out / names[0])
-    if series is None:
-        series = compute_diagnostics(config, traj)
-    write_diagnostics_csv(series, out / names[1])
+    write_diagnostics_csv(compute_diagnostics(traj.config, traj), out / names[1])
     return names
 
 
@@ -326,7 +285,7 @@ def run_four_model_comparison(
         terminal[label] = float(np.ptp(traj.thetas[-1]))
         idx = [int(np.argmin(np.abs(traj.times - t))) for t in snapshot_times]
         snapshots[label] = traj.thetas[idx].tolist()
-        files += _emit(out_dir, label, config, traj)
+        files += _emit(out_dir, label, traj)
 
     predicates = []
     if tstar is not None:
@@ -434,7 +393,7 @@ def run_rate_vs_c(
                 row["transient_fit"] = None
             row["transient_fit_qualitative"] = True
         rows.append(row)
-        files += _emit(out_dir, label, config, traj)
+        files += _emit(out_dir, label, traj)
 
     predicates = []
     results = {
@@ -536,10 +495,10 @@ def run_limit_scaling(
         configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
                    for c in c_values]
         reference, *rest = simulate_batch([base, *configs], theta0)
-        files += _emit(out_dir, f"{regime}_classical", base, reference)
+        files += _emit(out_dir, f"{regime}_classical", reference)
 
         rows = []
-        for c, config, traj in zip(c_values, configs, rest):
+        for c, traj in zip(c_values, rest):
             gap = np.abs(traj.thetas - reference.thetas).sum(axis=1)
             sup = float(np.max(gap))
             row = {
@@ -556,7 +515,7 @@ def run_limit_scaling(
                 },
             }
             rows.append(row)
-            files += _emit(out_dir, f"{regime}_relativistic_c{c:g}", config, traj)
+            files += _emit(out_dir, f"{regime}_relativistic_c{c:g}", traj)
         regime_tables[regime] = rows
 
         for low, high in zip(rows, rows[1:]):
@@ -574,7 +533,7 @@ def run_limit_scaling(
             )
         if regime == "zero" and len(checkpoints) >= 2:
             for row in rows:
-                stamps = sorted(row["checkpoints"])
+                stamps = sorted(row["checkpoints"], key=float)
                 if len(stamps) < 2:
                     continue
                 first = row["checkpoints"][stamps[0]]["c2_sup_l1"]
@@ -639,7 +598,7 @@ def run_sync_predicates(
 
     config = SystemConfig(n, kappa, omega, model, dt, t_final, record_every)
     traj = simulate(config, theta0)
-    files = _emit(out_dir, model.kind.value, config, traj)
+    files = _emit(out_dir, model.kind.value, traj)
 
     pd = np.ptp(traj.thetas, axis=1)
     fd = np.ptp(traj.theta_dots, axis=1)
@@ -788,7 +747,7 @@ def run_rcs_crosscheck(
                residual, RCS_RESIDUAL_TOLERANCE,
                violation_time=float(momentum_traj.times[res_idx])),
     ]
-    files = _emit(out_dir, "first_order", first_traj.config, first_traj)
+    files = _emit(out_dir, "first_order", first_traj)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -335,28 +335,17 @@ class FrequencyResponse:
     # interval minimum of the inverse slope
     # ------------------------------------------------------------------
 
-    def min_velocity_slope(self, lo: float, hi: float, samples: int | None = None) -> float:
+    def min_velocity_slope(self, lo: float, hi: float) -> float:
         """Minimum of ``velocity_slope`` over the drive interval [lo, hi].
 
         The slope is even and unimodal with its maximum at zero, so the
         minimum sits at the endpoint of larger magnitude; that endpoint
-        evaluation is the implementation.  Passing ``samples`` additionally
-        checks the claim against a dense grid (meant for tests; raises
-        AssertionError if the dense minimum ever undercuts the endpoint
-        value, which would mean the unimodality argument broke).
+        evaluation is the implementation.
         """
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise DomainError("min_velocity_slope needs a finite interval with lo <= hi")
         endpoint = lo if abs(lo) >= abs(hi) else hi
-        value = self.velocity_slope(endpoint)
-        if samples is not None:
-            grid = np.linspace(lo, hi, max(int(samples), 3))
-            dense = float(np.min(self.velocity_slope(grid)))
-            if dense < value * (1.0 - 1e-9):
-                raise AssertionError(
-                    f"dense sampling found slope {dense} below endpoint value {value}"
-                )
-        return value
+        return self.velocity_slope(endpoint)
 
     # ------------------------------------------------------------------
     # structural checks

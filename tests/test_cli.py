@@ -68,6 +68,12 @@ def test_parse_config_names_offending_field(tmp_path):
         ('{"scenario": "simulate", "n": 2, "theta0": [0.1, -1e999]}', "theta0"),
         ('{"scenario": "simulate", "n": 2, "omega": [NaN, 0.0]}', "omega"),
         ('{"scenario": "simulate", "n": 2, "omega": [true, false]}', "omega"),
+        # valid values for a key the scenario does not read
+        ('{"scenario": "sync-check", "n": 2, "theta0": [0.0, 0.5]}', "theta0"),
+        ('{"scenario": "compare", "n": 2, "omega": [0.1, -0.1]}', "omega"),
+        ('{"scenario": "sync-check", "c_list": [1.0, 2.0]}', "c_list"),
+        ('{"scenario": "rate-vs-c", "regimes": ["zero"]}', "regimes"),
+        ('{"scenario": "rcs-check", "checkpoints": [5, 10]}', "checkpoints"),
     ]
     for i, (text, field) in enumerate(bad_lists):
         path = tmp_path / f"list_{i}.json"

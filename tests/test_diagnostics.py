@@ -21,7 +21,6 @@ from relkura import (
     compute_diagnostics,
     energy,
     fit_decay_rate,
-    l1_discrepancy,
     order_parameter,
     phase_diameter,
     potential,
@@ -84,12 +83,13 @@ def test_order_parameter_spot_value():
 
 
 def test_potential_spot_value_and_order_identity():
-    val = potential(SPOT_THETA, SPOT_KAPPA, SPOT_OMEGA)
-    assert val.pair_term == pytest.approx(SPOT_PAIR_TERM, rel=1e-14)
-    assert val.value == pytest.approx(SPOT_VALUE, rel=1e-14)
+    # with zero frequencies the potential is the pair term alone
+    pair = potential(SPOT_THETA, SPOT_KAPPA, np.zeros(3))
+    assert pair == pytest.approx(SPOT_PAIR_TERM, rel=1e-14)
+    assert potential(SPOT_THETA, SPOT_KAPPA, SPOT_OMEGA) == pytest.approx(SPOT_VALUE, rel=1e-14)
     # kappa*n/2 * (1 - r^2) is an exact rewriting of the pair sum
-    assert val.pair_term_from_order == pytest.approx(val.pair_term, rel=1e-13)
-    assert val.frequencies_centered  # 0.1 - 0.2 + 0.1 sums to exactly zero
+    r = order_parameter(SPOT_THETA).r
+    assert 0.5 * SPOT_KAPPA * 3 * (1.0 - r * r) == pytest.approx(pair, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 40])
@@ -101,24 +101,13 @@ def test_potential_pair_term_keeps_digits_near_synchrony(n, offset, spread):
         phases = [mpmath.mpf(float(t)) for t in theta]
         exact = sum(1 - mpmath.cos(b - a) for a in phases for b in phases) * 0.7 / (2 * n)
     # n**2 minus the cos sum cancels to rounding noise here; the pair term must not
-    pair = potential(theta, 0.7, np.zeros(n)).pair_term
+    pair = potential(theta, 0.7, np.zeros(n))
     assert abs(pair - float(exact)) <= 1e-13 * float(exact)
-
-
-def test_potential_flags_uncentered_frequencies():
-    val = potential(SPOT_THETA, SPOT_KAPPA, np.array([0.1, 0.1, 0.1]))
-    assert not val.frequencies_centered
 
 
 def test_potential_shape_mismatch():
     with pytest.raises(ValueError):
         potential(SPOT_THETA, 1.0, np.zeros(2))
-
-
-def test_l1_discrepancy():
-    assert l1_discrepancy([1.0, -2.0], [0.5, -1.0]) == 1.5
-    with pytest.raises(ValueError):
-        l1_discrepancy([1.0], [1.0, 2.0])
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +248,8 @@ def test_compute_diagnostics_matches_pointwise_observables(small_run):
     cfg, traj = small_run
     series = compute_diagnostics(cfg, traj)
     assert np.array_equal(series.times, traj.times)
+    # one potential per recorded row
+    assert np.array_equal(series.potential, potential(traj.thetas, cfg.kappa, cfg.omega))
     assert series.omega_diameter == pytest.approx(np.ptp(cfg.omega), rel=1e-15)
     for k in range(traj.times.size):
         th = traj.thetas[k]
@@ -268,7 +259,7 @@ def test_compute_diagnostics_matches_pointwise_observables(small_run):
         assert series.order_r[k] == pytest.approx(op.r, rel=1e-14)
         assert series.order_phi[k] == pytest.approx(op.phi, rel=1e-13)
         assert series.potential[k] == pytest.approx(
-            potential(th, cfg.kappa, cfg.omega).value, rel=1e-13)
+            potential(th, cfg.kappa, cfg.omega), rel=1e-13)
         assert series.energy[k] == pytest.approx(
             energy(cfg.model, traj.theta_dots[k]), rel=1e-12)
 

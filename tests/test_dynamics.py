@@ -15,7 +15,6 @@ from relkura import (
     classical,
     coupling,
     dynamics,
-    induced_frequencies,
     potential,
     proper_velocity,
     rapidity,
@@ -227,7 +226,7 @@ def test_simulate_attaches_partial_trajectory_on_failure(monkeypatch):
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
     with pytest.raises(DomainError) as excinfo:
         simulate(cfg, np.array(PAIR_THETA0))
-    partial = excinfo.value.partial_trajectory
+    (partial,) = excinfo.value.partial_trajectories
     assert partial.partial
     assert partial.times[0] == 0.0
     assert 1 < partial.times.size < 51
@@ -252,7 +251,7 @@ def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
     monkeypatch.setattr(FrequencyResponse, "velocity", failing)
     with pytest.raises(DomainError) as excinfo:
         simulate_momentum(cfg, theta0, thetadot0)
-    partial = excinfo.value.partial_trajectory
+    partial = excinfo.value.partial_trajectories[0]
     assert partial.partial
     assert partial.times[0] == 0.0
     assert 1 < partial.times.size < 51
@@ -295,10 +294,10 @@ def test_failure_on_the_recorded_samples_of_a_finished_run_raises(monkeypatch):
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
     with pytest.raises(DomainError, match="recorded samples") as excinfo:
         simulate(cfg, np.array(PAIR_THETA0))
-    assert not hasattr(excinfo.value, "partial_trajectory")
+    assert not hasattr(excinfo.value, "partial_trajectories")
     with pytest.raises(DomainError, match="recorded samples") as excinfo:
         simulate_momentum(cfg, np.array(PAIR_THETA0), np.array([0.2, -0.1]))
-    assert not hasattr(excinfo.value, "partial_trajectory")
+    assert not hasattr(excinfo.value, "partial_trajectories")
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +424,7 @@ def test_mean_field_sums_match_pairwise_reference(n, offset, log_spread, kappa, 
     assert np.max(np.abs(coupling(cfg, theta) - sine_ref)) <= 1e-14 * kappa
     assert np.max(np.abs(_momentum_coupling(cfg, theta, v) - cos_ref)) <= 1e-14 * kappa
     # the pair term grows to kappa * n, where 1e-14 * kappa is below one ulp
-    pair = potential(theta, kappa, np.zeros(n)).pair_term
+    pair = potential(theta, kappa, np.zeros(n))
     assert abs(pair - pair_ref) <= 1e-14 * kappa * n
 
 
@@ -465,15 +464,16 @@ def test_momentum_form_matches_first_order():
     model = relativistic(1.0)
     cfg = SystemConfig(3, 1.0, om, model, 1e-3, 1.0, 1)
     thetadot0 = model.velocity(om + coupling(cfg, theta0))
-    nu = induced_frequencies(cfg, theta0, thetadot0)
+    momentum_traj = simulate_momentum(cfg, theta0, thetadot0)
+    nu = momentum_traj.induced_omega
     assert np.max(np.abs(nu - om)) < 1e-14
 
-    momentum_traj = simulate_momentum(cfg, theta0, thetadot0)
     first_traj = simulate(SystemConfig(3, 1.0, nu, model, 1e-3, 1.0, 1), theta0)
     assert np.array_equal(momentum_traj.times, first_traj.times)
     assert np.max(np.abs(momentum_traj.thetas - first_traj.thetas)) < 1e-10
     assert np.max(np.abs(momentum_traj.residuals)) < 1e-12
-    assert np.array_equal(momentum_traj.induced_omega, nu)
+    # nu_i = F(thetadot_i(0)) - coupling_i(0)
+    assert np.array_equal(nu, model.momentum(thetadot0) - coupling(cfg, theta0))
 
 
 def test_momentum_form_initial_sample_consistency():

@@ -13,7 +13,6 @@ import pytest
 
 from relkura import (
     RNG_ALGORITHM,
-    SamplingSpec,
     classical,
     make_rng,
     relativistic,
@@ -22,7 +21,6 @@ from relkura import (
     run_rate_vs_c,
     run_rcs_crosscheck,
     run_sync_predicates,
-    sample_ensemble,
     sample_protocol_ensemble,
 )
 from relkura.errors import DomainError
@@ -43,28 +41,18 @@ def test_make_rng_is_reproducible_and_counter_based():
 
 
 def test_sample_ensemble_draw_order_is_frequencies_first():
-    spec = SamplingSpec(seed=9, phase_interval=(-1.0, 1.0),
-                        freq_interval=(-0.2, 0.2), n=6)
-    theta0, omega = sample_ensemble(spec)
+    theta0, omega, tstar = sample_protocol_ensemble(9, n=6, kappa=1.0,
+                                                    freq_interval=(-0.2, 0.2))
     gen = make_rng(9)
     assert np.array_equal(omega, gen.uniform(-0.2, 0.2, 6))
-    assert np.array_equal(theta0, gen.uniform(-1.0, 1.0, 6))
+    half = 0.5 * (math.pi - tstar)
+    assert np.array_equal(theta0, gen.uniform(-half, half, 6))
 
 
 def test_sample_ensemble_centering():
-    spec = SamplingSpec(seed=9, phase_interval=(-1.0, 1.0),
-                        freq_interval=(-0.2, 0.2), n=6)
-    _, omega = sample_ensemble(spec, center_frequencies=True)
+    _, omega, _ = sample_protocol_ensemble(9, n=6, freq_interval=(-0.2, 0.2),
+                                           center_frequencies=True)
     assert abs(omega.mean()) < 1e-16
-
-
-def test_sampling_spec_validation():
-    with pytest.raises(DomainError):
-        SamplingSpec(0, (1.0, -1.0), (0.0, 0.0), 4)
-    with pytest.raises(DomainError):
-        SamplingSpec(0, (0.0, 0.0), (0.2, -0.2), 4)
-    with pytest.raises(DomainError):
-        SamplingSpec(0, (0.0, 0.0), (0.0, 0.0), 0)
 
 
 def test_sample_protocol_ensemble_window_tracks_realized_spread():
@@ -80,11 +68,6 @@ def test_sample_protocol_ensemble_degenerate_interval():
     assert np.array_equal(omega, np.zeros(5))
     assert tstar == 0.0
     assert np.max(np.abs(theta0)) <= 0.5 * math.pi
-
-
-def test_sample_protocol_ensemble_explicit_halfwidth():
-    theta0, _, _ = sample_protocol_ensemble(21, n=5, phase_halfwidth=0.1)
-    assert np.max(np.abs(theta0)) <= 0.1
 
 
 def test_sample_protocol_ensemble_given_omega_and_no_lock_angle():
@@ -187,6 +170,19 @@ def test_limit_scaling_zero_regime_quadratic_and_bounded():
     for row in rows:
         assert row["c2_sup_l1"] == pytest.approx(row["c"] ** 2 * row["sup_l1"], rel=1e-15)
         assert set(row["checkpoints"]) == {"3", "6"}
+
+
+def test_limit_scaling_bounded_check_takes_checkpoints_in_numeric_order():
+    # the checkpoint keys "10" and "2" sort the other way round as strings
+    report = run_limit_scaling(3, c_values=(5.0,), kappa=0.1, regimes=("zero",),
+                               checkpoint_times=(2.0, 10.0))
+    (outcome,) = report.predicates
+    stamps = report.results["tables"]["zero"][0]["checkpoints"]
+    assert outcome.observed["first"] == stamps["2"]["c2_sup_l1"]
+    assert outcome.observed["last"] == stamps["10"]["c2_sup_l1"]
+    # c^2 * sup l1 roughly quadruples between t = 2 and t = 10
+    assert outcome.observed["growth"] > 1.0
+    assert not outcome.passed
 
 
 def test_limit_scaling_skips_non_doubling_pairs():

@@ -307,11 +307,12 @@ def test_min_velocity_slope_reference_values():
 
 
 def test_min_velocity_slope_dense_check_agrees():
-    # samples engages the dense-grid audit of the endpoint rule
+    # the endpoint rule against the minimum over a dense grid of the interval
     for factory in ALL_BOUNDED + (classical,):
         model = factory(1.0) if factory is not classical else classical()
-        value = model.min_velocity_slope(-1.2, 0.4, samples=2001)
-        assert value == model.min_velocity_slope(-1.2, 0.4)
+        value = model.min_velocity_slope(-1.2, 0.4)
+        dense = float(np.min(model.velocity_slope(np.linspace(-1.2, 0.4, 2001))))
+        assert dense >= value * (1.0 - 1e-9)
 
 
 def test_min_velocity_slope_rejects_bad_interval():
