@@ -1,76 +1,76 @@
 """Command-line front end.
 
-One subcommand-style ``--scenario`` flag selects the run; every scenario
-writes ``report.json`` (plus trajectory/diagnostics CSVs) into the output
-directory and prints one line per checked predicate.  Exit codes:
-0 all predicates passed, 1 at least one failed, 2 configuration error,
-3 numerical failure.  Flag values override config-file values; defaults
-follow the reference protocol (n=10, kappa=1, dt=0.01).
+One subcommand-style ``--scenario`` flag selects the run, and every
+scenario is one ``experiments`` runner.  The CLI parses and validates
+flags and the optional config file, then calls the runner with the keys
+that were set; everything left unset takes the runner's own default, so
+each scenario's defaults (``t_final``, ``dt``, ``record_every``,
+``c_list``, ``regimes``, ...) are written once, in its runner's
+signature.  Every scenario writes ``report.json`` (plus trajectory and
+diagnostics CSVs) into the output directory and prints one line per
+checked predicate.  Exit codes: 0 all predicates passed, 1 at least one
+failed, 2 configuration error, 3 numerical failure.  Flag values
+override config-file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .diagnostics import compute_diagnostics, write_diagnostics_csv
-from .dynamics import SystemConfig, simulate
+# Not called here: perfbench's layer-trace test checks that this module's
+# bindings of these functions are patched as well.
+from .diagnostics import compute_diagnostics, write_diagnostics_csv  # noqa: F401
+from .dynamics import simulate  # noqa: F401
 from .errors import ConfigError, RelkuraError
 from .experiments import (
-    RNG_ALGORITHM,
     ExperimentReport,
-    PredicateOutcome,
+    run_admissibility,
     run_four_model_comparison,
     run_limit_scaling,
     run_rate_vs_c,
     run_rcs_crosscheck,
+    run_simulate,
     run_sync_predicates,
-    sample_protocol_ensemble,
 )
 from .models import FrequencyResponse, ModelKind
 
 __all__ = ["RunConfig", "parse_config", "main", "entrypoint"]
 
-SCENARIOS = (
-    "simulate",
-    "compare",
-    "rate-vs-c",
-    "limit",
-    "sync-check",
-    "rcs-check",
-    "admissibility",
-)
 
-_T_FINAL_DEFAULTS = {
-    "simulate": 10.0,
-    "compare": 20.0,
-    "rate-vs-c": 40.0,
-    "limit": 10.0,
-    "sync-check": 50.0,
-    "rcs-check": 10.0,
-    "admissibility": 10.0,
-}
+def _runners() -> dict:
+    """Scenario name -> its experiments runner.
 
-_C_LIST_DEFAULTS = {
-    "rate-vs-c": [0.5, 1.0, 5.0, 10.0],
-    "limit": [5.0, 10.0, 20.0],
-}
+    Built on each call rather than once, so that a runner rebound in this
+    module (the benchmark's layer trace wraps them) is the one called.
+    """
+    return {
+        "simulate": run_simulate,
+        "compare": run_four_model_comparison,
+        "rate-vs-c": run_rate_vs_c,
+        "limit": run_limit_scaling,
+        "sync-check": run_sync_predicates,
+        "rcs-check": run_rcs_crosscheck,
+        "admissibility": run_admissibility,
+    }
 
-# Config keys that only some scenarios read.  Setting one for another
-# scenario is a configuration error rather than a silently dropped value.
-_SCENARIO_KEYS = {
-    "theta0": ("simulate",),
-    "omega": ("simulate", "sync-check"),
-    "c_list": ("rate-vs-c", "limit"),
-    "regimes": ("limit",),
-    "checkpoints": ("limit",),
-}
+
+SCENARIOS = tuple(_runners())
+
+# RunConfig keys whose runner parameter has another name.
+_RENAMED = {"c_list": "c_values", "checkpoints": "checkpoint_times", "out": "out_dir"}
+
+# Keys that only some runners take.  Setting one for a scenario whose
+# runner has no such parameter is a configuration error rather than a
+# silently dropped value.  The common keys (model, c, n, kappa, dt,
+# t_final, record_every, seed) are accepted for every scenario and
+# passed to the runners that take them.
+_OPTIONAL_KEYS = ("theta0", "omega", "c_list", "regimes", "checkpoints", "homogeneous")
 
 
 @dataclass
@@ -87,7 +87,7 @@ class RunConfig:
     t_final: float | None = None
     record_every: int | None = None
     seed: int = 0
-    homogeneous: bool = True
+    homogeneous: bool | None = None
     regimes: list | None = None
     checkpoints: list | None = None
     theta0: list | None = None
@@ -159,6 +159,7 @@ def parse_config(argv) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}")
+    params = _parameters(cfg.scenario)
     if cfg.model not in {k.value for k in ModelKind}:
         raise ConfigError("model", f"unknown model kind {cfg.model!r}")
     if not _integer(cfg.n) or cfg.n < 1:
@@ -171,34 +172,52 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("dt", "must be finite and > 0")
     if cfg.t_final is not None and (not _finite(cfg.t_final) or cfg.t_final <= 0):
         raise ConfigError("t_final", "must be finite and > 0")
-    if _scenario_t_final(cfg) < _scenario_dt(cfg):
+    if "dt" in params and _effective(cfg, params, "t_final") < _effective(cfg, params, "dt"):
         raise ConfigError("t_final", "must be >= dt")
     if cfg.record_every is not None and (not _integer(cfg.record_every) or cfg.record_every < 1):
         raise ConfigError("record_every", "must be an integer >= 1")
     if not _integer(cfg.seed):
         raise ConfigError("seed", "must be an integer")
+    for name in _OPTIONAL_KEYS:
+        if getattr(cfg, name) is not None and _RENAMED.get(name, name) not in params:
+            readers = [s for s in SCENARIOS if _RENAMED.get(name, name) in _parameters(s)]
+            raise ConfigError(name, f"is read only by {' and '.join(readers)}, "
+                                    f"not by {cfg.scenario}")
     if cfg.c_list is not None:
         values = _finite_list(cfg, "c_list")
         if not values or any(v <= 0 for v in values) or values != sorted(values):
             raise ConfigError("c_list", "must be non-empty, positive, ascending")
     if cfg.regimes is not None:
-        allowed = {"heterogeneous", "identical", "zero"}
-        if not isinstance(cfg.regimes, list) or not set(cfg.regimes) <= allowed:
-            raise ConfigError("regimes", f"must be a list drawn from {sorted(allowed)}")
+        allowed = ("heterogeneous", "identical", "zero")
+        regimes = cfg.regimes
+        if (not isinstance(regimes, list) or not regimes
+                or not all(r in allowed for r in regimes) or len(set(regimes)) < len(regimes)):
+            raise ConfigError("regimes", f"must be a non-empty list of distinct names "
+                                         f"from {list(allowed)}")
     if cfg.checkpoints is not None:
-        if any(v <= 0 for v in _finite_list(cfg, "checkpoints")):
+        values = _finite_list(cfg, "checkpoints")
+        if any(v <= 0 for v in values):
             raise ConfigError("checkpoints", "must be positive times")
+        t_final = _effective(cfg, params, "t_final")
+        if any(v > t_final for v in values):
+            raise ConfigError("checkpoints", f"must not lie past t_final={t_final:g}")
     for name in ("theta0", "omega"):
         if getattr(cfg, name) is not None and len(_finite_list(cfg, name)) != cfg.n:
             raise ConfigError(name, f"must have exactly n={cfg.n} entries")
-    for name, readers in _SCENARIO_KEYS.items():
-        if getattr(cfg, name) is not None and cfg.scenario not in readers:
-            raise ConfigError(name, f"is read only by {' and '.join(readers)}, "
-                                    f"not by {cfg.scenario}")
-    if not isinstance(cfg.homogeneous, bool):
+    if cfg.homogeneous is not None and not isinstance(cfg.homogeneous, bool):
         raise ConfigError("homogeneous", "must be true or false")
     if not isinstance(cfg.out, str) or not cfg.out:
         raise ConfigError("out", "must be a non-empty path")
+
+
+def _parameters(scenario: str):
+    return inspect.signature(_runners()[scenario]).parameters
+
+
+def _effective(cfg: RunConfig, params, name: str):
+    """The configured value of ``name``, else the runner's default."""
+    value = getattr(cfg, name)
+    return params[name].default if value is None else value
 
 
 def _integer(x) -> bool:
@@ -217,144 +236,13 @@ def _finite_list(cfg: RunConfig, name: str) -> list:
     return [float(v) for v in values]
 
 
-def _model(cfg: RunConfig) -> FrequencyResponse:
-    return FrequencyResponse.from_name(cfg.model, cfg.c)
-
-
-def _scenario_dt(cfg: RunConfig) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    return 1e-3 if cfg.scenario == "rcs-check" else 0.01
-
-
-def _scenario_record_every(cfg: RunConfig) -> int:
-    if cfg.record_every is not None:
-        return cfg.record_every
-    return 10 if cfg.scenario == "rcs-check" else 1
-
-
-def _scenario_t_final(cfg: RunConfig) -> float:
-    return cfg.t_final if cfg.t_final is not None else _T_FINAL_DEFAULTS[cfg.scenario]
-
-
-def _run_simulate(cfg: RunConfig) -> ExperimentReport:
-    model = _model(cfg)
-    theta0, omega, _ = sample_protocol_ensemble(cfg.seed, n=cfg.n, kappa=cfg.kappa,
-                                                omega=cfg.omega)
-    if cfg.theta0 is not None:
-        theta0 = np.asarray(cfg.theta0, dtype=float)
-    config = SystemConfig(cfg.n, cfg.kappa, omega, model,
-                          _scenario_dt(cfg), _scenario_t_final(cfg), _scenario_record_every(cfg))
-    traj = simulate(config, theta0)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    label = model.kind.value
-    files = [f"trajectory_{label}.csv", f"diagnostics_{label}.csv"]
-    traj.write_csv(out / files[0])
-    write_diagnostics_csv(compute_diagnostics(config, traj), out / files[1])
-    report = ExperimentReport(
-        scenario="simulate",
-        seed=cfg.seed,
-        rng=RNG_ALGORITHM,
-        config={
-            "model": label, "c": model.c, "n": cfg.n, "kappa": cfg.kappa,
-            "dt": config.dt, "t_final": config.t_final, "record_every": config.record_every,
-        },
-        results={
-            "initial_phase_diameter": float(np.ptp(theta0)),
-            "omega_diameter": float(np.ptp(omega)),
-            "terminal_phase_diameter": float(np.ptp(traj.thetas[-1])),
-            "terminal_frequency_diameter": float(np.ptp(traj.theta_dots[-1])),
-        },
-        data_files=files,
-    )
-    report.write(out / "report.json")
-    return report
-
-
-def _run_admissibility(cfg: RunConfig) -> ExperimentReport:
-    model = _model(cfg)
-    check = model.check_admissibility(samples=1001)
-    predicates = [
-        PredicateOutcome(
-            name="oddness",
-            expected="relative residual <= 1e-12",
-            observed=check.oddness_residual,
-            passed=check.oddness_residual <= 1e-12,
-            margin=1e-12 - check.oddness_residual,
-        ),
-        PredicateOutcome(
-            name="strictly-increasing",
-            expected=True,
-            observed=check.strictly_increasing,
-            passed=check.strictly_increasing,
-        ),
-        PredicateOutcome(
-            name="inverse-round-trip",
-            expected="absolute residual <= 1e-10",
-            observed=check.roundtrip_residual,
-            passed=check.roundtrip_residual <= 1e-10,
-            margin=1e-10 - check.roundtrip_residual,
-        ),
-    ]
-    report = ExperimentReport(
-        scenario="admissibility",
-        seed=cfg.seed,
-        rng=RNG_ALGORITHM,
-        config={"model": model.kind.value, "c": model.c, "samples": check.samples},
-        results={
-            "oddness_residual": check.oddness_residual,
-            "strictly_increasing": check.strictly_increasing,
-            "roundtrip_residual": check.roundtrip_residual,
-        },
-        predicates=predicates,
-    )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.write(out / "report.json")
-    return report
-
-
 def _dispatch(cfg: RunConfig) -> ExperimentReport:
-    dt = _scenario_dt(cfg)
-    t_final = _scenario_t_final(cfg)
-    record_every = _scenario_record_every(cfg)
-    if cfg.scenario == "simulate":
-        return _run_simulate(cfg)
-    if cfg.scenario == "admissibility":
-        return _run_admissibility(cfg)
-    if cfg.scenario == "compare":
-        return run_four_model_comparison(
-            cfg.seed, c=cfg.c, n=cfg.n, kappa=cfg.kappa, dt=dt,
-            t_final=t_final, record_every=record_every, out_dir=cfg.out,
-        )
-    if cfg.scenario == "rate-vs-c":
-        c_list = cfg.c_list if cfg.c_list is not None else _C_LIST_DEFAULTS["rate-vs-c"]
-        return run_rate_vs_c(
-            cfg.seed, tuple(float(v) for v in c_list), homogeneous=cfg.homogeneous,
-            n=cfg.n, kappa=cfg.kappa, dt=dt, t_final=t_final,
-            record_every=record_every, out_dir=cfg.out,
-        )
-    if cfg.scenario == "limit":
-        c_list = cfg.c_list if cfg.c_list is not None else _C_LIST_DEFAULTS["limit"]
-        regimes = tuple(cfg.regimes) if cfg.regimes else ("heterogeneous", "identical", "zero")
-        checkpoints = tuple(float(v) for v in cfg.checkpoints) if cfg.checkpoints else ()
-        return run_limit_scaling(
-            cfg.seed, tuple(float(v) for v in c_list), t_final=t_final,
-            n=cfg.n, kappa=cfg.kappa, dt=dt, record_every=record_every,
-            regimes=regimes, checkpoint_times=checkpoints, out_dir=cfg.out,
-        )
-    if cfg.scenario == "sync-check":
-        return run_sync_predicates(
-            cfg.seed, model=_model(cfg), n=cfg.n, kappa=cfg.kappa, dt=dt,
-            t_final=t_final, record_every=record_every, omega=cfg.omega, out_dir=cfg.out,
-        )
-    if cfg.scenario == "rcs-check":
-        return run_rcs_crosscheck(
-            cfg.seed, c=cfg.c, n=cfg.n, kappa=cfg.kappa, dt=dt,
-            t_final=t_final, record_every=record_every, out_dir=cfg.out,
-        )
-    raise ConfigError("scenario", f"unhandled scenario {cfg.scenario!r}")
+    """Call the scenario's runner with the keys that were set and that it takes."""
+    params = _parameters(cfg.scenario)
+    kwargs = {_RENAMED.get(k, k): v for k, v in asdict(cfg).items() if v is not None}
+    if "model" in params:
+        kwargs["model"] = FrequencyResponse.from_name(cfg.model, cfg.c)
+    return _runners()[cfg.scenario](**{k: v for k, v in kwargs.items() if k in params})
 
 
 def main(argv=None) -> int:

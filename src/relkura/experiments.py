@@ -8,6 +8,13 @@ assembled report is a plain dataclass that serializes to JSON with
 stable field order.  Identical seed and parameters give bit-identical
 numeric payloads on a given platform.
 
+There is one runner per CLI scenario (``run_simulate``,
+``run_four_model_comparison``, ``run_rate_vs_c``, ``run_limit_scaling``,
+``run_sync_predicates``, ``run_rcs_crosscheck``, ``run_admissibility``),
+and its signature is the only place that scenario's defaults are
+written.  Given ``out_dir``, a runner writes its CSVs through ``_emit``
+and its report through ``_report``.
+
 Reports carry every checked predicate with its expected and observed
 values; failures also carry the first violating sample time and the
 margin by which the bound was missed.
@@ -34,14 +41,21 @@ from .diagnostics import (
 )
 from .dynamics import (
     SystemConfig,
-    Trajectory,
     coupling,
     simulate,
     simulate_batch,
     simulate_both_forms,
 )
 from .errors import DegenerateFitError, DomainError
-from .models import FrequencyResponse, classical, proper_velocity, rapidity, relativistic
+from .models import (
+    ADMISSIBILITY_ODDNESS_TOL,
+    ADMISSIBILITY_ROUNDTRIP_TOL,
+    FrequencyResponse,
+    classical,
+    proper_velocity,
+    rapidity,
+    relativistic,
+)
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -49,11 +63,13 @@ __all__ = [
     "sample_protocol_ensemble",
     "PredicateOutcome",
     "ExperimentReport",
+    "run_simulate",
     "run_four_model_comparison",
     "run_rate_vs_c",
     "run_limit_scaling",
     "run_sync_predicates",
     "run_rcs_crosscheck",
+    "run_admissibility",
 ]
 
 RNG_ALGORITHM = "philox4x32-10"
@@ -78,6 +94,8 @@ RCS_THETA_TOLERANCE = 1e-6
 RCS_RESIDUAL_TOLERANCE = 1e-8
 # Common natural frequency of the limit scan's identical regime.
 LIMIT_IDENTICAL_VALUE = 0.2
+# Grid size of the admissibility scenario's structural checks.
+ADMISSIBILITY_SAMPLES = 1001
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -204,16 +222,36 @@ def _violation(times: np.ndarray, bad: np.ndarray, margins: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _emit(out_dir, label: str, traj: Trajectory) -> list[str]:
-    """Write trajectory and diagnostics CSVs for one run; returns filenames."""
-    if out_dir is None:
-        return []
+def _directory(out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = [f"trajectory_{label}.csv", f"diagnostics_{label}.csv"]
+    return out
+
+
+def _emit(out_dir, label: str, traj, diagnostics: bool = True) -> list[str]:
+    """Write one run's trajectory CSV and, by default, its diagnostics CSV.
+
+    Returns the filenames written (none without an output directory).
+    """
+    if out_dir is None:
+        return []
+    out = _directory(out_dir)
+    names = [f"trajectory_{label}.csv"]
     traj.write_csv(out / names[0])
-    write_diagnostics_csv(compute_diagnostics(traj.config, traj), out / names[1])
+    if diagnostics:
+        names.append(f"diagnostics_{label}.csv")
+        write_diagnostics_csv(compute_diagnostics(traj.config, traj), out / names[1])
     return names
+
+
+def _report(out_dir, scenario: str, seed: int, config: dict, results: dict,
+            predicates=(), data_files=()) -> ExperimentReport:
+    """Assemble a runner's report and write it as report.json under out_dir."""
+    report = ExperimentReport(scenario, seed, RNG_ALGORITHM, config, results,
+                              list(predicates), list(data_files))
+    if out_dir is not None:
+        report.write(_directory(out_dir) / "report.json")
+    return report
 
 
 def _fit_window(times, values, mask):
@@ -243,6 +281,38 @@ def _config_echo(model: FrequencyResponse, n, kappa, dt, t_final, record_every, 
 # ----------------------------------------------------------------------
 # runners
 # ----------------------------------------------------------------------
+
+
+def run_simulate(
+    seed: int,
+    model: FrequencyResponse,
+    n: int = 10,
+    kappa: float = 1.0,
+    dt: float = 0.01,
+    t_final: float = 10.0,
+    record_every: int = 1,
+    theta0=None,
+    omega=None,
+    out_dir=None,
+) -> ExperimentReport:
+    """Integrate one system of the given kind and record its diameters.
+
+    Frequencies and phases follow the reference protocol; a given
+    ``omega`` replaces the frequency draw, and a given ``theta0`` replaces
+    the drawn phases.  Nothing is asserted.
+    """
+    drawn, omega, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa, omega=omega)
+    theta0 = drawn if theta0 is None else np.asarray(theta0, dtype=float)
+    traj = simulate(SystemConfig(n, kappa, omega, model, dt, t_final, record_every), theta0)
+    files = _emit(out_dir, model.kind.value, traj)
+    results = {
+        "initial_phase_diameter": phase_diameter(theta0),
+        "omega_diameter": float(np.ptp(omega)),
+        "terminal_phase_diameter": float(np.ptp(traj.thetas[-1])),
+        "terminal_frequency_diameter": float(np.ptp(traj.theta_dots[-1])),
+    }
+    config = _config_echo(model, n, kappa, dt, t_final, record_every)
+    return _report(out_dir, "simulate", seed, config, results, data_files=files)
 
 
 def run_four_model_comparison(
@@ -309,29 +379,20 @@ def run_four_model_comparison(
     }
     if tstar is None:
         results["decay_rates_meaningful"] = False
-    report = ExperimentReport(
-        scenario="compare",
-        seed=seed,
-        rng=RNG_ALGORITHM,
-        config=_config_echo(relativistic(c), n, kappa, dt, t_final, record_every,
-                            freq_interval=list(freq_interval), kinds=[m.kind.value for m in models]),
-        results={
-            **results,
-            "fit_series": "frequency_diameter",
-            "fit_window": {
-                "floor": COMPARE_FIT_FLOOR,
-                "ceiling": COMPARE_FIT_CEILING,
-                "skip_fraction": COMPARE_FIT_SKIP,
-            },
-            "terminal_phase_diameter": terminal,
-            "snapshot_times": snapshot_times,
-            "snapshots": snapshots,
+    results.update({
+        "fit_series": "frequency_diameter",
+        "fit_window": {
+            "floor": COMPARE_FIT_FLOOR,
+            "ceiling": COMPARE_FIT_CEILING,
+            "skip_fraction": COMPARE_FIT_SKIP,
         },
-        predicates=predicates,
-        data_files=files,
-    )
-    _write_report(report, out_dir)
-    return report
+        "terminal_phase_diameter": terminal,
+        "snapshot_times": snapshot_times,
+        "snapshots": snapshots,
+    })
+    config = _config_echo(relativistic(c), n, kappa, dt, t_final, record_every,
+                          freq_interval=list(freq_interval), kinds=[m.kind.value for m in models])
+    return _report(out_dir, "compare", seed, config, results, predicates, files)
 
 
 def run_rate_vs_c(
@@ -432,18 +493,9 @@ def run_rate_vs_c(
             observed={"rate": by_c[-1], "classical_rate": classical_rate, "relative_gap": rel_cl},
         ))
 
-    report = ExperimentReport(
-        scenario="rate-vs-c",
-        seed=seed,
-        rng=RNG_ALGORITHM,
-        config=_config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
-                            c_values=list(c_values), homogeneous=homogeneous),
-        results=results,
-        predicates=predicates,
-        data_files=files,
-    )
-    _write_report(report, out_dir)
-    return report
+    config = _config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
+                          c_values=list(c_values), homogeneous=homogeneous)
+    return _report(out_dir, "rate-vs-c", seed, config, results, predicates, files)
 
 
 def run_limit_scaling(
@@ -470,13 +522,18 @@ def run_limit_scaling(
     checkpoint times the sup up to the last one may exceed the sup up to
     the first by at most 5%.  The heterogeneous and identical-frequency
     regimes carry no boundedness assertion (their discrepancy drifts).
+    ``regimes`` must name at least one regime and none twice, and no
+    checkpoint may lie past ``t_final``.
     """
     c_values = tuple(float(c) for c in c_values)
     if any(c <= 0 for c in c_values) or list(c_values) != sorted(c_values):
         raise DomainError("c_values must be positive and ascending")
     known = {"heterogeneous", "identical", "zero"}
-    if not set(regimes) <= known:
-        raise DomainError(f"regimes must be a subset of {sorted(known)}")
+    if not regimes or len(set(regimes)) < len(regimes) or not set(regimes) <= known:
+        raise DomainError(f"regimes must be distinct names from {sorted(known)}, at least one")
+    checkpoints = tuple(float(t) for t in checkpoint_times)
+    if any(t > t_final for t in checkpoints):
+        raise DomainError("checkpoint_times must not lie past t_final")
     theta0, omega_het, _ = sample_protocol_ensemble(
         seed, n=n, kappa=kappa, freq_interval=freq_interval
     )
@@ -485,7 +542,6 @@ def run_limit_scaling(
         "identical": np.full(n, LIMIT_IDENTICAL_VALUE),
         "zero": np.zeros(n),
     }
-    checkpoints = tuple(float(t) for t in checkpoint_times)
 
     regime_tables: dict[str, list] = {}
     predicates, files = [], []
@@ -511,7 +567,6 @@ def run_limit_scaling(
                         "c2_sup_l1": c * c * float(np.max(gap[traj.times <= cp + 1e-12])),
                     }
                     for cp in checkpoints
-                    if cp <= t_final + 1e-12
                 },
             }
             rows.append(row)
@@ -545,23 +600,12 @@ def run_limit_scaling(
                     growth, 0.05, observed={"first": first, "last": last, "growth": growth},
                 ))
 
-    report = ExperimentReport(
-        scenario="limit",
-        seed=seed,
-        rng=RNG_ALGORITHM,
-        config=_config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
-                            c_values=list(c_values), regimes=list(regimes),
-                            identical_value=LIMIT_IDENTICAL_VALUE,
-                            checkpoint_times=list(checkpoints)),
-        results={
-            "initial_phase_diameter": phase_diameter(theta0),
-            "tables": regime_tables,
-        },
-        predicates=predicates,
-        data_files=files,
-    )
-    _write_report(report, out_dir)
-    return report
+    config = _config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
+                          c_values=list(c_values), regimes=list(regimes),
+                          identical_value=LIMIT_IDENTICAL_VALUE,
+                          checkpoint_times=list(checkpoints))
+    results = {"initial_phase_diameter": phase_diameter(theta0), "tables": regime_tables}
+    return _report(out_dir, "limit", seed, config, results, predicates, files)
 
 
 def run_sync_predicates(
@@ -689,18 +733,9 @@ def run_sync_predicates(
         )
         predicates.append(frequency_sync)
 
-    report = ExperimentReport(
-        scenario="sync-check",
-        seed=seed,
-        rng=RNG_ALGORITHM,
-        config=_config_echo(model, n, kappa, dt, t_final, record_every,
-                            phase_halfwidth=0.5 * (math.pi - (tstar or 0.0))),
-        results=results,
-        predicates=predicates,
-        data_files=files,
-    )
-    _write_report(report, out_dir)
-    return report
+    config = _config_echo(model, n, kappa, dt, t_final, record_every,
+                          phase_halfwidth=0.5 * (math.pi - (tstar or 0.0)))
+    return _report(out_dir, "sync-check", seed, config, results, predicates, files)
 
 
 def run_rcs_crosscheck(
@@ -747,31 +782,42 @@ def run_rcs_crosscheck(
                residual, RCS_RESIDUAL_TOLERANCE,
                violation_time=float(momentum_traj.times[res_idx])),
     ]
-    files = _emit(out_dir, "first_order", first_traj)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        momentum_traj.write_csv(out / "trajectory_momentum.csv")
-        files.append("trajectory_momentum.csv")
-    report = ExperimentReport(
-        scenario="rcs-check",
-        seed=seed,
-        rng=RNG_ALGORITHM,
-        config=_config_echo(model, n, kappa, dt, t_final, record_every),
-        results={
-            "max_phase_deviation": deviation,
-            "max_conservation_residual": residual,
-            "induced_frequency_recovery": float(np.max(np.abs(nu - omega))),
-        },
-        predicates=predicates,
-        data_files=files,
-    )
-    _write_report(report, out_dir)
-    return report
+    files = (_emit(out_dir, "first_order", first_traj)
+             + _emit(out_dir, "momentum", momentum_traj, diagnostics=False))
+    results = {
+        "max_phase_deviation": deviation,
+        "max_conservation_residual": residual,
+        "induced_frequency_recovery": float(np.max(np.abs(nu - omega))),
+    }
+    config = _config_echo(model, n, kappa, dt, t_final, record_every)
+    return _report(out_dir, "rcs-check", seed, config, results, predicates, files)
 
 
-def _write_report(report: ExperimentReport, out_dir) -> None:
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write(out / "report.json")
+def run_admissibility(seed: int, model: FrequencyResponse, out_dir=None) -> ExperimentReport:
+    """Check that a response is admissible, one predicate per structural property.
+
+    Runs ``model.check_admissibility`` on ADMISSIBILITY_SAMPLES points and
+    reports oddness and the inverse round trip against the bounds that
+    method applies, plus strict monotonicity.  Nothing is sampled at
+    random; ``seed`` is only recorded.
+    """
+    check = model.check_admissibility(samples=ADMISSIBILITY_SAMPLES)
+
+    def at_most(name, residual, value, bound):
+        return PredicateOutcome(name, f"{residual} residual <= {bound:g}", value,
+                                value <= bound, margin=bound - value)
+
+    predicates = [
+        at_most("oddness", "relative", check.oddness_residual, ADMISSIBILITY_ODDNESS_TOL),
+        PredicateOutcome("strictly-increasing", True, check.strictly_increasing,
+                         check.strictly_increasing),
+        at_most("inverse-round-trip", "absolute", check.roundtrip_residual,
+                ADMISSIBILITY_ROUNDTRIP_TOL),
+    ]
+    results = {
+        "oddness_residual": check.oddness_residual,
+        "strictly_increasing": check.strictly_increasing,
+        "roundtrip_residual": check.roundtrip_residual,
+    }
+    config = {"model": model.kind.value, "c": model.c, "samples": check.samples}
+    return _report(out_dir, "admissibility", seed, config, results, predicates)

@@ -65,6 +65,11 @@ INVERSION_TOL = 1e-12
 INVERSION_GAP_FRACTION = 1e-6
 INVERSION_MAX_ITER = 200
 
+# Bounds of check_admissibility: relative oddness residual and absolute
+# G(F(w)) = w round-trip residual.
+ADMISSIBILITY_ODDNESS_TOL = 1e-12
+ADMISSIBILITY_ROUNDTRIP_TOL = 1e-10
+
 
 class ModelKind(enum.Enum):
     """Response-function selector.  Values are the config-file spellings."""
@@ -354,8 +359,9 @@ class FrequencyResponse:
     def check_admissibility(self, samples: int = 101) -> AdmissibilityReport:
         """Sample-based verification that this response is a valid model.
 
-        Checks oddness (relative residual <= 1e-12), strict monotonicity
-        of F, and the G(F(w)) = w round trip (absolute residual <= 1e-10)
+        Checks oddness (relative residual <= ADMISSIBILITY_ODDNESS_TOL),
+        strict monotonicity of F, and the G(F(w)) = w round trip (absolute
+        residual <= ADMISSIBILITY_ROUNDTRIP_TOL)
         on a symmetric grid: +/- 0.999 * velocity_bound for bounded kinds,
         +/- 1e3 for the classical kind.  Never raises on failure; the
         report carries the residuals and the verdict.
@@ -372,7 +378,8 @@ class FrequencyResponse:
         oddness = float(np.max(np.abs(fw + fw[::-1]) / scale))
         increasing = bool(np.all(np.diff(fw) > 0.0))
         roundtrip = float(np.max(np.abs(self.velocity(fw) - grid)))
-        passed = oddness <= 1e-12 and increasing and roundtrip <= 1e-10
+        passed = (oddness <= ADMISSIBILITY_ODDNESS_TOL and increasing
+                  and roundtrip <= ADMISSIBILITY_ROUNDTRIP_TOL)
         return AdmissibilityReport(
             kind=self.kind.value,
             c=self.c,

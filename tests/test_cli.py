@@ -50,6 +50,7 @@ def test_parse_config_names_offending_field(tmp_path):
         (["--scenario", "simulate", "--t-final", "nan"], "t_final"),
         (["--scenario", "simulate", "--dt", "1", "--t-final", "0.5"], "t_final"),
         (["--scenario", "compare", "--t-final", "0.005"], "t_final"),  # default dt 0.01
+        (["--scenario", "rcs-check", "--t-final", "0.0005"], "t_final"),  # default dt 1e-3
     ]
     # a JSON true is an int to Python but no valid count, seed or value
     for field in ("n", "record_every", "seed", "kappa", "c", "dt", "t_final"):
@@ -74,6 +75,15 @@ def test_parse_config_names_offending_field(tmp_path):
         ('{"scenario": "sync-check", "c_list": [1.0, 2.0]}', "c_list"),
         ('{"scenario": "rate-vs-c", "regimes": ["zero"]}', "regimes"),
         ('{"scenario": "rcs-check", "checkpoints": [5, 10]}', "checkpoints"),
+        ('{"scenario": "sync-check", "homogeneous": false}', "homogeneous"),
+        ('{"scenario": "rate-vs-c", "homogeneous": 1}', "homogeneous"),
+        # regimes must be non-empty and distinct
+        ('{"scenario": "limit", "regimes": []}', "regimes"),
+        ('{"scenario": "limit", "regimes": ["zero", "zero"]}', "regimes"),
+        ('{"scenario": "limit", "regimes": [["zero"]]}', "regimes"),
+        # checkpoints past the configured or the runner's default t_final
+        ('{"scenario": "limit", "t_final": 2.0, "checkpoints": [1.0, 5.0]}', "checkpoints"),
+        ('{"scenario": "limit", "checkpoints": [5, 11]}', "checkpoints"),  # default 10
     ]
     for i, (text, field) in enumerate(bad_lists):
         path = tmp_path / f"list_{i}.json"

@@ -195,6 +195,14 @@ def test_limit_scaling_validates_inputs():
         run_limit_scaling(11, c_values=(5.0, 4.0))
     with pytest.raises(DomainError):
         run_limit_scaling(11, regimes=("warp",))
+    # an empty or repeated regime list used to run nothing or a regime twice
+    for regimes in ((), ("zero", "zero")):
+        with pytest.raises(DomainError):
+            run_limit_scaling(11, regimes=regimes)
+    # a checkpoint past t_final used to be dropped, and the check with it
+    with pytest.raises(DomainError):
+        run_limit_scaling(3, c_values=(5.0,), t_final=2.0, n=4, regimes=("zero",),
+                          checkpoint_times=(1.0, 5.0))
 
 
 # ----------------------------------------------------------------------
