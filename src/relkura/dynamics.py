@@ -399,8 +399,16 @@ def _both_forms_rates(config: SystemConfig, nu: np.ndarray):
     scale = config.kappa / config.n
 
     def rates(y):
-        v = response.velocity(np.stack((y[1], nu + scale * _sine_sums(y[2]))))
-        return np.stack((v[0], _momentum_coupling(config, y[0], v[0]), v[1]))
+        drives = np.empty((2, config.n))
+        drives[0] = y[1]
+        drives[1] = nu + scale * _sine_sums(y[2])
+        v = response.velocity(drives)
+        # a fresh array per call: _rk4 holds k1 to k4 at once
+        out = np.empty_like(y)
+        out[0] = v[0]
+        out[1] = _momentum_coupling(config, y[0], v[0])
+        out[2] = v[1]
+        return out
 
     return rates
 

@@ -18,10 +18,13 @@ unique subluminal velocity.  ``proper-velocity`` and ``rapidity`` invert
 in closed form; the full response has no closed-form inverse and is
 solved by a bracketed Newton iteration with a bisection safeguard.  The
 closed-form proper-velocity inverse bounds the full inverse from above,
-which gives a bracket that never needs to be widened.  ``stack_rows``
-stacks responses of one kind so that one ``velocity`` call maps a batch
-of systems, one per row, each with its own bound and, for the full
-kind, its own stop test.
+which gives a finite bracket that never needs to be widened, so the
+bracket test alone rejects a non-finite Newton step, and a bisection
+midpoint is formed only in a round where some step falls back.
+``stack_rows`` stacks responses of one kind so that one ``velocity``
+call maps a batch of systems, one per row, each with its own bound and,
+for the full kind, its own stop test; rows that all share one bound
+solve on that scalar bound, still with one stop test per row.
 
 Numerical notes baked into this module:
 
@@ -108,47 +111,53 @@ def _finish(arr: np.ndarray, scalar: bool):
 
 
 def _lorentz(w: np.ndarray, c) -> np.ndarray:
-    return 1.0 / np.sqrt((1.0 - w / c) * (1.0 + w / c))
+    u = w / c
+    return 1.0 / np.sqrt((1.0 - u) * (1.0 + u))
 
 
-def _full_momentum(w: np.ndarray, c) -> np.ndarray:
-    """Full response w * gamma * (1 + gamma/c**2)."""
+def _full_momentum(w: np.ndarray, c, c_sq) -> np.ndarray:
+    """Full response w * gamma * (1 + gamma/c**2); ``c_sq`` is c * c."""
     g = _lorentz(w, c)
-    return w * g * (1.0 + g / (c * c))
+    return w * g * (1.0 + g / c_sq)
 
 
-def _full_momentum_slope(w: np.ndarray, c, c_cubed) -> np.ndarray:
+def _full_momentum_slope(w: np.ndarray, c, c_sq, c_cubed) -> np.ndarray:
     span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
-    return c_cubed / span**1.5 + (c * c + w * w) / (span * span)
+    return c_cubed / span**1.5 + (c_sq + w * w) / (span * span)
 
 
 def _solve_full(target: np.ndarray, c, c_cubed) -> np.ndarray:
     """Safeguarded Newton solve of F(w) = target >= 0 for the full response.
 
     ``target`` is (R, m), one system per row; ``c`` and ``c_cubed`` are
-    scalars or (R, 1) columns.  The proper-velocity inverse gives the
-    upper bracket end (F_full >= F_pv on [0, c)), clamped one ulp below c
-    so the strict range bound survives even when the true root is within
-    rounding of c.  Newton steps that leave the bracket, or that are not
-    finite, fall back to bisection.  A row stops when every last step in
-    it is within INVERSION_TOL and within INVERSION_GAP_FRACTION of its
-    gap to c; its iterate is then frozen and later rounds run on the
-    other rows only, so a row gets the same floats whether it is solved
-    alone or with others.
+    scalars (every row shares the bound) or (R, 1) columns.  The
+    proper-velocity inverse gives the upper bracket end (F_full >= F_pv
+    on [0, c)), clamped one ulp below c so the strict range bound
+    survives even when the true root is within rounding of c.  The
+    bracket ends start finite and only ever move to accepted iterates,
+    so a Newton step that is NaN or infinite fails the bracket test like
+    one that leaves the bracket; those fall back to bisection, and the
+    midpoints are formed only in rounds that need one.  A row stops when
+    every last step in it is within INVERSION_TOL and within
+    INVERSION_GAP_FRACTION of its gap to c; its iterate is then frozen
+    and later rounds run on the other rows only, so a row gets the same
+    floats whether it is solved alone or with others.
     """
+    c_sq = c * c
     hi = np.minimum(c * (target / np.hypot(target, c)), np.nextafter(c, 0.0))
-    lo = np.zeros_like(hi)
-    w = hi.copy()
+    lo = np.zeros(hi.shape)
+    w = hi.copy()  # lo and hi are updated in place, so w must not share them
     out = np.empty_like(w)
     rows = np.arange(len(w))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(INVERSION_MAX_ITER):
-            resid = _full_momentum(w, c) - target
-            lo = np.where(resid < 0.0, w, lo)
-            hi = np.where(resid > 0.0, w, hi)
-            proposal = w - resid / _full_momentum_slope(w, c, c_cubed)
-            inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
-            proposal = np.where(inside, proposal, 0.5 * (lo + hi))
+            resid = _full_momentum(w, c, c_sq) - target
+            np.copyto(lo, w, where=resid < 0.0)
+            np.copyto(hi, w, where=resid > 0.0)
+            proposal = w - resid / _full_momentum_slope(w, c, c_sq, c_cubed)
+            inside = (proposal > lo) & (proposal < hi)
+            if not inside.all():
+                proposal = np.where(inside, proposal, 0.5 * (lo + hi))
             step = np.abs(proposal - w)
             w = proposal
             done = (step <= INVERSION_TOL).all(axis=1)
@@ -160,7 +169,7 @@ def _solve_full(target: np.ndarray, c, c_cubed) -> np.ndarray:
                 keep = ~done
                 rows, w, lo, hi, target = rows[keep], w[keep], lo[keep], hi[keep], target[keep]
                 if np.ndim(c):
-                    c, c_cubed = c[keep], c_cubed[keep]
+                    c, c_sq, c_cubed = c[keep], c_sq[keep], c_cubed[keep]
     raise ConvergenceError(
         f"drive inversion did not reach {INVERSION_TOL} within "
         f"{INVERSION_MAX_ITER} iterations"
@@ -243,7 +252,7 @@ class FrequencyResponse:
             return c * np.arctanh(w / c)
         if kind is ModelKind.PROPER_VELOCITY:
             return w * _lorentz(w, c)
-        return _full_momentum(w, c)
+        return _full_momentum(w, c, c * c)
 
     def _momentum_slope_unchecked(self, w: np.ndarray) -> np.ndarray:
         kind = self.kind
@@ -255,7 +264,7 @@ class FrequencyResponse:
             return (c * c) / span
         if kind is ModelKind.PROPER_VELOCITY:
             return c**3 / span**1.5
-        return _full_momentum_slope(w, c, c**3)
+        return _full_momentum_slope(w, c, c * c, c**3)
 
     # ------------------------------------------------------------------
     # inverse response G and its derivative
@@ -270,7 +279,7 @@ class FrequencyResponse:
         exhausts its iteration budget (not observed in practice).
         """
         y, scalar = _prepare(drive)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DomainError("drive must be finite")
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
@@ -300,7 +309,7 @@ class FrequencyResponse:
         full relativistic kind (whose slope at rest is 1 + 1/c**2).
         """
         y, scalar = _prepare(drive)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DomainError("drive must be finite")
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
@@ -322,17 +331,14 @@ class FrequencyResponse:
         """Full-response inverse through ``_solve_full``.
 
         Works on |y| and restores the sign afterwards, which makes the
-        inverse exactly odd.  A scalar c makes the whole input one system
-        with one stop test; a (B, 1) column of bounds (see ``stack_rows``)
+        inverse exactly odd.  A plain response makes the whole input one
+        system with one stop test; a stacked one (see ``stack_rows``)
         makes each row of a (B, m) input its own system.
         """
-        c = self.c
-        if np.ndim(c):
-            # Python's pow per bound: numpy's array power can differ from
-            # it in the last ulp, and a row must match its own response
-            cubes = np.array([[b**3] for b in c[:, 0].tolist()])
-            w = _solve_full(np.abs(y), c, cubes)
+        if np.ndim(self.c):
+            w = _solve_full(np.abs(y), *self._row_bounds)
         else:
+            c = self.c
             w = _solve_full(np.abs(y).reshape(1, -1), c, c**3).reshape(y.shape)
         return np.sign(y) * w
 
@@ -417,16 +423,28 @@ def stack_rows(responses) -> FrequencyResponse:
     Row b follows ``responses[b]``, which must all share one kind: the
     stacked ``c`` is a (B, 1) column of their bounds, and the full kind's
     solve stops each row on its own test, so ``velocity`` gives every row
-    the floats a call on its own response gives.  A single response, or
-    classical ones (which have no bound), come back as they are.  Only
-    ``velocity`` is meant to be called on the stacked response.
+    the floats a call on its own response gives.  Rows that all share one
+    bound solve on that scalar bound, still with one stop test per row.
+    A single response, or classical ones (which have no bound), come back
+    as they are.  Only ``velocity`` is meant to be called on the stacked
+    response.
     """
     first = responses[0]
     if any(r.kind is not first.kind for r in responses):
         raise ValueError("stacked responses must share one kind")
     if len(responses) == 1 or first.kind is ModelKind.CLASSICAL:
         return first
+    bounds = [r.c for r in responses]
+    column = np.array([[b] for b in bounds])
+    if all(b == first.c for b in bounds):
+        row_bounds = (first.c, first.c**3)
+    else:
+        # Python's pow per bound: numpy's array power can differ from it
+        # in the last ulp, and a row must match its own response
+        row_bounds = (column, np.array([[b**3] for b in bounds]))
     stacked = object.__new__(FrequencyResponse)
     object.__setattr__(stacked, "kind", first.kind)
-    object.__setattr__(stacked, "c", np.array([[r.c] for r in responses]))
+    object.__setattr__(stacked, "c", column)
+    # (c, c**3) for the full kind's solve: scalars or (B, 1) columns
+    object.__setattr__(stacked, "_row_bounds", row_bounds)
     return stacked

@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relkura import (
@@ -21,8 +21,14 @@ from relkura import (
     rapidity,
     relativistic,
 )
-from relkura.errors import DomainError
-from relkura.models import stack_rows
+from relkura import models
+from relkura.errors import ConvergenceError, DomainError
+from relkura.models import (
+    INVERSION_GAP_FRACTION,
+    INVERSION_MAX_ITER,
+    INVERSION_TOL,
+    stack_rows,
+)
 
 # (w, c) -> (full, proper-velocity, rapidity), 50-digit values
 MOMENTUM_REFERENCE = {
@@ -234,6 +240,128 @@ def test_velocity_properties_against_high_precision_root(make, c_y, widen):
     assert error <= 1e-12 * max(1.0, c) + 1e-6 * gap, (y, c, got)
 
 
+# The full-kind inverse before the solve was cut to fewer numpy calls per
+# Newton round, copied verbatim.  The current solve must reproduce it
+# bit for bit: every cut drops a call, never a float operation.
+
+
+def _lorentz(w: np.ndarray, c) -> np.ndarray:
+    return 1.0 / np.sqrt((1.0 - w / c) * (1.0 + w / c))
+
+
+def _full_momentum(w: np.ndarray, c) -> np.ndarray:
+    """Full response w * gamma * (1 + gamma/c**2)."""
+    g = _lorentz(w, c)
+    return w * g * (1.0 + g / (c * c))
+
+
+def _full_momentum_slope(w: np.ndarray, c, c_cubed) -> np.ndarray:
+    span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
+    return c_cubed / span**1.5 + (c * c + w * w) / (span * span)
+
+
+def _solve_full(target: np.ndarray, c, c_cubed) -> np.ndarray:
+    hi = np.minimum(c * (target / np.hypot(target, c)), np.nextafter(c, 0.0))
+    lo = np.zeros_like(hi)
+    w = hi.copy()
+    out = np.empty_like(w)
+    rows = np.arange(len(w))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(INVERSION_MAX_ITER):
+            resid = _full_momentum(w, c) - target
+            lo = np.where(resid < 0.0, w, lo)
+            hi = np.where(resid > 0.0, w, hi)
+            proposal = w - resid / _full_momentum_slope(w, c, c_cubed)
+            inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
+            proposal = np.where(inside, proposal, 0.5 * (lo + hi))
+            step = np.abs(proposal - w)
+            w = proposal
+            done = (step <= INVERSION_TOL).all(axis=1)
+            if done.any():
+                done &= (step <= INVERSION_GAP_FRACTION * (c - w)).all(axis=1)
+                out[rows[done]] = w[done]
+                if done.all():
+                    return out
+                keep = ~done
+                rows, w, lo, hi, target = rows[keep], w[keep], lo[keep], hi[keep], target[keep]
+                if np.ndim(c):
+                    c, c_cubed = c[keep], c_cubed[keep]
+    raise ConvergenceError(
+        f"drive inversion did not reach {INVERSION_TOL} within "
+        f"{INVERSION_MAX_ITER} iterations"
+    )
+
+
+class _ReferenceInverse:
+    """Holds ``c`` as a response does: a scalar, or a (B, 1) column when stacked."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def _invert_full(self, y: np.ndarray) -> np.ndarray:
+        c = self.c
+        if np.ndim(c):
+            # Python's pow per bound: numpy's array power can differ from
+            # it in the last ulp, and a row must match its own response
+            cubes = np.array([[b**3] for b in c[:, 0].tolist()])
+            w = _solve_full(np.abs(y), c, cubes)
+        else:
+            w = _solve_full(np.abs(y).reshape(1, -1), c, c**3).reshape(y.shape)
+        return np.sign(y) * w
+
+
+@st.composite
+def _bounds_and_drives(draw):
+    # 2 to 4 rows of 1 to 6 drives, each row with a bound log-uniform in
+    # [1e-3, 1e3] or one whose cube numpy's array power rounds unlike
+    # Python's pow, and drives drawn for that bound as in _c_and_drive
+    width = draw(st.integers(1, 6))
+    bounds, drives = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        c = draw(st.one_of(st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+                           st.sampled_from([1.28, 3.96])))
+        row = []
+        for _ in range(width):
+            if draw(st.booleans()):
+                y = c**1.5 * 10.0 ** draw(st.floats(-6.0, 12.0))
+            else:
+                y = 10.0 ** draw(st.floats(-300.0, 300.0))
+            row.append(y * draw(st.sampled_from([1.0, -1.0])))
+        bounds.append(c)
+        drives.append(row)
+    return bounds, drives
+
+
+@pytest.mark.parametrize("arrangement", ["plain", "distinct", "shared"])
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(case=_bounds_and_drives())
+# rounds that fall back to bisection: drives 0 and 5e-324 in their one
+# round, 1e300 at c = 1e-3 in its one round, 1.0 at c = 1.28 in 7 of 12
+# and 1e15 at c = 1 in 55 of 58; and the two pure-Newton near-bound cases
+# of test_full_inverse_does_not_stop_short_near_the_bound (1e6 at c = 1,
+# 31.6 at c = 1e-3)
+@example(case=([1.0, 1.0], [[0.0, 5e-324], [-5e-324, 0.0]]))
+@example(case=([1e-3, 1e-3], [[1e300, 31.6], [0.0, -31.6]]))
+@example(case=([1.28, 1.28], [[1.0], [-1.0]]))
+@example(case=([1.0, 1.28], [[1e15, 1e6], [1.0, 0.0]]))
+@example(case=([1.28, 1e-3], [[1.0, 5e-324], [31.6, 1e300]]))
+def test_full_inverse_floats_match_the_reference_solve(arrangement, case):
+    bounds, drives = case
+    drives = np.array(drives)
+    if arrangement == "plain":
+        # one system per call: one joint stop over all its entries
+        c = bounds[0]
+        for y in (drives[0], drives):
+            assert np.array_equal(relativistic(c).velocity(y),
+                                  _ReferenceInverse(c)._invert_full(y))
+        return
+    if arrangement == "shared":
+        bounds = [bounds[0]] * len(bounds)
+    got = stack_rows([relativistic(c) for c in bounds]).velocity(drives)
+    want = _ReferenceInverse(np.array([[c] for c in bounds]))._invert_full(drives)
+    assert np.array_equal(got, want)
+
+
 def test_velocity_tiny_drive_follows_rest_slope():
     # G(y) ~ y * G'(0) down to subnormal territory
     model = relativistic(1.0)
@@ -405,6 +533,27 @@ def test_stacked_rows_get_the_floats_of_their_own_response(make):
     stacked = stack_rows([make(c) for c in bounds]).velocity(drives)
     for c, row, got in zip(bounds, drives, stacked):
         assert np.array_equal(got, make(c).velocity(row))
+    # rows that share a bound: drives from 1e-8 to 1e9 * c**1.5, one band
+    # of exponents per row, so the rows stop in different rounds
+    for c in (1.0, 1.28, 3.96):
+        drives = np.stack([gen.choice([-1.0, 1.0], 16) * c**1.5
+                           * 10.0 ** gen.uniform(-8.0 + 4.25 * b, -3.75 + 4.25 * b, 16)
+                           for b in range(4)])
+        stacked = stack_rows([make(c)] * 4).velocity(drives)
+        for row, got in zip(drives, stacked):
+            assert np.array_equal(got, make(c).velocity(row))
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, 1.28)], ids=["shared", "distinct"])
+def test_stacked_solve_raises_when_a_row_exhausts_the_budget(monkeypatch, bounds):
+    # the drive-0 row stops in round 1 and is dropped from the solve; the
+    # other needs about 58 rounds, so with 5 the budget runs out on the
+    # remaining row, whose bound (and its square and cube) must have been
+    # dropped along with the finished one
+    monkeypatch.setattr(models, "INVERSION_MAX_ITER", 5)
+    stacked = stack_rows([relativistic(c) for c in bounds])
+    with pytest.raises(ConvergenceError):
+        stacked.velocity(np.array([[0.0], [1e15]]))
 
 
 def test_stack_rows_passes_single_and_classical_responses_through():
