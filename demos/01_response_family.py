@@ -12,7 +12,7 @@ Run:  python demos/01_response_family.py
 
 import numpy as np
 
-from relkura import classical, proper_velocity, rapidity, relativistic
+from relkura import classical, proper_velocity, rapidity, relativistic, run_admissibility
 
 C = 1.0
 MODELS = {
@@ -55,10 +55,9 @@ def main():
 
     print("\nstructural admissibility (oddness, monotonicity, round trip)")
     for name, m in MODELS.items():
-        report = m.check_admissibility(samples=1001)
-        verdict = "PASS" if report.passed else "FAIL"
-        print(f"  {verdict} {name:16s} oddness {report.oddness_residual:.2e}  "
-              f"round trip {report.roundtrip_residual:.2e}")
+        print(f"  {name}")
+        for outcome in run_admissibility(seed=0, model=m).predicates:
+            print(f"    {outcome.line()}")
 
 
 if __name__ == "__main__":

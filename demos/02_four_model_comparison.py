@@ -55,9 +55,7 @@ def main():
 
     print()
     for outcome in report.predicates:
-        verdict = "PASS" if outcome.passed else "FAIL"
-        print(f"{verdict} {outcome.name}: expected {outcome.expected}; "
-              f"observed {outcome.observed}")
+        print(outcome.line())
 
     print(f"\ntrajectories written to {outdir}/")
     for path in report.data_files:

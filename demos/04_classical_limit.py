@@ -42,9 +42,7 @@ def main():
         print()
 
     for outcome in report.predicates:
-        verdict = "PASS" if outcome.passed else "FAIL"
-        print(f"{verdict} {outcome.name}: expected {outcome.expected}; "
-              f"observed {outcome.observed}")
+        print(outcome.line())
 
     print(f"\npaired trajectories written to {outdir}/")
 

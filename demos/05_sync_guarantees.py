@@ -35,8 +35,7 @@ def show(report, title):
     print(f"  terminal phase diameter {res['terminal_phase_diameter']:.3e}, "
           f"frequency diameter {res['terminal_frequency_diameter']:.3e}")
     for outcome in report.predicates:
-        verdict = "PASS" if outcome.passed else "FAIL"
-        print(f"  {verdict} {outcome.name}")
+        print(f"  {outcome.line()}")
     print()
 
 

@@ -40,9 +40,7 @@ def main():
 
     print()
     for outcome in report.predicates:
-        verdict = "PASS" if outcome.passed else "FAIL"
-        print(f"{verdict} {outcome.name}: expected {outcome.expected}; "
-              f"observed {outcome.observed:.3e}")
+        print(outcome.line())
 
     print(f"\nboth trajectories written to {outdir}/")
 

@@ -9,8 +9,8 @@ each scenario's defaults (``t_final``, ``dt``, ``record_every``,
 signature.  Every scenario writes ``report.json`` (plus trajectory and
 diagnostics CSVs) into the output directory and prints one line per
 checked predicate.  Exit codes: 0 all predicates passed, 1 at least one
-failed, 2 configuration error, 3 numerical failure.  Flag values
-override config-file values.
+failed, 2 configuration error, 3 numerical failure or a run too large to
+allocate.  Flag values override config-file values.
 """
 
 from __future__ import annotations
@@ -262,14 +262,11 @@ def main(argv=None) -> int:
     except RelkuraError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        print(f"run too large to allocate: {err}", file=sys.stderr)
+        return 3
     for p in report.predicates:
-        status = "PASS" if p.passed else "FAIL"
-        line = f"{status} {p.name}: expected {p.expected}; observed {p.observed}"
-        if not p.passed and p.first_violation_time is not None:
-            line += f"; first violation at t={p.first_violation_time:g}"
-        if not p.passed and p.margin is not None:
-            line += f"; margin {p.margin:g}"
-        print(line)
+        print(p.line())
     print(f"report: {Path(cfg.out) / 'report.json'}")
     return 0 if report.passed else 1
 

@@ -16,8 +16,11 @@ written.  Given ``out_dir``, a runner writes its CSVs through ``_emit``
 and its report through ``_report``.
 
 Reports carry every checked predicate with its expected and observed
-values; failures also carry the first violating sample time and the
-margin by which the bound was missed.
+values.  Each claim is built by ``_claim`` from its slack ``margin``,
+which decides the verdict: > 0 passes a strict claim, >= 0 any other,
+and a negative margin is the amount by which the claim was missed.
+Claims checked along a time series (``_never_above``) also carry the
+first violating sample time when they fail.
 """
 
 from __future__ import annotations
@@ -144,7 +147,12 @@ def sample_protocol_ensemble(
 
 @dataclass
 class PredicateOutcome:
-    """One checked claim: what was expected, what was observed, verdict."""
+    """One checked claim: what was expected, what was observed, verdict.
+
+    ``margin`` is the slack of the claim: >= 0 when it holds, negative by
+    the amount missed when it fails.  ``first_violation_time`` is set only
+    on failure, and only for claims checked over time.
+    """
 
     name: str
     expected: object
@@ -152,6 +160,16 @@ class PredicateOutcome:
     passed: bool
     first_violation_time: float | None = None
     margin: float | None = None
+
+    def line(self) -> str:
+        """The one-line PASS/FAIL form the CLI prints."""
+        text = (f"{'PASS' if self.passed else 'FAIL'} {self.name}: "
+                f"expected {self.expected}; observed {self.observed}")
+        if not self.passed and self.first_violation_time is not None:
+            text += f"; first violation at t={self.first_violation_time:g}"
+        if not self.passed and self.margin is not None:
+            text += f"; margin {self.margin:g}"
+        return text
 
 
 @dataclass
@@ -191,30 +209,26 @@ def _plain(obj):
     return obj
 
 
-def _below(name: str, expected: str, value: float, bound: float, observed=None,
+def _claim(name: str, expected: str, observed, margin: float, strict: bool = False,
            violation_time: float | None = None) -> PredicateOutcome:
-    """The predicate value < bound, with margin bound - value.
+    """A claim decided by its slack: it holds iff margin > 0 (strict) or >= 0.
 
-    ``observed`` defaults to the value itself; ``violation_time`` is
-    reported only when the predicate fails.
+    ``violation_time`` is kept only when the claim fails.
     """
-    passed = value < bound
-    return PredicateOutcome(
-        name=name,
-        expected=expected,
-        observed=value if observed is None else observed,
-        passed=passed,
-        first_violation_time=None if passed else violation_time,
-        margin=float(bound - value),
-    )
+    passed = margin > 0.0 if strict else margin >= 0.0
+    return PredicateOutcome(name, expected, observed, passed,
+                            None if passed else violation_time, margin)
 
 
-def _violation(times: np.ndarray, bad: np.ndarray, margins: np.ndarray):
-    """(first violating time, worst margin) for a boolean violation mask."""
-    if not bool(bad.any()):
-        return None, float(np.max(margins))
-    first = int(np.argmax(bad))
-    return float(times[first]), float(np.max(margins))
+def _never_above(name: str, expected: str, observed, excess: np.ndarray,
+                 times: np.ndarray | None = None) -> PredicateOutcome:
+    """The claim excess <= 0 at every sample, with margin -max(excess).
+
+    Given ``times``, a failure carries the time of the first positive excess.
+    """
+    bad = excess > 0.0
+    first = float(times[int(np.argmax(bad))]) if times is not None and bad.any() else None
+    return _claim(name, expected, observed, -float(np.max(excess)), violation_time=first)
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +276,18 @@ def _fit_window(times, values, mask):
 
 def _fit_asdict(fit) -> dict:
     return {"rate": fit.rate, "intercept": fit.intercept, "rms_residual": fit.rms_residual}
+
+
+def _velocity_bounds(c_values) -> tuple[float, ...]:
+    c_values = tuple(float(c) for c in c_values)
+    if any(c <= 0 for c in c_values) or list(c_values) != sorted(c_values):
+        raise DomainError("c_values must be positive and ascending")
+    return c_values
+
+
+def _label(model: FrequencyResponse) -> str:
+    """File and table label of a kind: its name, with its bound if it has one."""
+    return model.kind.value if model.c is None else f"{model.kind.value}_c{model.c:g}"
 
 
 def _config_echo(model: FrequencyResponse, n, kappa, dt, t_final, record_every, **extra) -> dict:
@@ -361,16 +387,11 @@ def run_four_model_comparison(
     if tstar is not None:
         observed = {k: v["rate"] for k, v in rates.items()}
         others = [v for k, v in observed.items() if k != "relativistic"]
-        margin = min(others) - observed["relativistic"]
-        predicates.append(
-            PredicateOutcome(
-                name="relativistic-slowest-decay",
-                expected="relativistic frequency-diameter decay rate strictly smallest",
-                observed=observed,
-                passed=margin > 0.0,
-                margin=float(margin),
-            )
-        )
+        predicates.append(_claim(
+            "relativistic-slowest-decay",
+            "relativistic frequency-diameter decay rate strictly smallest",
+            observed, float(min(others) - observed["relativistic"]), strict=True,
+        ))
     results = {
         "theta_star": tstar,
         "omega_diameter": float(np.ptp(omega)),
@@ -416,9 +437,7 @@ def run_rate_vs_c(
     is within 15% of the classical one.  Heterogeneous mode records
     terminal diameters and a transient fit flagged qualitative.
     """
-    c_values = tuple(float(c) for c in c_values)
-    if any(c <= 0 for c in c_values) or list(c_values) != sorted(c_values):
-        raise DomainError("c_values must be positive and ascending")
+    c_values = _velocity_bounds(c_values)
     interval = (0.0, 0.0) if homogeneous else freq_interval
     theta0, omega, tstar = sample_protocol_ensemble(
         seed, n=n, kappa=kappa, freq_interval=interval
@@ -431,11 +450,7 @@ def run_rate_vs_c(
     d0 = phase_diameter(theta0)
     rows, files = [], []
     for config, traj in zip(configs, trajs):
-        label = (
-            "classical"
-            if config.model.c is None
-            else f"relativistic_c{config.model.c:g}"
-        )
+        label = _label(config.model)
         pd = np.ptp(traj.thetas, axis=1)
         fd = np.ptp(traj.theta_dots, axis=1)
         row = {"label": label, "c": config.model.c,
@@ -469,28 +484,25 @@ def run_rate_vs_c(
         results["fit_window"] = {"floor": RATE_FIT_FLOOR, "ceiling": RATE_FIT_CEILING}
         by_c = [row["fit"]["rate"] for row in rows[:-1]]
         classical_rate = rows[-1]["fit"]["rate"]
-        predicates.append(
-            PredicateOutcome(
-                name="rate-non-decreasing-in-c",
-                expected="fitted decay rate non-decreasing in c",
-                observed={"c": list(c_values), "rates": by_c},
-                passed=all(b >= a for a, b in zip(by_c, by_c[1:])),
-                margin=float(min((b - a for a, b in zip(by_c, by_c[1:])), default=0.0)),
-            )
-        )
+        predicates.append(_claim(
+            "rate-non-decreasing-in-c", "fitted decay rate non-decreasing in c",
+            {"c": list(c_values), "rates": by_c},
+            float(min((b - a for a, b in zip(by_c, by_c[1:])), default=0.0)),
+        ))
         if 5.0 in c_values and 10.0 in c_values:
             r5 = by_c[c_values.index(5.0)]
             r10 = by_c[c_values.index(10.0)]
             rel = abs(r5 - r10) / abs(r10)
-            predicates.append(_below(
+            predicates.append(_claim(
                 "rate-c5-c10-within-10pct", "|rate(5) - rate(10)| / rate(10) < 0.10",
-                rel, 0.10, observed={"rate_5": r5, "rate_10": r10, "relative_gap": rel},
+                {"rate_5": r5, "rate_10": r10, "relative_gap": rel}, float(0.10 - rel),
+                strict=True,
             ))
         rel_cl = abs(by_c[-1] - classical_rate) / abs(classical_rate)
-        predicates.append(_below(
+        predicates.append(_claim(
             "largest-c-rate-near-classical", "largest-c rate within 15% of the classical rate",
-            rel_cl, 0.15,
-            observed={"rate": by_c[-1], "classical_rate": classical_rate, "relative_gap": rel_cl},
+            {"rate": by_c[-1], "classical_rate": classical_rate, "relative_gap": rel_cl},
+            float(0.15 - rel_cl), strict=True,
         ))
 
     config = _config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
@@ -525,9 +537,7 @@ def run_limit_scaling(
     ``regimes`` must name at least one regime and none twice, and no
     checkpoint may lie past ``t_final``.
     """
-    c_values = tuple(float(c) for c in c_values)
-    if any(c <= 0 for c in c_values) or list(c_values) != sorted(c_values):
-        raise DomainError("c_values must be positive and ascending")
+    c_values = _velocity_bounds(c_values)
     known = {"heterogeneous", "identical", "zero"}
     if not regimes or len(set(regimes)) < len(regimes) or not set(regimes) <= known:
         raise DomainError(f"regimes must be distinct names from {sorted(known)}, at least one")
@@ -551,41 +561,32 @@ def run_limit_scaling(
         configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
                    for c in c_values]
         reference, *rest = simulate_batch([base, *configs], theta0)
-        files += _emit(out_dir, f"{regime}_classical", reference)
+        files += _emit(out_dir, f"{regime}_{_label(reference.config.model)}", reference)
 
         rows = []
         for c, traj in zip(c_values, rest):
             gap = np.abs(traj.thetas - reference.thetas).sum(axis=1)
+            sups = {f"{cp:g}": float(np.max(gap[traj.times <= cp + 1e-12]))
+                    for cp in checkpoints}
             sup = float(np.max(gap))
-            row = {
+            rows.append({
                 "c": c,
                 "sup_l1": sup,
                 "c2_sup_l1": c * c * sup,
-                "checkpoints": {
-                    f"{cp:g}": {
-                        "sup_l1": float(np.max(gap[traj.times <= cp + 1e-12])),
-                        "c2_sup_l1": c * c * float(np.max(gap[traj.times <= cp + 1e-12])),
-                    }
-                    for cp in checkpoints
-                },
-            }
-            rows.append(row)
-            files += _emit(out_dir, f"{regime}_relativistic_c{c:g}", traj)
+                "checkpoints": {k: {"sup_l1": s, "c2_sup_l1": c * c * s} for k, s in sups.items()},
+            })
+            files += _emit(out_dir, f"{regime}_{_label(traj.config.model)}", traj)
         regime_tables[regime] = rows
 
         for low, high in zip(rows, rows[1:]):
             if not math.isclose(high["c"], 2.0 * low["c"], rel_tol=1e-12):
                 continue
             ratio = low["sup_l1"] / high["sup_l1"]
-            predicates.append(
-                PredicateOutcome(
-                    name=f"{regime}-scaling-c{low['c']:g}-to-c{high['c']:g}",
-                    expected="s(c)/s(2c) in [3, 5]",
-                    observed={"s_c": low["sup_l1"], "s_2c": high["sup_l1"], "ratio": ratio},
-                    passed=3.0 <= ratio <= 5.0,
-                    margin=float(min(ratio - 3.0, 5.0 - ratio)),
-                )
-            )
+            predicates.append(_claim(
+                f"{regime}-scaling-c{low['c']:g}-to-c{high['c']:g}", "s(c)/s(2c) in [3, 5]",
+                {"s_c": low["sup_l1"], "s_2c": high["sup_l1"], "ratio": ratio},
+                float(min(ratio - 3.0, 5.0 - ratio)),
+            ))
         if regime == "zero" and len(checkpoints) >= 2:
             for row in rows:
                 stamps = sorted(row["checkpoints"], key=float)
@@ -594,10 +595,11 @@ def run_limit_scaling(
                 first = row["checkpoints"][stamps[0]]["c2_sup_l1"]
                 last = row["checkpoints"][stamps[-1]]["c2_sup_l1"]
                 growth = last / first - 1.0 if first > 0.0 else 0.0
-                predicates.append(_below(
+                predicates.append(_claim(
                     f"zero-bounded-c{row['c']:g}",
                     "c^2 * sup l1 grows < 5% between first and last checkpoint",
-                    growth, 0.05, observed={"first": first, "last": last, "growth": growth},
+                    {"first": first, "last": last, "growth": growth}, float(0.05 - growth),
+                    strict=True,
                 ))
 
     config = _config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
@@ -649,10 +651,10 @@ def run_sync_predicates(
     d0 = float(pd[0])
     r0 = order_parameter(theta0).r
     times = traj.times
-    frequency_sync = _below(
+    frequency_sync = _claim(
         "terminal-frequency-sync",
         f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
-        float(fd[-1]), SYNC_ASYMPTOTIC_TOLERANCE,
+        float(fd[-1]), float(SYNC_ASYMPTOTIC_TOLERANCE - fd[-1]), strict=True,
     )
     predicates = []
     results = {
@@ -667,41 +669,26 @@ def run_sync_predicates(
 
     if homogeneous:
         if 0.0 < d0 < math.pi:
-            over = pd - (d0 + 1e-12)
-            t_bad, margin = _violation(times, over > 0.0, over)
-            predicates.append(
-                PredicateOutcome(
-                    name="diameter-never-expands",
-                    expected="D(t) <= D(0) + 1e-12 at every sample",
-                    observed={"initial": d0, "max": float(np.max(pd))},
-                    passed=t_bad is None,
-                    first_violation_time=t_bad,
-                    margin=margin,
-                )
-            )
+            predicates.append(_never_above(
+                "diameter-never-expands", "D(t) <= D(0) + 1e-12 at every sample",
+                {"initial": d0, "max": float(np.max(pd))}, pd - (d0 + 1e-12), times,
+            ))
             rate = predicted_rate(config, d0)
             results["predicted_rate"] = rate
-            envelope = d0 * np.exp(-rate * times) * (1.0 + SYNC_ENVELOPE_SLACK)
-            over = pd - envelope
-            t_bad, margin = _violation(times, over > 0.0, over)
-            predicates.append(
-                PredicateOutcome(
-                    name="exponential-envelope",
-                    expected=f"D(t) <= D(0) * exp(-{rate:.6g} t) * (1 + {SYNC_ENVELOPE_SLACK:g})",
-                    observed={"max_excess": margin},
-                    passed=t_bad is None,
-                    first_violation_time=t_bad,
-                    margin=margin,
-                )
-            )
+            over = pd - d0 * np.exp(-rate * times) * (1.0 + SYNC_ENVELOPE_SLACK)
+            predicates.append(_never_above(
+                "exponential-envelope",
+                f"D(t) <= D(0) * exp(-{rate:.6g} t) * (1 + {SYNC_ENVELOPE_SLACK:g})",
+                {"max_excess": float(np.max(over))}, over, times,
+            ))
         predicates.append(frequency_sync)
         if r0 > 0.0:
             final = traj.thetas[-1]
             sines = float(np.max(np.abs(np.sin(final[None, :] - final[:, None]))))
-            predicates.append(_below(
+            predicates.append(_claim(
                 "terminal-pairwise-sines",
                 f"max |sin(theta_i - theta_j)| < {SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final",
-                sines, SYNC_ASYMPTOTIC_TOLERANCE,
+                sines, float(SYNC_ASYMPTOTIC_TOLERANCE - sines), strict=True,
             ))
     else:
         results["hypothesis_kappa_gt_omega_diameter"] = kappa > spread
@@ -713,24 +700,13 @@ def run_sync_predicates(
         entry = int(np.argmax(inside)) if bool(inside.any()) else None
         results["trap_bound"] = bound
         results["trap_entry_time"] = None if entry is None else float(times[entry])
-        if entry is None:
-            trapped, t_bad, margin = False, None, float(np.max(pd - bound))
-        else:
-            tail_over = pd[entry:] - bound
-            bad = tail_over > 0.0
-            trapped = not bool(bad.any())
-            t_bad = None if trapped else float(times[entry + int(np.argmax(bad))])
-            margin = float(np.max(tail_over))
-        predicates.append(
-            PredicateOutcome(
-                name="diameter-trapping",
-                expected="D(t) enters and stays below max(theta*, min(D0, pi - D0)) + slack",
-                observed={"bound": bound, "entry_time": results["trap_entry_time"]},
-                passed=trapped,
-                first_violation_time=t_bad,
-                margin=margin,
-            )
-        )
+        # A run that never enters the trap fails with no first violation time.
+        predicates.append(_never_above(
+            "diameter-trapping",
+            "D(t) enters and stays below max(theta*, min(D0, pi - D0)) + slack",
+            {"bound": bound, "entry_time": results["trap_entry_time"]},
+            pd[entry or 0:] - bound, None if entry is None else times[entry:],
+        ))
         predicates.append(frequency_sync)
 
     config = _config_echo(model, n, kappa, dt, t_final, record_every,
@@ -773,13 +749,13 @@ def run_rcs_crosscheck(
     residual = float(np.max(res))
     res_idx = int(np.argmax(res))
     predicates = [
-        _below("phase-agreement",
+        _claim("phase-agreement",
                f"max |theta_momentum - theta_first_order| < {RCS_THETA_TOLERANCE:g}",
-               deviation, RCS_THETA_TOLERANCE,
+               deviation, float(RCS_THETA_TOLERANCE - deviation), strict=True,
                violation_time=float(momentum_traj.times[dev_idx])),
-        _below("frequency-conservation",
+        _claim("frequency-conservation",
                f"max |p - coupling - nu| < {RCS_RESIDUAL_TOLERANCE:g}",
-               residual, RCS_RESIDUAL_TOLERANCE,
+               residual, float(RCS_RESIDUAL_TOLERANCE - residual), strict=True,
                violation_time=float(momentum_traj.times[res_idx])),
     ]
     files = (_emit(out_dir, "first_order", first_traj)
@@ -803,16 +779,14 @@ def run_admissibility(seed: int, model: FrequencyResponse, out_dir=None) -> Expe
     """
     check = model.check_admissibility(samples=ADMISSIBILITY_SAMPLES)
 
-    def at_most(name, residual, value, bound):
-        return PredicateOutcome(name, f"{residual} residual <= {bound:g}", value,
-                                value <= bound, margin=bound - value)
-
+    odd, roundtrip = check.oddness_residual, check.roundtrip_residual
     predicates = [
-        at_most("oddness", "relative", check.oddness_residual, ADMISSIBILITY_ODDNESS_TOL),
+        _claim("oddness", f"relative residual <= {ADMISSIBILITY_ODDNESS_TOL:g}", odd,
+               ADMISSIBILITY_ODDNESS_TOL - odd),
         PredicateOutcome("strictly-increasing", True, check.strictly_increasing,
                          check.strictly_increasing),
-        at_most("inverse-round-trip", "absolute", check.roundtrip_residual,
-                ADMISSIBILITY_ROUNDTRIP_TOL),
+        _claim("inverse-round-trip", f"absolute residual <= {ADMISSIBILITY_ROUNDTRIP_TOL:g}",
+               roundtrip, ADMISSIBILITY_ROUNDTRIP_TOL - roundtrip),
     ]
     results = {
         "oddness_residual": check.oddness_residual,

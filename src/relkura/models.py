@@ -88,8 +88,8 @@ class AdmissibilityReport:
     """Outcome of structural sampling checks on a response function.
 
     ``oddness_residual`` is max |F(-w) + F(w)| / max(1, |F(w)|) over the
-    grid; ``roundtrip_residual`` is max |G(F(w)) - w|.  ``passed`` is the
-    conjunction of all three checks at the documented tolerances.
+    grid; ``roundtrip_residual`` is max |G(F(w)) - w|.  The scenario
+    ``run_admissibility`` decides them against ADMISSIBILITY_*_TOL.
     """
 
     kind: str
@@ -98,7 +98,6 @@ class AdmissibilityReport:
     oddness_residual: float
     strictly_increasing: bool
     roundtrip_residual: float
-    passed: bool
 
 
 def _prepare(x) -> tuple[np.ndarray, bool]:
@@ -363,14 +362,14 @@ class FrequencyResponse:
     # ------------------------------------------------------------------
 
     def check_admissibility(self, samples: int = 101) -> AdmissibilityReport:
-        """Sample-based verification that this response is a valid model.
+        """Sample the structural properties that make this response a valid model.
 
-        Checks oddness (relative residual <= ADMISSIBILITY_ODDNESS_TOL),
-        strict monotonicity of F, and the G(F(w)) = w round trip (absolute
-        residual <= ADMISSIBILITY_ROUNDTRIP_TOL)
-        on a symmetric grid: +/- 0.999 * velocity_bound for bounded kinds,
-        +/- 1e3 for the classical kind.  Never raises on failure; the
-        report carries the residuals and the verdict.
+        Measures oddness (relative residual, admissible up to
+        ADMISSIBILITY_ODDNESS_TOL), strict monotonicity of F, and the
+        G(F(w)) = w round trip (absolute residual, admissible up to
+        ADMISSIBILITY_ROUNDTRIP_TOL) on a symmetric grid: +/- 0.999 *
+        velocity_bound for bounded kinds, +/- 1e3 for the classical kind.
+        Never raises on failure; ``run_admissibility`` gives the verdict.
         """
         if samples < 3:
             raise DomainError("admissibility check needs samples >= 3")
@@ -384,8 +383,6 @@ class FrequencyResponse:
         oddness = float(np.max(np.abs(fw + fw[::-1]) / scale))
         increasing = bool(np.all(np.diff(fw) > 0.0))
         roundtrip = float(np.max(np.abs(self.velocity(fw) - grid)))
-        passed = (oddness <= ADMISSIBILITY_ODDNESS_TOL and increasing
-                  and roundtrip <= ADMISSIBILITY_ROUNDTRIP_TOL)
         return AdmissibilityReport(
             kind=self.kind.value,
             c=self.c,
@@ -393,7 +390,6 @@ class FrequencyResponse:
             oddness_residual=oddness,
             strictly_increasing=increasing,
             roundtrip_residual=roundtrip,
-            passed=passed,
         )
 
 

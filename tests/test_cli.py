@@ -158,6 +158,18 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
     assert "c_list" in capsys.readouterr().err
 
 
+def test_main_exit_3_on_a_run_too_large_to_allocate(tmp_path, capsys):
+    # 1e17 recorded rows pass validation; numpy refuses the state array
+    # before allocating any of it
+    code = main(["--scenario", "simulate", "--n", "2", "--t-final", "1e15",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("run too large to allocate: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):
     code = main(["--scenario", "simulate", "--model", "rapidity", "--c", "2",
                  "--seed", "3", "--t-final", "2", "--out", str(tmp_path)])

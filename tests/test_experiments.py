@@ -15,6 +15,7 @@ from relkura import (
     RNG_ALGORITHM,
     classical,
     make_rng,
+    rapidity,
     relativistic,
     run_four_model_comparison,
     run_limit_scaling,
@@ -23,6 +24,7 @@ from relkura import (
     run_sync_predicates,
     sample_protocol_ensemble,
 )
+from relkura.cli import SCENARIOS, _runners
 from relkura.errors import DomainError
 
 
@@ -308,3 +310,54 @@ def test_same_seed_reproduces_report():
     first = run_four_model_comparison(5, t_final=3.0, dt=0.02)
     second = run_four_model_comparison(5, t_final=3.0, dt=0.02)
     assert first.to_dict() == second.to_dict()
+
+
+# ----------------------------------------------------------------------
+# predicate margins
+# ----------------------------------------------------------------------
+
+# Claims that need a positive margin to hold; every other claim holds at 0.
+STRICT_CLAIMS = {
+    "relativistic-slowest-decay", "rate-c5-c10-within-10pct",
+    "largest-c-rate-near-classical", "terminal-frequency-sync",
+    "terminal-pairwise-sines", "phase-agreement", "frequency-conservation",
+}
+
+# (scenario, runner arguments, whether some claim fails), short runs of every
+# scenario with failing ones among them
+MARGIN_RUNS = [
+    ("simulate", dict(seed=3, model=classical(), n=4, t_final=1.0), False),
+    ("compare", dict(seed=5, t_final=6.0, dt=0.02), False),
+    ("rate-vs-c", dict(seed=7, c_values=(1.0, 5.0), t_final=20.0, dt=0.05), False),
+    ("limit", dict(seed=11, c_values=(5.0, 10.0), t_final=6.0, regimes=("zero",),
+                   checkpoint_times=(3.0, 6.0)), False),
+    ("limit", dict(seed=3, c_values=(5.0, 10.0), kappa=0.1, regimes=("zero",),
+                   checkpoint_times=(2.0, 10.0)), True),
+    ("sync-check", dict(seed=3, model=classical(), n=6, t_final=30.0), False),
+    ("sync-check", dict(seed=2, model=classical(), kappa=0.05, t_final=5.0), True),
+    ("sync-check", dict(seed=3, model=classical(), n=6, t_final=30.0, dt=0.05,
+                        omega=np.zeros(6)), False),
+    ("sync-check", dict(seed=3, model=classical(), n=6, t_final=3.0, omega=np.zeros(6)), True),
+    ("rcs-check", dict(seed=13, n=4, t_final=0.5), False),
+    ("admissibility", dict(seed=0, model=rapidity(1.0)), False),
+]
+
+
+def test_margin_runs_cover_every_scenario():
+    assert {scenario for scenario, _, _ in MARGIN_RUNS} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario, kwargs, fails", MARGIN_RUNS,
+                         ids=[f"{s}-{i}" for i, (s, _, _) in enumerate(MARGIN_RUNS)])
+def test_margin_is_the_slack_of_every_claim(scenario, kwargs, fails):
+    report = _runners()[scenario](**kwargs)
+    assert report.passed is not fails
+    for p in report.predicates:
+        if p.margin is None:
+            continue
+        strict = p.name in STRICT_CLAIMS or p.name.startswith("zero-bounded-")
+        # margin >= 0 iff the claim holds, and a strict claim fails at 0
+        assert p.passed == (p.margin >= 0.0), p
+        assert p.passed == (p.margin > 0.0 if strict else p.margin >= 0.0), p
+        if p.passed:
+            assert p.first_violation_time is None, p

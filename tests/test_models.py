@@ -24,6 +24,8 @@ from relkura import (
 from relkura import models
 from relkura.errors import ConvergenceError, DomainError
 from relkura.models import (
+    ADMISSIBILITY_ODDNESS_TOL,
+    ADMISSIBILITY_ROUNDTRIP_TOL,
     INVERSION_GAP_FRACTION,
     INVERSION_MAX_ITER,
     INVERSION_TOL,
@@ -491,16 +493,17 @@ def test_from_name_rejects_unknown_kind():
 def test_check_admissibility_passes_for_every_kind():
     for model in (classical(),) + tuple(f(1.0) for f in ALL_BOUNDED):
         report = model.check_admissibility(samples=101)
-        assert report.passed, report
         assert report.samples == 101
-        assert report.oddness_residual <= 1e-12
-        assert report.strictly_increasing
-        assert report.roundtrip_residual <= 1e-10
+        assert report.oddness_residual <= ADMISSIBILITY_ODDNESS_TOL, report
+        assert report.strictly_increasing, report
+        assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL, report
 
 
 def test_check_admissibility_large_grid_small_c():
     report = relativistic(0.5).check_admissibility(samples=1001)
-    assert report.passed
+    assert report.oddness_residual <= ADMISSIBILITY_ODDNESS_TOL
+    assert report.strictly_increasing
+    assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL
     assert report.samples == 1001
     assert report.kind == "relativistic"
     assert report.c == 0.5
