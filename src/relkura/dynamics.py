@@ -46,6 +46,17 @@ Conventions that matter for downstream analysis:
   fits at that size reach a 1e-12 diameter floor where the identity's
   different rounding would move the fitted rates by ~1e-7 relative.  The
   momentum form's cosine-weighted coupling stays pairwise at every n.
+* Memory: no pairwise temporary of the sine sums exceeds one block of
+  ``_BLOCK_FLOATS`` floats (512 KiB).  The sums over the M recorded
+  states (recorded drives, momentum residuals and first-order drives)
+  take the rows in blocks and write into one preallocated output; an
+  integrator stage's state fits in one block and is summed in one pass.
+  Each row is reduced as in one pass over all rows, so the floats do not
+  depend on the blocking.  The momentum form's coupling, taken on one
+  state per stage, still builds n x n arrays.  The largest temporary
+  left in a paper-size run is the full kind's Newton solve of the
+  recorded velocities (``_recorded_velocities``), which works on all
+  M * n recorded drives at once.
 """
 
 from __future__ import annotations
@@ -158,6 +169,21 @@ class MomentumTrajectory:
 # relative.  Must stay >= 10 so paper-size runs keep the pairwise rounding.
 PAIRWISE_MAX_N = 16
 
+# Floats in one pairwise temporary.  Pairwise passes over many rows take
+# them in blocks of consecutive rows whose temporaries hold at most this
+# many floats (512 KiB), and never fewer than one row.
+_BLOCK_FLOATS = 1 << 16
+
+
+def _row_blocks(rows: int, row_floats: int):
+    """Slices of consecutive rows covering range(rows), one block each.
+
+    A block holds as many rows of ``row_floats`` temporary floats each as
+    fit in ``_BLOCK_FLOATS``, and at least one.
+    """
+    step = max(1, _BLOCK_FLOATS // row_floats)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
 
 def _shifted_phasors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin(x) and cos(x) - 1 of x = theta minus each row's first phase.
@@ -175,11 +201,22 @@ def _sine_sums(theta: np.ndarray) -> np.ndarray:
     """sum_j sin(theta_j - theta_i) along the last axis of a (..., n) array.
 
     Above PAIRWISE_MAX_N this is c_i * S - s_i * C, with s, c the shifted
-    phasors of ``_shifted_phasors`` and S, C their sums.
+    phasors of ``_shifted_phasors`` and S, C their sums.  At and below it
+    the sums are pairwise, over ``_row_blocks`` of the flattened leading
+    axes, so no temporary exceeds one block; each row is reduced as in
+    one pass over all rows, so the floats do not depend on the blocking.
     """
-    if theta.shape[-1] <= PAIRWISE_MAX_N:
-        # [..., i, j] = theta_j - theta_i
-        return np.sin(theta[..., None, :] - theta[..., :, None]).sum(axis=-1)
+    n = theta.shape[-1]
+    if n <= PAIRWISE_MAX_N:
+        if theta.size * n <= _BLOCK_FLOATS:  # all rows fit in one block
+            # [..., i, j] = theta_j - theta_i
+            return np.sin(theta[..., None, :] - theta[..., :, None]).sum(axis=-1)
+        flat = theta.reshape(-1, n)
+        out = np.empty(flat.shape)
+        for rows in _row_blocks(flat.shape[0], n * n):
+            block = flat[rows]
+            np.sin(block[:, None, :] - block[:, :, None]).sum(axis=-1, out=out[rows])
+        return out.reshape(theta.shape)
     s, cos_m1 = _shifted_phasors(theta)
     c = 1.0 + cos_m1
     return c * s.sum(axis=-1, keepdims=True) - s * c.sum(axis=-1, keepdims=True)

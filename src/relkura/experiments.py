@@ -44,6 +44,7 @@ from .diagnostics import (
 )
 from .dynamics import (
     SystemConfig,
+    _row_blocks,
     coupling,
     simulate,
     simulate_batch,
@@ -266,6 +267,13 @@ def _report(out_dir, scenario: str, seed: int, config: dict, results: dict,
     if out_dir is not None:
         report.write(_directory(out_dir) / "report.json")
     return report
+
+
+def _max_abs_pairwise_sine(theta: np.ndarray) -> float:
+    """max over i, j of |sin(theta_j - theta_i)|, one row block of the n x n array at a time."""
+    n = theta.size
+    return float(np.max([np.max(np.abs(np.sin(theta[None, :] - theta[rows, None])))
+                         for rows in _row_blocks(n, n)]))
 
 
 def _fit_window(times, values, mask):
@@ -683,8 +691,7 @@ def run_sync_predicates(
             ))
         predicates.append(frequency_sync)
         if r0 > 0.0:
-            final = traj.thetas[-1]
-            sines = float(np.max(np.abs(np.sin(final[None, :] - final[:, None]))))
+            sines = _max_abs_pairwise_sine(traj.thetas[-1])
             predicates.append(_claim(
                 "terminal-pairwise-sines",
                 f"max |sin(theta_i - theta_j)| < {SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final",

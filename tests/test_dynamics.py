@@ -3,6 +3,7 @@ against the standalone scalar reference, and the momentum-form cross-check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,50 @@ def test_mean_field_runs_match_pairwise_runs(monkeypatch):
     assert np.max(np.abs(fast.theta_dots - slow.theta_dots)) <= 1e-12
     assert np.max(np.abs(fast_momentum.thetas - slow_momentum.thetas)) <= 1e-12
     assert np.max(np.abs(fast_momentum.residuals - slow_momentum.residuals)) <= 1e-12
+
+
+def _one_shot_sine_sums(theta):
+    return np.sin(theta[..., None, :] - theta[..., :, None]).sum(axis=-1)
+
+
+def _pairwise_block_rows(n):
+    return dynamics._BLOCK_FLOATS // (n * n)
+
+
+# Rows just inside, at and past one block, and several blocks with a
+# ragged last one; (n,) and (B, n) inputs take the one-block path.
+@pytest.mark.parametrize("n", [1, 2, 10, 16])
+@pytest.mark.parametrize("shape", [
+    lambda n: (n,),
+    lambda n: (5, n),
+    lambda n: (_pairwise_block_rows(n) - 1, n),
+    lambda n: (_pairwise_block_rows(n), n),
+    lambda n: (_pairwise_block_rows(n) + 1, n),
+    lambda n: (3 * _pairwise_block_rows(n) + 5, n),
+], ids=["n", "batch", "block-1", "block", "block+1", "3block+5"])
+def test_blocked_sine_sums_equal_one_shot_pairwise_sums(n, shape):
+    assert n <= dynamics.PAIRWISE_MAX_N
+    gen = np.random.default_rng(n)
+    theta = gen.uniform(-1e3, 1e3, shape(n)) + gen.uniform(-1e-9, 1e-9, shape(n))
+    assert np.array_equal(dynamics._sine_sums(theta), _one_shot_sine_sums(theta))
+    # a strided (M, n) view, as simulate_batch passes one system's states
+    stacked = np.stack([theta, theta + 1.0], axis=-2)[..., 1, :]
+    assert np.array_equal(dynamics._sine_sums(stacked), _one_shot_sine_sums(stacked))
+
+
+def test_blocked_sine_sums_peak_below_output_plus_a_few_blocks():
+    theta = np.random.default_rng(0).uniform(-3.0, 3.0, (20001, 16))
+    # per block, the differences and their sines are the only live
+    # temporaries; one more block covers reduction buffers and bookkeeping
+    bound = theta.nbytes + 3 * 8 * dynamics._BLOCK_FLOATS
+    tracemalloc.start()
+    try:
+        out = dynamics._sine_sums(theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == theta.shape
+    assert peak < bound
 
 
 # ----------------------------------------------------------------------

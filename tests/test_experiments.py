@@ -7,6 +7,7 @@ to keep the loop fast while still exercising the real decision logic.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from relkura import (
     RNG_ALGORITHM,
     classical,
+    dynamics,
     make_rng,
     rapidity,
     relativistic,
@@ -26,6 +28,7 @@ from relkura import (
 )
 from relkura.cli import SCENARIOS, _runners
 from relkura.errors import DomainError
+from relkura.experiments import _max_abs_pairwise_sine
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +251,27 @@ def test_sync_predicates_heterogeneous_trapping():
     assert res["trap_entry_time"] is not None
     assert res["trap_bound"] > res["theta_star"]
     assert res["terminal_frequency_diameter"] < 1e-6
+
+
+def test_terminal_pairwise_sines_equal_one_shot_max():
+    theta = np.random.default_rng(5).uniform(-2.0, 2.0, 2000)
+    one_shot = float(np.max(np.abs(np.sin(theta[None, :] - theta[:, None]))))
+    assert _max_abs_pairwise_sine(theta) == one_shot
+
+
+def test_terminal_pairwise_sines_peak_below_a_few_blocks():
+    theta = np.random.default_rng(5).uniform(-2.0, 2.0, 2000)
+    # per block of rows of the n x n array, the differences and their
+    # sines, then the sines and their magnitudes, are the live
+    # temporaries; one more block covers bookkeeping
+    bound = 3 * 8 * dynamics._BLOCK_FLOATS
+    tracemalloc.start()
+    try:
+        _max_abs_pairwise_sine(theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_sync_predicates_rejects_bad_omega_length():
