@@ -46,17 +46,19 @@ Conventions that matter for downstream analysis:
   fits at that size reach a 1e-12 diameter floor where the identity's
   different rounding would move the fitted rates by ~1e-7 relative.  The
   momentum form's cosine-weighted coupling stays pairwise at every n.
-* Memory: no pairwise temporary of the sine sums exceeds one block of
-  ``_BLOCK_FLOATS`` floats (512 KiB).  The sums over the M recorded
-  states (recorded drives, momentum residuals and first-order drives)
-  take the rows in blocks and write into one preallocated output; an
-  integrator stage's state fits in one block and is summed in one pass.
+* Memory: no pairwise temporary of the sine sums or of the momentum
+  coupling exceeds one block of ``_BLOCK_FLOATS`` floats (512 KiB).  The
+  sums over the M recorded states (recorded drives, momentum residuals
+  and first-order drives) take the rows in blocks and write into one
+  preallocated output; an integrator stage's state fits in one block and
+  is summed in one pass.  The momentum coupling of one state takes its
+  n x n pairs a block of rows at a time once n * n exceeds one block,
+  and in one pass at and below that, which covers the paper's n = 10.
   Each row is reduced as in one pass over all rows, so the floats do not
-  depend on the blocking.  The momentum form's coupling, taken on one
-  state per stage, still builds n x n arrays.  The largest temporary
-  left in a paper-size run is the full kind's Newton solve of the
-  recorded velocities (``_recorded_velocities``), which works on all
-  M * n recorded drives at once.
+  depend on the blocking.  The largest temporary left in a paper-size
+  run is the full kind's Newton solve of the recorded velocities
+  (``_recorded_velocities``), which works on all M * n recorded drives
+  at once.
 """
 
 from __future__ import annotations
@@ -411,9 +413,22 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
 
 
 def _momentum_coupling(config, theta, v):
-    diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
-    rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
-    return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
+    """(kappa/n) * sum_j cos(theta_j - theta_i) * (v_j - v_i) for (n,) rows.
+
+    Pairwise at every n, over ``_row_blocks`` of i once the n x n
+    temporaries exceed one block; each row is summed as in one pass, so
+    the floats do not depend on the blocking.
+    """
+    n = theta.shape[0]
+    if n * n <= _BLOCK_FLOATS:
+        diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
+        rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
+        return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
+    sums = np.empty(n)
+    for rows in _row_blocks(n, n):
+        (np.cos(theta[None, :] - theta[rows, None])
+         * (v[None, :] - v[rows, None])).sum(axis=1, out=sums[rows])
+    return (config.kappa / config.n) * sums
 
 
 def _check_initial_velocities(config: SystemConfig, thetadot0) -> np.ndarray:

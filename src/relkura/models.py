@@ -26,6 +26,20 @@ call maps a batch of systems, one per row, each with its own bound and,
 for the full kind, its own stop test; rows that all share one bound
 solve on that scalar bound, still with one stop test per row.
 
+The Newton round works on a few rows of n = 10 drives, where its cost is
+numpy call overhead rather than arithmetic, so it is kept cheap without
+changing a float:
+
+* Each response prepares its bounds once, when it is made: ``(c, c**3,
+  c*c, cap)`` with cap one ulp below c, as 0-d float64 arrays, or (B, 1)
+  columns for a stack of distinct bounds.  The solve and the clamps of
+  the closed forms read them instead of recomputing them per call.
+* The round's constants are 0-d arrays too: numpy converts a Python
+  float operand on every ufunc call, and takes an array one faster.
+* The per-row stop tests run only once at least one row's width of steps
+  is within the tolerance, and the bracket test is one count; early
+  rounds, in which no row can stop, skip the reductions.
+
 Numerical notes baked into this module:
 
 * ``gamma`` is evaluated as ``1/sqrt((1 - w/c) * (1 + w/c))``.  The
@@ -109,15 +123,40 @@ def _finish(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+# Constants of the Newton round as 0-d float64 arrays: numpy takes an
+# array operand faster than a Python float, which it converts on every
+# ufunc call, and the floats are the same.  The exponent 1.5 stays a
+# Python float: a numpy scalar base raised to it takes the C library's
+# pow, which can round unlike numpy's array power, and scalar calls of
+# the forward slope must keep that rounding.
+_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+
+
+def _prepared_bounds(c: float) -> tuple:
+    """(c, c**3, c*c, cap) of a bound as 0-d float64 arrays; cap = nextafter(c, 0).
+
+    The cube is Python's pow: numpy's array power can differ from it in
+    the last ulp.  It overflows above c ~ 5.6e102, a bound the closed
+    forms take, and is then inf, as the square is.
+    """
+    try:
+        c_cubed = c**3
+    except OverflowError:
+        c_cubed = math.inf
+    return tuple(np.array(v) for v in (c, c_cubed, c * c, np.nextafter(c, 0.0)))
+
+
 def _lorentz(w: np.ndarray, c) -> np.ndarray:
     u = w / c
-    return 1.0 / np.sqrt((1.0 - u) * (1.0 + u))
+    return _ONE / np.sqrt((_ONE - u) * (_ONE + u))
 
 
 def _full_momentum(w: np.ndarray, c, c_sq) -> np.ndarray:
     """Full response w * gamma * (1 + gamma/c**2); ``c_sq`` is c * c."""
     g = _lorentz(w, c)
-    return w * g * (1.0 + g / c_sq)
+    return w * g * (_ONE + g / c_sq)
 
 
 def _full_momentum_slope(w: np.ndarray, c, c_sq, c_cubed) -> np.ndarray:
@@ -125,50 +164,62 @@ def _full_momentum_slope(w: np.ndarray, c, c_sq, c_cubed) -> np.ndarray:
     return c_cubed / span**1.5 + (c_sq + w * w) / (span * span)
 
 
-def _solve_full(target: np.ndarray, c, c_cubed) -> np.ndarray:
+def _solve_full(target: np.ndarray, c, c_cubed, c_sq, cap) -> np.ndarray:
     """Safeguarded Newton solve of F(w) = target >= 0 for the full response.
 
-    ``target`` is (R, m), one system per row; ``c`` and ``c_cubed`` are
-    scalars (every row shares the bound) or (R, 1) columns.  The
-    proper-velocity inverse gives the upper bracket end (F_full >= F_pv
-    on [0, c)), clamped one ulp below c so the strict range bound
-    survives even when the true root is within rounding of c.  The
-    bracket ends start finite and only ever move to accepted iterates,
-    so a Newton step that is NaN or infinite fails the bracket test like
-    one that leaves the bracket; those fall back to bisection, and the
-    midpoints are formed only in rounds that need one.  A row stops when
-    every last step in it is within INVERSION_TOL and within
-    INVERSION_GAP_FRACTION of its gap to c; its iterate is then frozen
-    and later rounds run on the other rows only, so a row gets the same
-    floats whether it is solved alone or with others.
+    ``target`` is (R, m), one system per row; the bounds are a response's
+    prepared ``(c, c**3, c*c, cap)``: 0-d arrays (every row shares the
+    bound) or (R, 1) columns.  The proper-velocity inverse gives the upper
+    bracket end (F_full >= F_pv on [0, c)), clamped to ``cap``, one ulp
+    below c, so the strict range bound survives even when the true root
+    is within rounding of c.  The bracket ends start finite and only ever
+    move to accepted iterates, so a Newton step that is NaN or infinite
+    fails the bracket test like one that leaves the bracket; those fall
+    back to bisection, and the midpoints are formed only in rounds that
+    need one.  A row stops when every last step in it is within
+    INVERSION_TOL and within INVERSION_GAP_FRACTION of its gap to c; its
+    iterate is then frozen and later rounds run on the other rows only,
+    so a row gets the same floats whether it is solved alone or with
+    others.  The per-row tests run only once at least one row's width of
+    steps is within INVERSION_TOL, which no early round reaches, and the
+    output array is made only when rows stop in different rounds.
     """
-    c_sq = c * c
-    hi = np.minimum(c * (target / np.hypot(target, c)), np.nextafter(c, 0.0))
+    hi = np.minimum(c * (target / np.hypot(target, c)), cap)
     lo = np.zeros(hi.shape)
     w = hi.copy()  # lo and hi are updated in place, so w must not share them
-    out = np.empty_like(w)
-    rows = np.arange(len(w))
+    width = w.shape[1]
+    out = rows = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(INVERSION_MAX_ITER):
             resid = _full_momentum(w, c, c_sq) - target
-            np.copyto(lo, w, where=resid < 0.0)
-            np.copyto(hi, w, where=resid > 0.0)
+            np.copyto(lo, w, where=resid < _ZERO)
+            np.copyto(hi, w, where=resid > _ZERO)
             proposal = w - resid / _full_momentum_slope(w, c, c_sq, c_cubed)
             inside = (proposal > lo) & (proposal < hi)
-            if not inside.all():
-                proposal = np.where(inside, proposal, 0.5 * (lo + hi))
+            if np.count_nonzero(inside) != inside.size:
+                proposal = np.where(inside, proposal, _HALF * (lo + hi))
             step = np.abs(proposal - w)
             w = proposal
-            done = (step <= INVERSION_TOL).all(axis=1)
-            if done.any():
-                done &= (step <= INVERSION_GAP_FRACTION * (c - w)).all(axis=1)
-                out[rows[done]] = w[done]
-                if done.all():
-                    return out
-                keep = ~done
-                rows, w, lo, hi, target = rows[keep], w[keep], lo[keep], hi[keep], target[keep]
-                if np.ndim(c):
-                    c, c_sq, c_cubed = c[keep], c_sq[keep], c_cubed[keep]
+            ok = step <= INVERSION_TOL
+            if np.count_nonzero(ok) < width:
+                continue  # no row has every step within the tolerance
+            done = np.logical_and.reduce(ok, axis=1)
+            done &= np.logical_and.reduce(step <= INVERSION_GAP_FRACTION * (c - w), axis=1)
+            stopped = np.count_nonzero(done)
+            if stopped == 0:
+                continue
+            if out is None:
+                if stopped == len(w):
+                    return w
+                out = np.empty_like(w)
+                rows = np.arange(len(w))
+            out[rows[done]] = w[done]
+            if stopped == len(w):
+                return out
+            keep = ~done
+            rows, w, lo, hi, target = rows[keep], w[keep], lo[keep], hi[keep], target[keep]
+            if c.ndim:
+                c, c_cubed, c_sq = c[keep], c_cubed[keep], c_sq[keep]
     raise ConvergenceError(
         f"drive inversion did not reach {INVERSION_TOL} within "
         f"{INVERSION_MAX_ITER} iterations"
@@ -191,12 +242,17 @@ class FrequencyResponse:
     kind: ModelKind
     c: float | None = None
 
+    # systems in one full-kind solve: 1, or B for a stacked response
+    _rows = 1
+
     def __post_init__(self):
         if self.kind is ModelKind.CLASSICAL:
             return
         if self.c is None or not math.isfinite(self.c) or self.c <= 0.0:
             raise DomainError(f"model kind {self.kind.value!r} requires a finite c > 0")
-        object.__setattr__(self, "c", float(self.c))
+        c = float(self.c)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_bounds", _prepared_bounds(c))
 
     @classmethod
     def from_name(cls, name: str, c: float | None = None) -> "FrequencyResponse":
@@ -246,24 +302,24 @@ class FrequencyResponse:
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             return w + 0.0
-        c = self.c
+        c, _, c_sq, _ = self._bounds
         if kind is ModelKind.RAPIDITY:
             return c * np.arctanh(w / c)
         if kind is ModelKind.PROPER_VELOCITY:
             return w * _lorentz(w, c)
-        return _full_momentum(w, c, c * c)
+        return _full_momentum(w, c, c_sq)
 
     def _momentum_slope_unchecked(self, w: np.ndarray) -> np.ndarray:
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             return np.ones_like(w)
-        c = self.c
+        c, c_cubed, c_sq, _ = self._bounds
         span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
         if kind is ModelKind.RAPIDITY:
-            return (c * c) / span
+            return c_sq / span
         if kind is ModelKind.PROPER_VELOCITY:
-            return c**3 / span**1.5
-        return _full_momentum_slope(w, c, c * c, c**3)
+            return c_cubed / span**1.5
+        return _full_momentum_slope(w, c, c_sq, c_cubed)
 
     # ------------------------------------------------------------------
     # inverse response G and its derivative
@@ -278,15 +334,17 @@ class FrequencyResponse:
         exhausts its iteration budget (not observed in practice).
         """
         y, scalar = _prepare(drive)
-        if not np.isfinite(y).all():
+        if np.count_nonzero(np.isfinite(y)) != y.size:
             raise DomainError("drive must be finite")
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             out = y + 0.0
         elif kind is ModelKind.PROPER_VELOCITY:
-            out = self._clamp_subluminal(self.c * (y / np.hypot(y, self.c)))
+            c = self._bounds[0]
+            out = self._clamp_subluminal(c * (y / np.hypot(y, c)))
         elif kind is ModelKind.RAPIDITY:
-            out = self._clamp_subluminal(self.c * np.tanh(y / self.c))
+            c = self._bounds[0]
+            out = self._clamp_subluminal(c * np.tanh(y / c))
         else:
             out = self._invert_full(y)
         return _finish(out, scalar)
@@ -296,8 +354,8 @@ class FrequencyResponse:
         # resolution of the bound (y ~ 1e8 * c and beyond); pin them one
         # ulp inside so |G(y)| < c holds for every finite drive and the
         # result always composes with the forward response.
-        limit = np.nextafter(self.c, 0.0)
-        return np.clip(w, -limit, limit)
+        cap = self._bounds[3]
+        return np.clip(w, -cap, cap)
 
     def velocity_slope(self, drive):
         """Derivative of ``velocity`` with respect to the drive.
@@ -308,7 +366,7 @@ class FrequencyResponse:
         full relativistic kind (whose slope at rest is 1 + 1/c**2).
         """
         y, scalar = _prepare(drive)
-        if not np.isfinite(y).all():
+        if np.count_nonzero(np.isfinite(y)) != y.size:
             raise DomainError("drive must be finite")
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
@@ -334,12 +392,8 @@ class FrequencyResponse:
         system with one stop test; a stacked one (see ``stack_rows``)
         makes each row of a (B, m) input its own system.
         """
-        if np.ndim(self.c):
-            w = _solve_full(np.abs(y), *self._row_bounds)
-        else:
-            c = self.c
-            w = _solve_full(np.abs(y).reshape(1, -1), c, c**3).reshape(y.shape)
-        return np.sign(y) * w
+        w = _solve_full(np.abs(y).reshape(self._rows, -1), *self._bounds)
+        return np.sign(y) * w.reshape(y.shape)
 
     # ------------------------------------------------------------------
     # interval minimum of the inverse slope
@@ -420,10 +474,10 @@ def stack_rows(responses) -> FrequencyResponse:
     stacked ``c`` is a (B, 1) column of their bounds, and the full kind's
     solve stops each row on its own test, so ``velocity`` gives every row
     the floats a call on its own response gives.  Rows that all share one
-    bound solve on that scalar bound, still with one stop test per row.
-    A single response, or classical ones (which have no bound), come back
-    as they are.  Only ``velocity`` is meant to be called on the stacked
-    response.
+    bound solve on its 0-d prepared bounds, which numpy broadcasts faster
+    than (B, 1) columns, still with one stop test per row.  A single
+    response, or classical ones (which have no bound), come back as they
+    are.  Only ``velocity`` is meant to be called on the stacked response.
     """
     first = responses[0]
     if any(r.kind is not first.kind for r in responses):
@@ -433,14 +487,15 @@ def stack_rows(responses) -> FrequencyResponse:
     bounds = [r.c for r in responses]
     column = np.array([[b] for b in bounds])
     if all(b == first.c for b in bounds):
-        row_bounds = (first.c, first.c**3)
+        prepared = first._bounds
     else:
-        # Python's pow per bound: numpy's array power can differ from it
-        # in the last ulp, and a row must match its own response
-        row_bounds = (column, np.array([[b**3] for b in bounds]))
+        # (B, 1) columns of the rows' own prepared bounds, so each row gets
+        # the floats of its own response
+        prepared = tuple(np.array([[v] for v in values])
+                         for values in zip(*(r._bounds for r in responses)))
     stacked = object.__new__(FrequencyResponse)
     object.__setattr__(stacked, "kind", first.kind)
     object.__setattr__(stacked, "c", column)
-    # (c, c**3) for the full kind's solve: scalars or (B, 1) columns
-    object.__setattr__(stacked, "_row_bounds", row_bounds)
+    object.__setattr__(stacked, "_bounds", prepared)
+    object.__setattr__(stacked, "_rows", len(responses))
     return stacked

@@ -28,8 +28,10 @@ from relkura import (
 )
 from relkura.dynamics import _momentum_coupling
 from relkura.errors import DomainError
+from relkura.experiments import sample_protocol_ensemble
 
 from conftest import PAIR_KAPPA, PAIR_NU, PAIR_T_FINAL, PAIR_THETA0
+from reference_inverse import reference_invert_full
 
 
 def pair_config(model, dt, t_final=PAIR_T_FINAL, record_every=10**9):
@@ -498,6 +500,43 @@ def test_blocked_sine_sums_peak_below_output_plus_a_few_blocks():
     assert peak < bound
 
 
+def _one_shot_momentum_coupling(config, theta, v):
+    diff = theta[None, :] - theta[:, None]
+    rel = v[None, :] - v[:, None]
+    return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
+
+
+# the one-shot path at n = 10 and at 256, where n * n is one block; at
+# 257 blocks of 255 and 2 rows, at 700 of 93 rows and a ragged 49
+@pytest.mark.parametrize("n", [10, 256, 257, 700])
+def test_blocked_momentum_coupling_equals_one_shot_pairwise_sums(n):
+    gen = np.random.default_rng(n)
+    cfg = SystemConfig(n, 1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    theta = gen.uniform(-1e3, 1e3, n)
+    v = gen.uniform(-0.99, 0.99, n)
+    assert np.array_equal(_momentum_coupling(cfg, theta, v),
+                          _one_shot_momentum_coupling(cfg, theta, v))
+
+
+def test_blocked_momentum_coupling_peak_below_output_plus_a_few_blocks():
+    n = 2000
+    gen = np.random.default_rng(0)
+    cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    theta, v = gen.uniform(-3.0, 3.0, n), gen.uniform(-0.9, 0.9, n)
+    # per block, the phase differences, their cosines, the velocity
+    # differences and the products; at most three are live at once, and
+    # one more block covers reduction buffers and bookkeeping
+    bound = 8 * n + 4 * 8 * dynamics._BLOCK_FLOATS
+    tracemalloc.start()
+    try:
+        out = _momentum_coupling(cfg, theta, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert peak < bound
+
+
 # ----------------------------------------------------------------------
 # momentum form
 # ----------------------------------------------------------------------
@@ -604,6 +643,49 @@ def test_both_forms_match_each_form_run_alone(n, model, dt, t_final, record_ever
     reference = _momentum_form_alone(cfg, theta0, thetadot0)
     for name, expected in reference.items():
         assert np.array_equal(getattr(momentum, name), expected), name
+
+
+# The integrators on the shipped full-kind solve and on the reference
+# solve it was cut from (tests/reference_inverse.py): every recorded array
+# must hold the same floats.
+
+
+def _run_on_both_solves(monkeypatch, run):
+    shipped = run()
+    monkeypatch.setattr(FrequencyResponse, "_invert_full", reference_invert_full)
+    return shipped, run()
+
+
+def test_both_forms_get_the_floats_of_the_reference_solve(monkeypatch):
+    # rcs-check's system (seed 1) for 500 steps: 712 of its 2,002 solves
+    # fall back to bisection in some round
+    theta0, omega, _ = sample_protocol_ensemble(1, n=10, kappa=1.0,
+                                                freq_interval=(-0.15, 0.15))
+    model = relativistic(1.0)
+    cfg = SystemConfig(10, 1.0, omega, model, 1e-3, 0.5, 10)
+    thetadot0 = model.velocity(omega + coupling(cfg, theta0))
+    shipped, reference = _run_on_both_solves(
+        monkeypatch, lambda: simulate_both_forms(cfg, theta0, thetadot0))
+    for got, want in zip(shipped, reference):
+        for name in ("times", "thetas", "theta_dots"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("momenta", "residuals", "induced_omega"):
+        assert np.array_equal(getattr(shipped[0], name), getattr(reference[0], name)), name
+
+
+def test_batch_gets_the_floats_of_the_reference_solve(monkeypatch):
+    # rate-vs-c's batch: four full-kind rows on (4, 1) bound columns, whose
+    # rows stop in different rounds in 1,600 of the 1,604 solves, and classical
+    gen = np.random.default_rng(3)
+    n = 10
+    models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
+    configs = [SystemConfig(n, 1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
+    theta0 = gen.uniform(-1.5, 1.5, n)
+    shipped, reference = _run_on_both_solves(
+        monkeypatch, lambda: simulate_batch(configs, theta0))
+    for got, want in zip(shipped, reference):
+        for name in ("times", "thetas", "theta_dots"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,9 @@ from relkura.errors import ConvergenceError, DomainError
 from relkura.models import (
     ADMISSIBILITY_ODDNESS_TOL,
     ADMISSIBILITY_ROUNDTRIP_TOL,
-    INVERSION_GAP_FRACTION,
-    INVERSION_MAX_ITER,
-    INVERSION_TOL,
     stack_rows,
 )
+from reference_inverse import ReferenceInverse
 
 # (w, c) -> (full, proper-velocity, rapidity), 50-digit values
 MOMENTUM_REFERENCE = {
@@ -242,76 +240,6 @@ def test_velocity_properties_against_high_precision_root(make, c_y, widen):
     assert error <= 1e-12 * max(1.0, c) + 1e-6 * gap, (y, c, got)
 
 
-# The full-kind inverse before the solve was cut to fewer numpy calls per
-# Newton round, copied verbatim.  The current solve must reproduce it
-# bit for bit: every cut drops a call, never a float operation.
-
-
-def _lorentz(w: np.ndarray, c) -> np.ndarray:
-    return 1.0 / np.sqrt((1.0 - w / c) * (1.0 + w / c))
-
-
-def _full_momentum(w: np.ndarray, c) -> np.ndarray:
-    """Full response w * gamma * (1 + gamma/c**2)."""
-    g = _lorentz(w, c)
-    return w * g * (1.0 + g / (c * c))
-
-
-def _full_momentum_slope(w: np.ndarray, c, c_cubed) -> np.ndarray:
-    span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
-    return c_cubed / span**1.5 + (c * c + w * w) / (span * span)
-
-
-def _solve_full(target: np.ndarray, c, c_cubed) -> np.ndarray:
-    hi = np.minimum(c * (target / np.hypot(target, c)), np.nextafter(c, 0.0))
-    lo = np.zeros_like(hi)
-    w = hi.copy()
-    out = np.empty_like(w)
-    rows = np.arange(len(w))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(INVERSION_MAX_ITER):
-            resid = _full_momentum(w, c) - target
-            lo = np.where(resid < 0.0, w, lo)
-            hi = np.where(resid > 0.0, w, hi)
-            proposal = w - resid / _full_momentum_slope(w, c, c_cubed)
-            inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
-            proposal = np.where(inside, proposal, 0.5 * (lo + hi))
-            step = np.abs(proposal - w)
-            w = proposal
-            done = (step <= INVERSION_TOL).all(axis=1)
-            if done.any():
-                done &= (step <= INVERSION_GAP_FRACTION * (c - w)).all(axis=1)
-                out[rows[done]] = w[done]
-                if done.all():
-                    return out
-                keep = ~done
-                rows, w, lo, hi, target = rows[keep], w[keep], lo[keep], hi[keep], target[keep]
-                if np.ndim(c):
-                    c, c_cubed = c[keep], c_cubed[keep]
-    raise ConvergenceError(
-        f"drive inversion did not reach {INVERSION_TOL} within "
-        f"{INVERSION_MAX_ITER} iterations"
-    )
-
-
-class _ReferenceInverse:
-    """Holds ``c`` as a response does: a scalar, or a (B, 1) column when stacked."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def _invert_full(self, y: np.ndarray) -> np.ndarray:
-        c = self.c
-        if np.ndim(c):
-            # Python's pow per bound: numpy's array power can differ from
-            # it in the last ulp, and a row must match its own response
-            cubes = np.array([[b**3] for b in c[:, 0].tolist()])
-            w = _solve_full(np.abs(y), c, cubes)
-        else:
-            w = _solve_full(np.abs(y).reshape(1, -1), c, c**3).reshape(y.shape)
-        return np.sign(y) * w
-
-
 @st.composite
 def _bounds_and_drives(draw):
     # 2 to 4 rows of 1 to 6 drives, each row with a bound log-uniform in
@@ -355,13 +283,74 @@ def test_full_inverse_floats_match_the_reference_solve(arrangement, case):
         c = bounds[0]
         for y in (drives[0], drives):
             assert np.array_equal(relativistic(c).velocity(y),
-                                  _ReferenceInverse(c)._invert_full(y))
+                                  ReferenceInverse(c)._invert_full(y))
         return
     if arrangement == "shared":
         bounds = [bounds[0]] * len(bounds)
     got = stack_rows([relativistic(c) for c in bounds]).velocity(drives)
-    want = _ReferenceInverse(np.array([[c] for c in bounds]))._invert_full(drives)
+    want = ReferenceInverse(np.array([[c] for c in bounds]))._invert_full(drives)
     assert np.array_equal(got, want)
+
+
+def _assert_reference_bits(response, drives):
+    drives = np.array(drives, dtype=float)
+    got = np.asarray(response.velocity(drives))
+    want = ReferenceInverse(response.c)._invert_full(drives)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+# |drives| of one two-row RK4 stage of an rcs-check run (seed 1, c = 1)
+# whose solve falls back to bisection in round 6, the round both rows stop
+FALLBACK_DRIVES = [
+    [0.8059677188920646, 0.41406710136023356, 0.20271738640030648,
+     0.007424847358173426, 0.3266848428523565, 0.04353551279643563,
+     0.40649002363846815, 0.7061227030868557, 0.43658029479459926,
+     0.7547498411112549],
+    [0.8059677382659688, 0.4140671122717363, 0.20271739252088358,
+     0.007424848087892372, 0.32668484910385076, 0.04353551505146758,
+     0.40649003221345914, 0.7061227194763837, 0.43658030608387555,
+     0.7547498603950654],
+]
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, 1.28)], ids=["shared", "distinct"])
+def test_stacked_rows_stopping_together_or_apart_match_the_reference(bounds):
+    # equal rows on a shared bound stop in one round (11), which returns
+    # the iterate itself; on distinct bounds they stop in rounds 10 and 11.
+    # A zero row stops in round 1, the others in round 7 or 12 and in 66
+    same = [[0.3, 2.0, 40.0], [0.3, 2.0, 40.0]]
+    _assert_reference_bits(stack_rows([relativistic(c) for c in bounds]), same)
+    apart = [[0.0, 0.0], [1.0, 2.0], [1e15, 1e6]]
+    _assert_reference_bits(stack_rows([relativistic(c) for c in bounds + (1.0,)]), apart)
+    _assert_reference_bits(stack_rows([relativistic(c) for c in bounds]),
+                           [[1e15, 1e6], [0.0, -0.0]])
+
+
+def test_zero_and_single_entry_drives_match_the_reference():
+    model = relativistic(1.0)
+    for drives in (np.zeros(5), [-0.0, 0.0, -0.0], [0.7], [-0.0], [[0.0, 0.0]]):
+        _assert_reference_bits(model, drives)
+    for drives in ([[0.0], [0.0]], [[-0.0], [0.5]], [[0.5], [-0.5]]):
+        _assert_reference_bits(stack_rows([model, model]), drives)
+        _assert_reference_bits(stack_rows([model, relativistic(3.96)]), drives)
+
+
+def test_huge_bound_matches_the_reference():
+    # at c = 1e8 the starting bracket end is the drive itself to within
+    # rounding, so round one's residual rounds to zero or below (8 of the
+    # 10 drives here)
+    drives = [5e-324, 1e-8, 0.37, 1.0, 7.5, 1e4, 1e8, 1e12, 1e16, 1e30]
+    _assert_reference_bits(relativistic(1e8), drives)
+    _assert_reference_bits(stack_rows([relativistic(1e8), relativistic(1.0)]),
+                           [drives, drives[::-1]])
+
+
+def test_bisection_fallback_drives_match_the_reference():
+    _assert_reference_bits(stack_rows([relativistic(1.0)] * 2), FALLBACK_DRIVES)
+    for row in FALLBACK_DRIVES:
+        _assert_reference_bits(relativistic(1.0), row)
+        _assert_reference_bits(relativistic(1.0), np.negative(row))
 
 
 def test_velocity_tiny_drive_follows_rest_slope():
@@ -557,6 +546,14 @@ def test_stacked_solve_raises_when_a_row_exhausts_the_budget(monkeypatch, bounds
     stacked = stack_rows([relativistic(c) for c in bounds])
     with pytest.raises(ConvergenceError):
         stacked.velocity(np.array([[0.0], [1e15]]))
+
+
+def test_closed_forms_take_a_bound_whose_cube_overflows():
+    # c**3 overflows a float above c ~ 5.6e102; the closed-form inverses,
+    # which never use it, still map drives far below c to themselves
+    drives = np.array([0.5, -3.0, 1e10])
+    for make in (proper_velocity, rapidity):
+        assert make(1e200).velocity(drives) == pytest.approx(drives, rel=1e-15)
 
 
 def test_stack_rows_passes_single_and_classical_responses_through():
