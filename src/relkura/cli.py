@@ -176,8 +176,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("t_final", "must be >= dt")
     if cfg.record_every is not None and (not _integer(cfg.record_every) or cfg.record_every < 1):
         raise ConfigError("record_every", "must be an integer >= 1")
-    if not _integer(cfg.seed):
-        raise ConfigError("seed", "must be an integer")
+    if not _integer(cfg.seed) or cfg.seed < 0:
+        raise ConfigError("seed", "must be an integer >= 0")
     for name in _OPTIONAL_KEYS:
         if getattr(cfg, name) is not None and _RENAMED.get(name, name) not in params:
             readers = [s for s in SCENARIOS if _RENAMED.get(name, name) in _parameters(s)]

@@ -30,11 +30,16 @@ Conventions that matter for downstream analysis:
   first-order drives in one velocity call on two stacked rows, and the
   per-row stop test gives each form the floats a run of it alone gives.
   Only the ODE each form integrates is its own.
-* Recorded velocities are evaluated from the recorded states in one
-  vectorized pass per system after integration.
-* A model failure mid-run propagates with the samples recorded so far
-  attached to the error as ``partial_trajectories``: one trajectory per
-  batched system, or the (momentum, first-order) pair of the two forms.
+* Each recorded state keeps the velocity the integrator computed there:
+  the first RK4 stage of the step that starts from it, or one more
+  evaluation at the final state.  So recorded velocities equal ``rhs``
+  (or ``velocity`` of the momenta) at the recorded states bit for bit,
+  and no evaluation follows the integration.
+* A model failure at any evaluation, the final one included, propagates
+  with the samples recorded so far attached to the error as
+  ``partial_trajectories``: one trajectory per batched system, or the
+  (momentum, first-order) pair of the two forms.  A recorded state
+  carries the velocities evaluated at it, and NaN where they were not.
   ``simulate`` and ``simulate_momentum`` return one item of those
   integrators' results, so their errors carry the same attribute.
 * The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
@@ -48,17 +53,15 @@ Conventions that matter for downstream analysis:
   momentum form's cosine-weighted coupling stays pairwise at every n.
 * Memory: no pairwise temporary of the sine sums or of the momentum
   coupling exceeds one block of ``_BLOCK_FLOATS`` floats (512 KiB).  The
-  sums over the M recorded states (recorded drives, momentum residuals
-  and first-order drives) take the rows in blocks and write into one
-  preallocated output; an integrator stage's state fits in one block and
-  is summed in one pass.  The momentum coupling of one state takes its
-  n x n pairs a block of rows at a time once n * n exceeds one block,
-  and in one pass at and below that, which covers the paper's n = 10.
-  Each row is reduced as in one pass over all rows, so the floats do not
-  depend on the blocking.  The largest temporary left in a paper-size
-  run is the full kind's Newton solve of the recorded velocities
-  (``_recorded_velocities``), which works on all M * n recorded drives
-  at once.
+  sums over the M recorded states (the momentum residuals) take the rows
+  in blocks and write into one preallocated output; an integrator
+  stage's state fits in one block and is summed in one pass.  The
+  momentum coupling of one state takes its n x n pairs a block of rows
+  at a time once n * n exceeds one block, and in one pass at and below
+  that, which covers the paper's n = 10.  Each row is reduced as in one
+  pass over all rows, so the floats do not depend on the blocking.  The
+  largest arrays of a run are its results: the recorded states and
+  their rates, M rows each.
 """
 
 from __future__ import annotations
@@ -127,8 +130,10 @@ class SystemConfig:
 class Trajectory:
     """Recorded first-order run: times (M,), phases and velocities (M, n).
 
-    ``partial`` is set when integration aborted; the arrays then hold the
-    samples recorded before the failure.
+    Each row of ``theta_dots`` is the velocity the integrator computed at
+    that row's phases.  ``partial`` is set when integration aborted; the
+    arrays then hold the samples recorded before the failure, with NaN
+    velocities at a state the integrator did not evaluate.
     """
 
     config: SystemConfig
@@ -147,8 +152,9 @@ class MomentumTrajectory:
 
     ``residuals`` holds p_i(t) - coupling_i(t) - nu_i per sample, the
     conservation defect of the induced frequencies; ``induced_omega`` the
-    frequencies recovered from the initial data.  ``partial`` is set when
-    integration aborted, as on ``Trajectory``.
+    frequencies recovered from the initial data.  ``theta_dots`` holds
+    the velocities the integrator computed from the recorded momenta.
+    ``partial`` is set when integration aborted, as on ``Trajectory``.
     """
 
     config: SystemConfig
@@ -240,9 +246,8 @@ def rhs(config: SystemConfig, theta: np.ndarray) -> np.ndarray:
     return config.model.velocity(config.omega + coupling(config, theta))
 
 
-def _rk4(rates, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 stage sequence of length dt for dy/dt = rates(y)."""
-    k1 = rates(y)
+def _rk4(rates, y: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of length dt for dy/dt = rates(y), given k1 = rates(y)."""
     k2 = rates(y + 0.5 * dt * k1)
     k3 = rates(y + 0.5 * dt * k2)
     k4 = rates(y + dt * k3)
@@ -262,33 +267,43 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     """RK4 of dy/dt = rates(y) from y0 over the config time grid.
 
     Records the initial state, every ``record_every``-th step before the
-    end, and the final state.  Returns (times, states, err): the recorded
-    times (M,), the recorded states stacked along a new first axis, and
-    the DomainError or ConvergenceError that aborted the run (None if it
-    reached t_final), in which case the arrays hold the samples recorded
-    before the failure.
+    end, and the final state, each with its rates: the first stage k1 of
+    the step that starts from it, and one more evaluation at the final
+    state.  Returns (times, states, derivs, err): the recorded times (M,),
+    the recorded states and their rates stacked along a new first axis,
+    and the DomainError or ConvergenceError that aborted the run (None if
+    it reached t_final).  After a failure the arrays hold the states
+    recorded before it, each with its rates if they were evaluated and
+    NaN rates if not.  Raises MemoryError for more recorded rows than
+    numpy can allocate.
     """
     n_full, rem = _step_plan(config.dt, config.t_final)
+    n_steps = n_full + (rem > 0.0)
     k = config.record_every
-    # with no closing fractional step the last full step is the end
-    last_interior = n_full if rem > 0.0 else n_full - 1
-    times = np.empty(last_interior // k + 2)
-    states = np.empty(times.shape + y0.shape)
-    times[0], states[0] = 0.0, y0
-    row, y, err = 1, y0, None
+    # every step starts from an interior state, and the last one ends the run
+    rows = (n_steps - 1) // k + 2
     try:
-        for step in range(1, n_full + 1):
-            y = _rk4(rates, y, config.dt)
-            if step % k == 0 and step <= last_interior:
+        times = np.empty(rows)
+        states = np.empty(times.shape + y0.shape)
+        derivs = np.full(states.shape, np.nan)
+    except ValueError as exc:  # a dimension beyond numpy's index range
+        raise MemoryError(f"{rows:.3g} recorded rows") from exc
+    row, record_at, y, err = 0, 0, y0, None
+    try:
+        for step in range(n_steps):
+            if step == record_at:
                 times[row], states[row] = step * config.dt, y
-                row += 1
-        if rem > 0.0:
-            y = _rk4(rates, y, rem)
+                row, record_at = row + 1, record_at + k
+                k1 = derivs[row - 1] = rates(y)
+            else:
+                k1 = rates(y)
+            y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
         times[row], states[row] = config.t_final, y
         row += 1
+        derivs[row - 1] = rates(y)
     except (DomainError, ConvergenceError) as caught:
         err = caught
-    return times[:row], states[:row], err
+    return times[:row], states[:row], derivs[:row], err
 
 
 def _check_initial_phases(config: SystemConfig, theta0) -> np.ndarray:
@@ -298,22 +313,6 @@ def _check_initial_phases(config: SystemConfig, theta0) -> np.ndarray:
     if not np.all(np.isfinite(th)):
         raise ValueError("theta0 entries must be finite")
     return th
-
-
-def _recorded_velocities(model: FrequencyResponse, drives: np.ndarray, err) -> np.ndarray:
-    """Velocities at the recorded drives, in one vectorized inversion.
-
-    A model failure propagates unless ``err`` says the run already
-    aborted: then the recorded states are kept with NaN velocities.  On
-    a finished run this is the first evaluation of the final state, so
-    a failure there is a real one.
-    """
-    try:
-        return model.velocity(drives)
-    except (DomainError, ConvergenceError):
-        if err is None:
-            raise
-        return np.full_like(drives, np.nan)
 
 
 def _grid(config: SystemConfig) -> tuple:
@@ -383,14 +382,9 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     if any(_grid(config) != _grid(configs[0]) for config in configs):
         raise ValueError("batched configs must share n, dt, t_final and record_every")
     th = _batch_phases(configs, theta0)
-    times, states, err = _integrate(configs[0], th, _batch_rates(configs))
-    trajs = []
-    for b, config in enumerate(configs):
-        thetas = states[:, b]
-        drives = config.omega + (config.kappa / config.n) * _sine_sums(thetas)
-        trajs.append(Trajectory(config, times, thetas,
-                                _recorded_velocities(config.model, drives, err),
-                                partial=err is not None))
+    times, states, derivs, err = _integrate(configs[0], th, _batch_rates(configs))
+    trajs = [Trajectory(config, times, states[:, b], derivs[:, b], partial=err is not None)
+             for b, config in enumerate(configs)]
     if err is not None:
         err.partial_trajectories = trajs
         raise err
@@ -483,18 +477,14 @@ def simulate_both_forms(config: SystemConfig, theta0,
     td = _check_initial_velocities(config, thetadot0)
     p = config.model.momentum(td)
     nu = p - coupling(config, th)
-    times, states, err = _integrate(config, np.stack((th, p, th)),
-                                    _both_forms_rates(config, nu))
-    scale = config.kappa / config.n
-    thetas, drives, first_thetas = states[:, 0], states[:, 1], states[:, 2]
-    residuals = drives - scale * _sine_sums(thetas) - nu
-    momentum = MomentumTrajectory(config, times, thetas, drives,
-                                  _recorded_velocities(config.model, drives, err),
+    times, states, derivs, err = _integrate(config, np.stack((th, p, th)),
+                                            _both_forms_rates(config, nu))
+    thetas, momenta = states[:, 0], states[:, 1]
+    residuals = momenta - (config.kappa / config.n) * _sine_sums(thetas) - nu
+    momentum = MomentumTrajectory(config, times, thetas, momenta, derivs[:, 0],
                                   residuals, nu, partial=err is not None)
-    first_drives = nu + scale * _sine_sums(first_thetas)
-    first = Trajectory(dataclasses.replace(config, omega=nu), times, first_thetas,
-                       _recorded_velocities(config.model, first_drives, err),
-                       partial=err is not None)
+    first = Trajectory(dataclasses.replace(config, omega=nu), times, states[:, 2],
+                       derivs[:, 2], partial=err is not None)
     if err is not None:
         err.partial_trajectories = (momentum, first)
         raise err

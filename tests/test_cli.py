@@ -51,6 +51,9 @@ def test_parse_config_names_offending_field(tmp_path):
         (["--scenario", "simulate", "--dt", "1", "--t-final", "0.5"], "t_final"),
         (["--scenario", "compare", "--t-final", "0.005"], "t_final"),  # default dt 0.01
         (["--scenario", "rcs-check", "--t-final", "0.0005"], "t_final"),  # default dt 1e-3
+        # SeedSequence takes non-negative entropy only
+        (["--scenario", "simulate", "--seed", "-1"], "seed"),
+        (["--scenario", "compare", "--seed", "-7"], "seed"),
     ]
     # a JSON true is an int to Python but no valid count, seed or value
     for field in ("n", "record_every", "seed", "kappa", "c", "dt", "t_final"):
@@ -160,14 +163,17 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
 
 def test_main_exit_3_on_a_run_too_large_to_allocate(tmp_path, capsys):
     # 1e17 recorded rows pass validation; numpy refuses the state array
-    # before allocating any of it
-    code = main(["--scenario", "simulate", "--n", "2", "--t-final", "1e15",
-                 "--out", str(tmp_path)])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("run too large to allocate: ")
-    assert captured.err.count("\n") == 1
+    # before allocating any of it.  1e300 and 1e200 rows exceed numpy's
+    # index range, which it reports as a ValueError before allocating.
+    for flags in (["--scenario", "simulate", "--n", "2", "--t-final", "1e15"],
+                  ["--scenario", "simulate", "--dt", "1e-300", "--t-final", "1"],
+                  ["--scenario", "limit", "--dt", "1e-200"]):
+        code = main(flags + ["--out", str(tmp_path)])
+        assert code == 3, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("run too large to allocate: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):

@@ -169,13 +169,82 @@ def test_simulate_validates_initial_phases():
         simulate(cfg, np.array([0.0, math.nan]))
 
 
-def test_recorded_velocities_match_rhs_rows():
+def _first_order_rows(trajs):
+    """(recorded velocities, a cold rhs evaluation at each recorded state) per run."""
+    return [(traj.theta_dots, [rhs(traj.config, theta) for theta in traj.thetas])
+            for traj in trajs]
+
+
+def _compare_batch_rows():
+    # compare's four kinds at seed 3 (t_final 20): 477 of the 2001 full-kind
+    # rows differed in the last ulp while a joint solve recomputed them
+    theta0, omega, _ = sample_protocol_ensemble(3, n=10, kappa=1.0,
+                                                freq_interval=(-0.15, 0.15))
+    models = [classical(), relativistic(1.0), proper_velocity(1.0), rapidity(1.0)]
+    configs = [SystemConfig(10, 1.0, omega, model, 0.01, 20.0) for model in models]
+    return _first_order_rows(simulate_batch(configs, theta0))
+
+
+def _rate_sweep_batch_rows():
+    # rate-vs-c's full-kind rows on distinct (B, 1) bound columns, and classical
+    models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
+    configs = [SystemConfig(10, 1.0, np.zeros(10), model, 0.01, 4.0) for model in models]
+    theta0 = np.random.default_rng(3).uniform(-1.5, 1.5, 10)
+    return _first_order_rows(simulate_batch(configs, theta0))
+
+
+def _closing_step_rows():
+    # 66 steps of 0.03, then a closing step of 0.02, recording every 7th
     om = np.array([0.1, -0.05, 0.02, -0.07])
-    cfg = SystemConfig(4, 1.0, om, relativistic(1.0), 0.01, 2.0, 7)
+    cfg = SystemConfig(4, 1.0, om, relativistic(1.0), 0.03, 2.0, 7)
+    return _first_order_rows([simulate(cfg, np.array([0.5, -0.9, 1.2, 0.0]))])
+
+
+def _both_forms_rows():
+    gen = np.random.default_rng(10)
+    model = relativistic(1.0)
+    cfg = SystemConfig(10, 1.0, gen.uniform(-0.1, 0.1, 10), model, 0.05, 20.0)
+    momentum, first = simulate_both_forms(cfg, gen.uniform(-1.2, 1.2, 10),
+                                          gen.uniform(-0.3, 0.3, 10))
+    momentum_rows = [model.velocity(p) for p in momentum.momenta]
+    return [(momentum.theta_dots, momentum_rows)] + _first_order_rows([first])
+
+
+@pytest.mark.parametrize("recorded_rows", [
+    _compare_batch_rows, _rate_sweep_batch_rows, _closing_step_rows, _both_forms_rows,
+], ids=["compare", "rate-vs-c", "closing-step", "both-forms"])
+def test_recorded_velocities_match_rhs_rows(recorded_rows):
+    # each recorded velocity is the one the integrator used at that state,
+    # bit for bit, not a second solve's
+    for recorded, cold in recorded_rows():
+        assert len(recorded) == len(cold)
+        differing = sum(not np.array_equal(row, want) for row, want in zip(recorded, cold))
+        assert differing == 0, f"{differing} of {len(cold)} rows differ"
+
+
+def test_one_velocity_call_per_rk4_stage_and_final_state(monkeypatch):
+    # 66 steps of 0.03 and a closing step of 0.02 recorded every 7th: four
+    # stages per step and one evaluation of the final state, with no second
+    # pass over the recorded states
+    steps = 67
+    om = np.array([0.1, -0.05, 0.02, -0.07])
+    cfg = SystemConfig(4, 1.0, om, relativistic(1.0), 0.03, 2.0, 7)
     theta0 = np.array([0.5, -0.9, 1.2, 0.0])
-    traj = simulate(cfg, theta0)
-    for row_theta, row_vel in zip(traj.thetas, traj.theta_dots):
-        assert row_vel == pytest.approx(rhs(cfg, row_theta), abs=1e-13)
+    seen = []  # the row count of every drive inverted
+    original = FrequencyResponse.velocity
+
+    def counting(self, drive):
+        seen.append(np.shape(drive)[0])
+        return original(self, drive)
+
+    monkeypatch.setattr(FrequencyResponse, "velocity", counting)
+    simulate(cfg, theta0)
+    assert len(seen) == 4 * steps + 1
+    assert max(seen) == 1  # the batch of one
+    seen.clear()
+    simulate_both_forms(cfg, theta0, np.array([0.2, -0.1, 0.05, 0.0]))
+    assert len(seen) == 4 * steps + 1
+    assert max(seen) == 2  # the two stacked forms
 
 
 def test_phases_are_never_wrapped():
@@ -215,92 +284,92 @@ def test_fourth_order_error_decay(pair_reference_solution):
 # ----------------------------------------------------------------------
 
 
-def test_simulate_attaches_partial_trajectory_on_failure(monkeypatch):
+def _fail_velocity_after(monkeypatch, calls_before_failure):
+    """Make FrequencyResponse.velocity raise from call calls_before_failure + 1 on.
+
+    Returns the call counter; set its "n" back to 0 to rerun from scratch.
+    """
     calls = {"n": 0}
     original = FrequencyResponse.velocity
 
     def failing(self, drive):
         calls["n"] += 1
-        if calls["n"] > 30:
+        if calls["n"] > calls_before_failure:
             raise DomainError("synthetic mid-run failure")
         return original(self, drive)
 
     monkeypatch.setattr(FrequencyResponse, "velocity", failing)
+    return calls
+
+
+def _assert_rows_of_the_whole_run(part, whole, rows, evaluated):
+    """part holds whole's first rows; the first ``evaluated`` carry its velocities."""
+    assert part.partial
+    assert np.array_equal(part.times, whole.times[:rows])
+    assert np.array_equal(part.thetas, whole.thetas[:rows])
+    assert np.array_equal(part.theta_dots[:evaluated], whole.theta_dots[:evaluated])
+    # a recorded state the integrator never evaluated has NaN velocities
+    assert np.all(np.isnan(part.theta_dots[evaluated:]))
+
+
+def test_simulate_attaches_partial_trajectory_on_failure(monkeypatch):
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
+    whole = simulate(cfg, np.array(PAIR_THETA0))
+    # call 29 is the first stage of step 8, so its start state is recorded
+    # but its velocities are not
+    _fail_velocity_after(monkeypatch, 28)
     with pytest.raises(DomainError) as excinfo:
         simulate(cfg, np.array(PAIR_THETA0))
     (partial,) = excinfo.value.partial_trajectories
-    assert partial.partial
-    assert partial.times[0] == 0.0
-    assert 1 < partial.times.size < 51
-    assert partial.thetas.shape == (partial.times.size, 2)
-    # velocities cannot be recomputed once the model fails
-    assert np.all(np.isnan(partial.theta_dots[0]))
+    assert partial.thetas.shape == (8, 2)
+    _assert_rows_of_the_whole_run(partial, whole, rows=8, evaluated=7)
 
 
 def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
     theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
     whole = simulate_both_forms(cfg, theta0, thetadot0)
-    calls = {"n": 0}
-    original = FrequencyResponse.velocity
-
-    def failing(self, drive):
-        calls["n"] += 1
-        if calls["n"] > 30:
-            raise DomainError("synthetic mid-run failure")
-        return original(self, drive)
-
-    monkeypatch.setattr(FrequencyResponse, "velocity", failing)
+    # call 31 is the third stage of step 8, whose start state has velocities
+    calls = _fail_velocity_after(monkeypatch, 30)
     with pytest.raises(DomainError) as excinfo:
         simulate_momentum(cfg, theta0, thetadot0)
     partial = excinfo.value.partial_trajectories[0]
-    assert partial.partial
-    assert partial.times[0] == 0.0
-    assert 1 < partial.times.size < 51
-    assert partial.thetas.shape == (partial.times.size, 2)
-    assert partial.momenta.shape == (partial.times.size, 2)
-    # residuals need no model call; velocities cannot be recomputed once it fails
+    assert partial.momenta.shape == (8, 2)
+    # residuals need no model call
     assert np.all(np.isfinite(partial.residuals))
-    assert np.all(np.isnan(partial.theta_dots[0]))
+    _assert_rows_of_the_whole_run(partial, whole[0], rows=8, evaluated=8)
 
     # the fused run attaches both forms' samples up to the failure
     calls["n"] = 0
     with pytest.raises(DomainError) as excinfo:
         simulate_both_forms(cfg, theta0, thetadot0)
     partials = excinfo.value.partial_trajectories
-    rows = partials[0].times.size
-    assert 1 < rows < 51
-    assert np.array_equal(partials[0].momenta, whole[0].momenta[:rows])
-    assert np.array_equal(partials[0].residuals, whole[0].residuals[:rows])
+    assert np.array_equal(partials[0].momenta, whole[0].momenta[:8])
+    assert np.array_equal(partials[0].residuals, whole[0].residuals[:8])
     assert np.array_equal(partials[1].config.omega, whole[1].config.omega)
     for part, full in zip(partials, whole):
-        assert part.partial
-        assert np.array_equal(part.times, full.times[:rows])
-        assert np.array_equal(part.thetas, full.thetas[:rows])
-        assert np.all(np.isnan(part.theta_dots))
+        _assert_rows_of_the_whole_run(part, full, rows=8, evaluated=8)
 
 
-def test_failure_on_the_recorded_samples_of_a_finished_run_raises(monkeypatch):
-    # The last recorded state is first evaluated when the samples are
-    # assembled; a failure there is an error, not a NaN-filled full run.
-    original = FrequencyResponse.velocity
-
-    def failing_on_records(self, drive):
-        # the steps see (1, n) batch drives or the two stacked rows of
-        # both forms, the recorded pass all M = 11 samples at once
-        if np.ndim(drive) == 2 and len(drive) > 2:
-            raise DomainError("synthetic failure on the recorded samples")
-        return original(self, drive)
-
-    monkeypatch.setattr(FrequencyResponse, "velocity", failing_on_records)
+def test_failure_at_the_final_state_attaches_every_row(monkeypatch):
+    # The final state is evaluated once, after the last step; a failure
+    # there propagates like any other, with every state recorded and all
+    # rows but the last carrying their velocities.
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
-    with pytest.raises(DomainError, match="recorded samples") as excinfo:
-        simulate(cfg, np.array(PAIR_THETA0))
-    assert not hasattr(excinfo.value, "partial_trajectories")
-    with pytest.raises(DomainError, match="recorded samples") as excinfo:
-        simulate_momentum(cfg, np.array(PAIR_THETA0), np.array([0.2, -0.1]))
-    assert not hasattr(excinfo.value, "partial_trajectories")
+    theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
+    whole = simulate(cfg, theta0)
+    whole_forms = simulate_both_forms(cfg, theta0, thetadot0)
+    # 10 steps of 4 stages, then the final state
+    calls = _fail_velocity_after(monkeypatch, 40)
+    with pytest.raises(DomainError) as excinfo:
+        simulate(cfg, theta0)
+    (partial,) = excinfo.value.partial_trajectories
+    _assert_rows_of_the_whole_run(partial, whole, rows=11, evaluated=10)
+    calls["n"] = 0
+    with pytest.raises(DomainError) as excinfo:
+        simulate_momentum(cfg, theta0, thetadot0)
+    for part, full in zip(excinfo.value.partial_trajectories, whole_forms):
+        _assert_rows_of_the_whole_run(part, full, rows=11, evaluated=10)
 
 
 # ----------------------------------------------------------------------
@@ -353,28 +422,15 @@ def test_simulate_batch_attaches_partial_trajectories_on_failure(monkeypatch):
                for model in (relativistic(1.0), relativistic(2.0), classical())]
     theta0 = np.array(PAIR_THETA0)
     full = simulate_batch(configs, theta0)
-    calls = {"n": 0}
-    original = FrequencyResponse.velocity
-
-    def failing(self, drive):
-        calls["n"] += 1
-        if calls["n"] > 30:
-            raise DomainError("synthetic mid-run failure")
-        return original(self, drive)
-
-    monkeypatch.setattr(FrequencyResponse, "velocity", failing)
+    # two velocity calls per stage, one per kind: call 33 is the first
+    # stage of step 5, whose start state is recorded without velocities
+    _fail_velocity_after(monkeypatch, 32)
     with pytest.raises(DomainError) as excinfo:
         simulate_batch(configs, theta0)
     partials = excinfo.value.partial_trajectories
     assert [p.config for p in partials] == configs
-    rows = partials[0].times.size
-    assert 1 < rows < 51
     for partial, whole in zip(partials, full):
-        assert partial.partial
-        assert np.array_equal(partial.times, whole.times[:rows])
-        assert np.array_equal(partial.thetas, whole.thetas[:rows])
-        # velocities cannot be recomputed once the model fails
-        assert np.all(np.isnan(partial.theta_dots))
+        _assert_rows_of_the_whole_run(partial, whole, rows=5, evaluated=4)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -605,11 +661,11 @@ def _momentum_form_alone(config, theta0, thetadot0):
         v = config.model.velocity(y[1])
         return np.stack((v, _momentum_coupling(config, y[0], v)))
 
-    times, states, err = dynamics._integrate(config, np.stack((theta0, p0)), rates)
+    times, states, derivs, err = dynamics._integrate(config, np.stack((theta0, p0)), rates)
     assert err is None
     thetas, momenta = states[:, 0], states[:, 1]
     return {"times": times, "thetas": thetas, "momenta": momenta,
-            "theta_dots": config.model.velocity(momenta),
+            "theta_dots": derivs[:, 0],
             "residuals": momenta - coupling(config, thetas) - nu}
 
 
