@@ -1,10 +1,12 @@
 """Observables over phase configurations and recorded trajectories.
 
-Scalar observables (diameter, order parameter, energy, predicted
-contraction rate) operate on single configurations; the potential takes
-one configuration or a stack of them along the last axis.  The
-trajectory-level helpers evaluate the observables along a recorded run
-and export the series as plot-ready CSV.
+Scalar observables (diameter, order parameter, predicted contraction
+rate) operate on single configurations; the potential and the energy
+take one configuration or a stack of them along the last axis.  The
+trajectory-level helpers evaluate the observables along a recorded run,
+the energy over blocks of recorded rows, and export the series as
+plot-ready CSV, written a block of rows at a time with the bytes of
+``np.savetxt`` at ``%.16e``.
 
 The energy observable is the integral of w * F'(w) from 0 to |w_i| per
 oscillator, summed; each bounded kind has it in closed form:
@@ -25,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemConfig, Trajectory, _shifted_phasors
+from .dynamics import (
+    _OUTPUT_BLOCK_FLOATS,
+    SystemConfig,
+    Trajectory,
+    _row_blocks,
+    _shifted_phasors,
+    _write_csv,
+)
 from .errors import DegenerateFitError, DomainError, UnsupportedModelError
 from .models import FrequencyResponse, ModelKind
 
@@ -120,15 +129,18 @@ def potential(theta, kappa: float, omega):
     return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
 
 
-def energy(model: FrequencyResponse, theta_dot) -> float:
-    """Total kinetic-type energy of the velocities under the given model.
+def energy(model: FrequencyResponse, theta_dot):
+    """Total kinetic-type energy of the velocities, along the last axis.
 
+    ``theta_dot`` is one configuration (n,), giving a float, or a stack
+    (..., n), giving one value per row; each row is summed as a
+    configuration alone is, so the values do not depend on the stacking.
     Raises UnsupportedModelError for the classical kind and DomainError
-    when any |theta_dot| reaches the velocity bound.
+    when any |theta_dot| of the input reaches the velocity bound.
     """
     if model.kind is ModelKind.CLASSICAL:
         raise UnsupportedModelError("the classical kind has no bounded-velocity energy")
-    td = np.asarray(theta_dot, dtype=float).reshape(-1)
+    td = np.atleast_1d(np.asarray(theta_dot, dtype=float))
     c = model.velocity_bound
     if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= c):
         raise DomainError(f"velocities must satisfy |theta_dot| < {c}")
@@ -137,11 +149,15 @@ def energy(model: FrequencyResponse, theta_dot) -> float:
     gamma_m1 = td * td / (root * (c + root))
     gamma2_m1 = td * td / span
     if model.kind is ModelKind.PROPER_VELOCITY:
-        return float(np.sum(c * c * gamma_m1))
-    log_gamma = 0.5 * np.log1p(gamma2_m1)
-    if model.kind is ModelKind.RAPIDITY:
-        return float(np.sum(c * c * log_gamma))
-    return float(np.sum(c * c * gamma_m1 + gamma2_m1 - log_gamma))
+        terms = c * c * gamma_m1
+    else:
+        log_gamma = 0.5 * np.log1p(gamma2_m1)
+        if model.kind is ModelKind.RAPIDITY:
+            terms = c * c * log_gamma
+        else:
+            terms = c * c * gamma_m1 + gamma2_m1 - log_gamma
+    total = terms.sum(axis=-1)
+    return float(total) if td.ndim == 1 else total
 
 
 def predicted_rate(config: SystemConfig, initial_diameter: float) -> float:
@@ -228,7 +244,9 @@ def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> Diagnos
     if config.model.kind is ModelKind.CLASSICAL:
         en = np.full(th.shape[0], np.nan)
     else:
-        en = np.array([energy(config.model, row) for row in vd])
+        en = np.empty(vd.shape[0])
+        for rows in _row_blocks(vd.shape[0], vd.shape[1], _OUTPUT_BLOCK_FLOATS):
+            en[rows] = energy(config.model, vd[rows])
     return DiagnosticsSeries(
         times=trajectory.times,
         phase_diameter=pd,
@@ -243,8 +261,9 @@ def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> Diagnos
 
 def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
     """Write ``t,diameter,freq_diameter,r,phi,potential,energy`` at 17 significant digits."""
-    header = "t,diameter,freq_diameter,r,phi,potential,energy"
-    data = np.column_stack(
+    _write_csv(
+        path,
+        "t,diameter,freq_diameter,r,phi,potential,energy",
         [
             series.times,
             series.phase_diameter,
@@ -253,6 +272,5 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
             series.order_phi,
             series.potential,
             series.energy,
-        ]
+        ],
     )
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.16e")

@@ -62,6 +62,11 @@ Conventions that matter for downstream analysis:
   pass over all rows, so the floats do not depend on the blocking.  The
   largest arrays of a run are its results: the recorded states and
   their rates, M rows each.
+* Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
+  the bytes ``np.savetxt`` writes at ``%.16e``, formatting one block of
+  ``_OUTPUT_BLOCK_FLOATS`` floats (8 KiB) per ``%`` call without
+  stacking the table.  A run of more steps than numpy's index range
+  holds raises MemoryError before its first step.
 """
 
 from __future__ import annotations
@@ -182,14 +187,22 @@ PAIRWISE_MAX_N = 16
 # many floats (512 KiB), and never fewer than one row.
 _BLOCK_FLOATS = 1 << 16
 
+# Floats in one block of the output path: the CSV writer formats, and
+# ``compute_diagnostics`` takes the energy of, at most this many floats
+# of recorded rows per pass (8 KiB), and never fewer than one row.  Small
+# enough that the blocks' temporaries leave the peak RSS flat; a larger
+# block saves little, since one pass already costs far more than its
+# Python call.
+_OUTPUT_BLOCK_FLOATS = 1 << 10
 
-def _row_blocks(rows: int, row_floats: int):
+
+def _row_blocks(rows: int, row_floats: int, block_floats: int = _BLOCK_FLOATS):
     """Slices of consecutive rows covering range(rows), one block each.
 
-    A block holds as many rows of ``row_floats`` temporary floats each as
-    fit in ``_BLOCK_FLOATS``, and at least one.
+    A block holds as many rows of ``row_floats`` floats each as fit in
+    ``block_floats``, and at least one.
     """
-    step = max(1, _BLOCK_FLOATS // row_floats)
+    step = max(1, block_floats // row_floats)
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
@@ -254,9 +267,19 @@ def _rk4(rates, y: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# Largest count numpy can index; a run of more steps could never finish.
+_MAX_INDEX = float(np.iinfo(np.intp).max)
+
+
 def _step_plan(dt: float, t_final: float) -> tuple[int, float]:
-    """Number of full steps plus the closing fractional step (0 if none)."""
-    n_full = int(math.floor(t_final / dt + 1e-9))
+    """Number of full steps plus the closing fractional step (0 if none).
+
+    Raises MemoryError for a step count beyond numpy's index range.
+    """
+    steps = t_final / dt
+    if not steps < _MAX_INDEX:  # also inf, where t_final / dt overflows
+        raise MemoryError(f"{steps:.3g} steps")
+    n_full = int(math.floor(steps + 1e-9))
     rem = t_final - n_full * dt
     if rem <= 1e-9 * dt:
         rem = 0.0
@@ -274,8 +297,9 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     and the DomainError or ConvergenceError that aborted the run (None if
     it reached t_final).  After a failure the arrays hold the states
     recorded before it, each with its rates if they were evaluated and
-    NaN rates if not.  Raises MemoryError for more recorded rows than
-    numpy can allocate.
+    NaN rates if not.  Raises MemoryError, before any step, for more
+    steps than numpy's index range holds or more recorded rows than numpy
+    can allocate.
     """
     n_full, rem = _step_plan(config.dt, config.t_final)
     n_steps = n_full + (rem > 0.0)
@@ -286,7 +310,7 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
         times = np.empty(rows)
         states = np.empty(times.shape + y0.shape)
         derivs = np.full(states.shape, np.nan)
-    except ValueError as exc:  # a dimension beyond numpy's index range
+    except ValueError as exc:  # a size beyond numpy's index range
         raise MemoryError(f"{rows:.3g} recorded rows") from exc
     row, record_at, y, err = 0, 0, y0, None
     try:
@@ -516,5 +540,23 @@ def write_trajectory_csv(traj, path) -> None:
         + [f"theta_{i}" for i in range(1, n + 1)]
         + [f"thetadot_{i}" for i in range(1, n + 1)]
     )
-    data = np.column_stack([traj.times, traj.thetas, traj.theta_dots])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.16e")
+    _write_csv(path, header, [traj.times, traj.thetas, traj.theta_dots])
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and the rows of ``columns`` side by side as CSV.
+
+    ``columns`` are (M,) or (M, k) arrays.  The file holds exactly the
+    bytes of ``np.savetxt(path, np.column_stack(columns), delimiter=",",
+    header=header, comments="", fmt="%.16e")``, but the table is never
+    stacked: each ``_row_blocks`` block of ``_OUTPUT_BLOCK_FLOATS`` is
+    gathered from slices of the columns and formatted in one ``%`` call.
+    """
+    cols = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
+    width = sum(col.shape[1] for col in cols)
+    line = ",".join(["%.16e"] * width) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for rows in _row_blocks(cols[0].shape[0], width, _OUTPUT_BLOCK_FLOATS):
+            block = np.concatenate([col[rows] for col in cols], axis=1, dtype=float)
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))

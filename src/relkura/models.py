@@ -353,9 +353,11 @@ class FrequencyResponse:
         # The closed forms round to exactly c once the drive exceeds the
         # resolution of the bound (y ~ 1e8 * c and beyond); pin them one
         # ulp inside so |G(y)| < c holds for every finite drive and the
-        # result always composes with the forward response.
+        # result always composes with the forward response.  (minimum and
+        # maximum give np.clip's floats for these finite values at half
+        # its per-call cost.)
         cap = self._bounds[3]
-        return np.clip(w, -cap, cap)
+        return np.minimum(np.maximum(w, -cap), cap)
 
     def velocity_slope(self, drive):
         """Derivative of ``velocity`` with respect to the drive.

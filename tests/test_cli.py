@@ -163,11 +163,19 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
 
 def test_main_exit_3_on_a_run_too_large_to_allocate(tmp_path, capsys):
     # 1e17 recorded rows pass validation; numpy refuses the state array
-    # before allocating any of it.  1e300 and 1e200 rows exceed numpy's
-    # index range, which it reports as a ValueError before allocating.
+    # before allocating any of it, and 2e18 rows exceed its size range (a
+    # ValueError).  The other runs take more steps than numpy's index
+    # range holds (1e300, 1e200, 1e300 recorded in two rows, and
+    # t_final / dt overflowing to inf) and are refused before a step.
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"scenario": "simulate", "n": 2, "dt": 1e-300, "t_final": 1.0, '
+                    f'"record_every": {10**300}}}')
     for flags in (["--scenario", "simulate", "--n", "2", "--t-final", "1e15"],
+                  ["--scenario", "simulate", "--n", "2", "--t-final", "2e16"],
                   ["--scenario", "simulate", "--dt", "1e-300", "--t-final", "1"],
-                  ["--scenario", "limit", "--dt", "1e-200"]):
+                  ["--scenario", "limit", "--dt", "1e-200"],
+                  ["--config", str(huge)],
+                  ["--scenario", "simulate", "--dt", "5e-324", "--t-final", "1"]):
         code = main(flags + ["--out", str(tmp_path)])
         assert code == 3, flags
         captured = capsys.readouterr()

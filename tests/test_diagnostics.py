@@ -179,6 +179,59 @@ def test_energy_rejects_classical_and_superluminal():
         energy(relativistic(1.0), [0.5, math.nan])
 
 
+def _velocity_stack(c, rows, n, seed):
+    """(rows, n) velocities spread over (-c, c), one row at 0.9999 c."""
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-c, c, size=(rows, n)) * 0.999
+    stack[rows // 2, 0] = 0.9999 * c
+    return stack
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+@pytest.mark.parametrize("n", [1, 10, 1000])
+@pytest.mark.parametrize("c", [1.0, 1.28])
+def test_stacked_energy_equals_each_row_alone(make, n, c):
+    model = make(c)
+    stack = _velocity_stack(c, 7, n, seed=n)
+    want = np.array([energy(model, row) for row in stack])
+    assert np.array_equal(energy(model, stack), want)
+    # a strided view and a (2, 7, n) stack give each row the same floats
+    wide = np.stack([stack, -stack], axis=1)
+    assert np.array_equal(energy(model, wide[:, 0]), want)
+    assert np.array_equal(energy(model, np.stack([stack, stack])), np.stack([want, want]))
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+def test_compute_diagnostics_energy_equals_each_row_alone_across_blocks(make):
+    # 10 oscillators make 102 rows per energy block; 331 rows end mid-block
+    model = make(1.28)
+    cfg = SystemConfig(10, 1.0, np.linspace(-0.2, 0.2, 10), model, 0.01, 3.3, 1)
+    traj = simulate(cfg, np.linspace(-1.0, 1.0, 10))
+    assert traj.times.size == 331
+    series = compute_diagnostics(cfg, traj)
+    want = np.array([energy(model, row) for row in traj.theta_dots])
+    assert np.array_equal(series.energy, want)
+
+
+def test_energy_of_one_configuration_is_a_float():
+    model = rapidity(2.0)
+    assert type(energy(model, np.array([0.3, -1.2, 0.0]))) is float
+    assert type(energy(model, [0.5])) is float
+    assert type(energy(model, 0.5)) is float
+    assert energy(model, np.zeros((3, 4))).shape == (3,)
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+def test_stacked_energy_rejects_any_row_at_the_bound(make):
+    stack = _velocity_stack(1.0, 5, 10, seed=0)
+    stack[3, 7] = -1.0
+    with pytest.raises(DomainError):
+        energy(make(1.0), stack)
+    stack[3, 7] = math.inf
+    with pytest.raises(DomainError):
+        energy(make(1.0), stack)
+
+
 # ----------------------------------------------------------------------
 # guaranteed rate, lock angle, decay fit
 # ----------------------------------------------------------------------

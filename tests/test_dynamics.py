@@ -25,8 +25,10 @@ from relkura import (
     simulate_batch,
     simulate_both_forms,
     simulate_momentum,
+    write_trajectory_csv,
 )
-from relkura.dynamics import _momentum_coupling
+from relkura.diagnostics import DiagnosticsSeries, write_diagnostics_csv
+from relkura.dynamics import Trajectory, _momentum_coupling
 from relkura.errors import DomainError
 from relkura.experiments import sample_protocol_ensemble
 
@@ -761,3 +763,59 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.allclose(data[:, 0], traj.times, rtol=0, atol=0)
     assert np.allclose(data[:, 1:3], traj.thetas, rtol=1e-15)
     assert np.allclose(data[:, 3:5], traj.theta_dots, rtol=1e-15)
+
+
+def _savetxt_bytes(path, columns, header):
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt="%.16e")
+    return path.read_bytes()
+
+
+# -0.0, the smallest subnormal, +-1e300 and nan, spread over the table
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, -1e300, math.nan])
+
+
+@pytest.mark.parametrize("rows, n", [
+    (1, 3),       # one row
+    (1001, 10),   # 48 rows per block, 1001 rows end mid-block
+    (4, 3000),    # a row of 6001 floats, wider than one block
+])
+def test_trajectory_csv_bytes_equal_savetxt(tmp_path, rows, n):
+    rng = np.random.default_rng(rows)
+    thetas = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-300, 300, size=(rows, n))
+    theta_dots = rng.normal(size=(rows, n))
+    thetas.flat[np.arange(SPECIAL_VALUES.size) * 7 % thetas.size] = SPECIAL_VALUES
+    theta_dots[-1, :2] = [-0.0, 5e-324][:n]
+    cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.1, 1.0, 1)
+    traj = Trajectory(cfg, np.arange(rows) * 0.1, thetas, theta_dots)
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    header = ",".join(["t"] + [f"theta_{i}" for i in range(1, n + 1)]
+                      + [f"thetadot_{i}" for i in range(1, n + 1)])
+    want = _savetxt_bytes(tmp_path / "want.csv", [traj.times, thetas, theta_dots], header)
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def test_trajectory_csv_of_a_batch_view_equals_savetxt(tmp_path):
+    # thetas of a batched run are strided views into the (M, B, n) states
+    configs = [pair_config(model, dt=0.03, t_final=3.0, record_every=1)
+               for model in (relativistic(1.0), rapidity(2.0))]
+    traj = simulate_batch(configs, np.array(PAIR_THETA0))[1]
+    assert not traj.thetas.flags.c_contiguous
+    traj.write_csv(tmp_path / "got.csv")
+    want = _savetxt_bytes(tmp_path / "want.csv", [traj.times, traj.thetas, traj.theta_dots],
+                          "t,theta_1,theta_2,thetadot_1,thetadot_2")
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("rows", [1, 146, 147, 4001])
+def test_diagnostics_csv_bytes_equal_savetxt(tmp_path, rows):
+    # 146 rows of 7 floats fill one block; the classical kind's energy is nan
+    rng = np.random.default_rng(rows)
+    columns = [rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+               for _ in range(6)] + [np.full(rows, math.nan)]
+    columns[2][:SPECIAL_VALUES.size] = SPECIAL_VALUES[:rows]
+    series = DiagnosticsSeries(*columns, omega_diameter=0.0)
+    write_diagnostics_csv(series, tmp_path / "got.csv")
+    want = _savetxt_bytes(tmp_path / "want.csv", columns,
+                          "t,diameter,freq_diameter,r,phi,potential,energy")
+    assert (tmp_path / "got.csv").read_bytes() == want
