@@ -3,10 +3,14 @@
 Scalar observables (diameter, order parameter, predicted contraction
 rate) operate on single configurations; the potential and the energy
 take one configuration or a stack of them along the last axis.  The
-trajectory-level helpers evaluate the observables along a recorded run,
-the energy over blocks of recorded rows, and export the series as
-plot-ready CSV, written a block of rows at a time with the bytes of
-``np.savetxt`` at ``%.16e``.
+trajectory-level helpers evaluate the observables along a recorded run
+and export the series as plot-ready CSV, written a block of rows at a
+time with the bytes of ``np.savetxt`` at ``%.16e``.  Every series (the
+order parameter, the potential's phasor spread, the energy) is taken
+over ``_OUTPUT_BLOCK_FLOATS`` row blocks, each row reduced as in one
+pass over all rows, so no temporary outgrows a block and the floats do
+not depend on the blocking; only the potential's linear term
+``theta @ omega`` is one product over all rows.
 
 The energy observable is the integral of w * F'(w) from 0 to |w_i| per
 oscillator, summed; each bounded kind has it in closed form:
@@ -16,13 +20,16 @@ They are evaluated through span = (c - w) * (c + w), with
 gamma - 1 = w**2 / (sqrt(span) * (c + sqrt(span))),
 gamma**2 - 1 = w**2 / span and ln(gamma) = log1p(gamma**2 - 1) / 2, so
 neither small speeds nor speeds next to the bound lose digits to
-cancellation.  The classical kind has no finite velocity bound and no
-such energy.
+cancellation.  Above c ~ 6.7e153, where these c**2-sized intermediates
+overflow, the terms are taken in u = w / c instead, with no factor c * c
+formed.  The classical kind has no finite velocity bound and no such
+energy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +63,10 @@ __all__ = [
 # Below this magnitude the centroid of the unit phasors is numerically
 # zero and the mean phase angle carries no information.
 R_UNDEFINED_BELOW = 1e-12
+
+# Above this bound root * (c + root), about 2 c**2, can overflow in the
+# energy terms (and c * c does above 1.34e154), so they are taken scaled by c.
+_ENERGY_SCALED_ABOVE = math.sqrt(sys.float_info.max / 4.0)
 
 
 @dataclass(frozen=True)
@@ -103,12 +114,19 @@ def _phasor_spread(theta: np.ndarray) -> np.ndarray:
     Equal to n * (1 - r**2), i.e. sum_ij (1 - cos(theta_j - theta_i)) / n,
     in O(n).  The shifted phasors keep every term free of cancellation, so
     nearly synchronised rows, where n - n * r**2 is rounding noise, keep
-    full relative precision.
+    full relative precision.  The rows are taken in ``_row_blocks`` of
+    ``_OUTPUT_BLOCK_FLOATS``, so no temporary outgrows one block; each row
+    is reduced as in one pass over all rows.
     """
-    sin_dev, cos_dev = _shifted_phasors(theta)
-    sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
-    cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
-    return (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
+    n = theta.shape[-1]
+    flat = theta.reshape(-1, n)
+    out = np.empty(len(flat))
+    for rows in _row_blocks(len(flat), n, _OUTPUT_BLOCK_FLOATS):
+        sin_dev, cos_dev = _shifted_phasors(flat[rows])
+        sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
+        cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
+        out[rows] = (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
+    return out.reshape(theta.shape[:-1])
 
 
 def potential(theta, kappa: float, omega):
@@ -129,6 +147,31 @@ def potential(theta, kappa: float, omega):
     return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
 
 
+def _energy_terms_scaled(kind: ModelKind, td: np.ndarray, c: float) -> np.ndarray:
+    """The energy terms of ``energy`` for a bound above _ENERGY_SCALED_ABOVE.
+
+    Taken in u = td / c and s = (1 - u) * (1 + u) with root = sqrt(s):
+    c**2 (gamma - 1) = (td / root) * (td / (1 + root)), gamma**2 - 1 = g
+    = u**2 / s and c**2 ln(gamma) = (td / root)**2 / 2 * log1p(g) / g,
+    whose last factor is 1 where g underflows to 0.  No factor c * c is
+    formed, so a term overflows only where its value does.
+    """
+    u = td / c
+    s = (1.0 - u) * (1.0 + u)
+    root = np.sqrt(s)
+    scaled = td / root
+    gamma2_m1 = u * u / s
+    with np.errstate(over="ignore"):
+        if kind is ModelKind.RAPIDITY:
+            log1p_ratio = np.divide(np.log1p(gamma2_m1), gamma2_m1,
+                                    out=np.ones_like(gamma2_m1), where=gamma2_m1 > 0.0)
+            return 0.5 * scaled * scaled * log1p_ratio
+        c2_gamma_m1 = scaled * (td / (1.0 + root))
+    if kind is ModelKind.PROPER_VELOCITY:
+        return c2_gamma_m1
+    return c2_gamma_m1 + gamma2_m1 - 0.5 * np.log1p(gamma2_m1)
+
+
 def energy(model: FrequencyResponse, theta_dot):
     """Total kinetic-type energy of the velocities, along the last axis.
 
@@ -144,18 +187,21 @@ def energy(model: FrequencyResponse, theta_dot):
     c = model.velocity_bound
     if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= c):
         raise DomainError(f"velocities must satisfy |theta_dot| < {c}")
-    span = (c - td) * (c + td)
-    root = np.sqrt(span)
-    gamma_m1 = td * td / (root * (c + root))
-    gamma2_m1 = td * td / span
-    if model.kind is ModelKind.PROPER_VELOCITY:
-        terms = c * c * gamma_m1
+    if c > _ENERGY_SCALED_ABOVE:
+        terms = _energy_terms_scaled(model.kind, td, c)
     else:
-        log_gamma = 0.5 * np.log1p(gamma2_m1)
-        if model.kind is ModelKind.RAPIDITY:
-            terms = c * c * log_gamma
+        span = (c - td) * (c + td)
+        root = np.sqrt(span)
+        gamma_m1 = td * td / (root * (c + root))
+        gamma2_m1 = td * td / span
+        if model.kind is ModelKind.PROPER_VELOCITY:
+            terms = c * c * gamma_m1
         else:
-            terms = c * c * gamma_m1 + gamma2_m1 - log_gamma
+            log_gamma = 0.5 * np.log1p(gamma2_m1)
+            if model.kind is ModelKind.RAPIDITY:
+                terms = c * c * log_gamma
+            else:
+                terms = c * c * gamma_m1 + gamma2_m1 - log_gamma
     total = terms.sum(axis=-1)
     return float(total) if td.ndim == 1 else total
 
@@ -233,13 +279,17 @@ class DiagnosticsSeries:
 
 
 def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> DiagnosticsSeries:
+    """Every observable at every recorded row, taken over row blocks."""
     th = trajectory.thetas
     vd = trajectory.theta_dots
     pd = np.ptp(th, axis=1)
     fd = np.ptp(vd, axis=1)
-    z = np.exp(1j * th).mean(axis=1)
-    r = np.abs(z)
-    phi = np.where(r > R_UNDEFINED_BELOW, np.angle(z), np.nan)
+    r = np.empty(th.shape[0])
+    phi = np.empty(th.shape[0])
+    for rows in _row_blocks(th.shape[0], th.shape[1], _OUTPUT_BLOCK_FLOATS):
+        z = np.exp(1j * th[rows]).mean(axis=1)
+        r[rows] = np.abs(z)
+        phi[rows] = np.where(r[rows] > R_UNDEFINED_BELOW, np.angle(z), np.nan)
     pots = potential(th, config.kappa, config.omega)
     if config.model.kind is ModelKind.CLASSICAL:
         en = np.full(th.shape[0], np.nan)

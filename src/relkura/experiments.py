@@ -1,19 +1,22 @@
 """Reproducible experiment runners and their reports.
 
-Every runner is a pure function of (seed, parameters): sampling uses a
-counter-based Philox generator (algorithm id recorded in each report),
-draws natural frequencies before initial phases (the reference protocol
-makes the phase window depend on the frequency spread), and the
-assembled report is a plain dataclass that serializes to JSON with
-stable field order.  Identical seed and parameters give bit-identical
-numeric payloads on a given platform.
+Every runner is a pure function of (seed, parameters).  Sampling draws
+natural frequencies before initial phases (the reference protocol makes
+the phase window depend on the frequency spread) from ``make_rng``,
+relkura's own counter-based Philox-4x64-10 stream: it equals NumPy's
+``Philox(seed)`` draw for draw, so no scenario imports ``numpy.random``,
+and each report records its algorithm label.  The assembled report is a
+plain dataclass that serializes to JSON with stable field order.
+Identical seed and parameters give bit-identical numeric payloads on a
+given platform.
 
 There is one runner per CLI scenario (``run_simulate``,
 ``run_four_model_comparison``, ``run_rate_vs_c``, ``run_limit_scaling``,
 ``run_sync_predicates``, ``run_rcs_crosscheck``, ``run_admissibility``),
 and its signature is the only place that scenario's defaults are
 written.  Given ``out_dir``, a runner writes its CSVs through ``_emit``
-and its report through ``_report``.
+and its report through ``_report``; the diagnostics series it writes
+are taken, and written, a block of recorded rows at a time.
 
 Reports carry every checked predicate with its expected and observed
 values.  Each claim is built by ``_claim`` from its slack ``margin``,
@@ -104,13 +107,19 @@ LIMIT_IDENTICAL_VALUE = 0.2
 ADMISSIBILITY_SAMPLES = 1001
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """NumPy's counter-based Philox generator (4x64-bit, 10 rounds).
+def make_rng(seed: int):
+    """A counter-based Philox-4x64-10 stream, equal to NumPy's ``Philox(seed)``.
 
-    Keyed through ``SeedSequence(seed)``; one stream per scenario, shared
-    draws in order.
+    One stream per scenario, shared draws in order.  The stream is
+    relkura's own (``_philox``), so no scenario imports ``numpy.random``,
+    whose bit generators and their imports add about 6 MB to a process
+    that has loaded only numpy.
     """
-    return np.random.Generator(np.random.Philox(seed))
+    # imported on first use, so start-up and runs that draw nothing do
+    # not load it
+    from ._philox import PhiloxStream
+
+    return PhiloxStream(seed)
 
 
 def sample_protocol_ensemble(

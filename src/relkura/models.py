@@ -164,6 +164,23 @@ def _full_momentum_slope(w: np.ndarray, c, c_sq, c_cubed) -> np.ndarray:
     return c_cubed / span**1.5 + (c_sq + w * w) / (span * span)
 
 
+def _scaled_momentum_slope(kind: ModelKind, w: np.ndarray, c) -> np.ndarray:
+    """F'(w) in u = w/c, for a bound whose c**3 (c*c for rapidity) overflows.
+
+    With s = (1 - u) * (1 + u) the slope is 1/s (rapidity), s**-1.5
+    (proper velocity) and s**-1.5 + (1 + u**2) / (c**2 s**2) (full kind),
+    whose last term is taken divided by c twice and underflows harmlessly.
+    """
+    u = w / c
+    s = (_ONE - u) * (_ONE + u)
+    if kind is ModelKind.RAPIDITY:
+        return _ONE / s
+    slope = s**-1.5
+    if kind is ModelKind.RELATIVISTIC:
+        slope = slope + (_ONE + u * u) / (s * s) / c / c
+    return slope
+
+
 def _solve_full(target: np.ndarray, c, c_cubed, c_sq, cap) -> np.ndarray:
     """Safeguarded Newton solve of F(w) = target >= 0 for the full response.
 
@@ -314,12 +331,16 @@ class FrequencyResponse:
         if kind is ModelKind.CLASSICAL:
             return np.ones_like(w)
         c, c_cubed, c_sq, _ = self._bounds
+        if np.isinf(c_sq if kind is ModelKind.RAPIDITY else c_cubed):
+            return _scaled_momentum_slope(kind, w, c)
         span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
         if kind is ModelKind.RAPIDITY:
             return c_sq / span
         if kind is ModelKind.PROPER_VELOCITY:
             return c_cubed / span**1.5
-        return _full_momentum_slope(w, c, c_sq, c_cubed)
+        # span * span overflows above c ~ 1.2e77, where its term is below an ulp
+        with np.errstate(over="ignore"):
+            return _full_momentum_slope(w, c, c_sq, c_cubed)
 
     # ------------------------------------------------------------------
     # inverse response G and its derivative

@@ -1,10 +1,15 @@
 """Command-line front-end tests: parsing, validation, exit codes, outputs.
 
 main() is exercised in-process so exit codes and printed predicate lines
-can be asserted without spawning an interpreter.
+can be asserted without spawning an interpreter; only the check of which
+modules a run loads starts a fresh one.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +202,22 @@ def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):
     traj = np.loadtxt(tmp_path / "trajectory_rapidity.csv", delimiter=",", skiprows=1)
     assert traj.shape[1] == 21  # t + 10 phases + 10 velocities
     assert (tmp_path / "diagnostics_rapidity.csv").is_file()
+
+
+def test_main_seeded_scenario_does_not_import_numpy_random(tmp_path):
+    # sampling uses relkura's own Philox stream, so a fresh interpreter that
+    # runs a seeded scenario never loads numpy.random and its bit generators
+    code = ("import sys\n"
+            "from relkura.cli import main\n"
+            "assert main(['--scenario', 'simulate', '--seed', '3', '--t-final', '0.5',\n"
+            f"             '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "report.json").is_file()
 
 
 def test_main_simulate_explicit_vectors(tmp_path):

@@ -32,6 +32,7 @@ from relkura import (
     theta_star,
     write_diagnostics_csv,
 )
+from relkura.dynamics import _shifted_phasors
 from relkura.errors import DegenerateFitError, DomainError, UnsupportedModelError
 
 # 50-digit references
@@ -170,6 +171,39 @@ def test_energy_matches_high_precision_closed_form(make, c, ratio, sign):
     assert abs(mpmath.mpf(got) - want) <= 1e-10 * want
 
 
+def _energy_reference_small_ratio(kind: str, w: float, c: float):
+    """The closed-form energy at 50 digits, free of cancellation at tiny w / c."""
+    with mpmath.workdps(50):
+        w, c = mpmath.mpf(w), mpmath.mpf(c)
+        u2 = (w / c) ** 2
+        root = mpmath.sqrt(1 - u2)
+        c2_gamma_m1 = w * w / (root * (1 + root))
+        log_gamma = -mpmath.log1p(-u2) / 2
+        if kind == "proper-velocity":
+            return c2_gamma_m1
+        if kind == "rapidity":
+            return c * c * log_gamma
+        return c2_gamma_m1 + u2 / (1 - u2) - log_gamma
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+@pytest.mark.parametrize("c", [1.3e154, 1e155, 1e200, 1e300])
+def test_energy_for_huge_bounds_matches_mpmath(make, c):
+    # unscaled, root * (c + root) overflows above c ~ 9.5e153 (the terms with
+    # gamma - 1 read 0) and c * c above 1.34e154 (NaN); above 6.7e153 the
+    # terms are taken scaled
+    model = make(c)
+    speeds = np.array([0.5, -3.0, 1e-150, 1e100, -1e150])
+    assert np.array_equal(energy(model, np.stack([speeds, speeds])), [energy(model, speeds)] * 2)
+    for w in speeds:
+        want = _energy_reference_small_ratio(model.kind.value, w, c)
+        value = energy(model, [w])
+        assert math.isfinite(value)
+        assert abs(mpmath.mpf(value) - want) <= 1e-10 * want, (w, value)
+    assert energy(model, 0.5) == pytest.approx(0.125, rel=1e-15)
+    assert energy(model, 0.0) == 0.0
+
+
 def test_energy_rejects_classical_and_superluminal():
     with pytest.raises(UnsupportedModelError):
         energy(classical(), [0.5])
@@ -248,6 +282,13 @@ def test_predicted_rate_classical_is_sinc_factor():
     assert predicted_rate(cfg, d0) == pytest.approx(2.0 * math.sin(d0) / d0, rel=1e-15)
 
 
+def test_predicted_rate_for_huge_bounds_is_the_classical_rate():
+    # the full kind's slope floor is 1 - O(1/c**2); c * c overflows at 1e200
+    for c in (1e150, 1e200):
+        cfg = SystemConfig(5, 2.0, np.zeros(5), relativistic(c), 0.01, 1.0)
+        assert predicted_rate(cfg, 1.3) == pytest.approx(2.0 * math.sin(1.3) / 1.3, rel=1e-10)
+
+
 def test_predicted_rate_requires_homogeneous_and_half_circle():
     hetero = SystemConfig(2, 1.0, np.array([0.1, -0.1]), classical(), 0.01, 1.0)
     with pytest.raises(DomainError):
@@ -315,6 +356,27 @@ def test_compute_diagnostics_matches_pointwise_observables(small_run):
             potential(th, cfg.kappa, cfg.omega), rel=1e-13)
         assert series.energy[k] == pytest.approx(
             energy(cfg.model, traj.theta_dots[k]), rel=1e-12)
+
+
+def test_compute_diagnostics_order_and_potential_equal_whole_array_formulas():
+    # 10 oscillators make 102 rows per block, so 400 rows take four blocks
+    cfg = SystemConfig(10, 1.0, np.linspace(-0.2, 0.2, 10), relativistic(1.0), 0.01, 3.99, 1)
+    traj = simulate(cfg, np.linspace(-1.0, 1.0, 10))
+    th = traj.thetas
+    assert th.shape == (400, 10)
+    series = compute_diagnostics(cfg, traj)
+    z = np.exp(1j * th).mean(axis=1)
+    assert np.array_equal(series.order_r, np.abs(z))
+    assert np.array_equal(series.order_phi, np.where(np.abs(z) > 1e-12, np.angle(z), np.nan),
+                          equal_nan=True)
+    sin_dev, cos_dev = _shifted_phasors(th)
+    sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
+    cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
+    spread = (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
+    whole = -(th @ cfg.omega) + 0.5 * cfg.kappa * spread
+    assert np.array_equal(series.potential, whole)
+    assert np.array_equal(potential(th, cfg.kappa, cfg.omega), whole)
+    assert np.array_equal(potential(np.stack([th, th]), cfg.kappa, cfg.omega), np.stack([whole, whole]))
 
 
 def test_compute_diagnostics_classical_energy_is_nan():

@@ -36,12 +36,24 @@ from relkura.experiments import _max_abs_pairwise_sine
 # ----------------------------------------------------------------------
 
 
+# draws in sequence: sizes that end inside a 4-draw block, cross one or
+# several block boundaries, draw nothing, and a zero-width interval
+RNG_DRAWS = [(0.0, 1.0, 3), (-1.0, 2.0, 6), (0.0, 1.0, 0), (0.0, 0.0, 2),
+             (-0.5, 0.5, 7), (0.0, 1.0, 1), (-3.0, 3.0, 9)]
+
+
 def test_make_rng_is_reproducible_and_counter_based():
+    # numpy.random is the reference: the stream equals NumPy's Philox(seed),
+    # also for seeds of two to seven 32-bit words
+    for seed in [*range(1000), 2**32, 2**64 + 5, 10**30, 2**200]:
+        ours, ref = make_rng(seed), np.random.Generator(np.random.Philox(seed))
+        for low, high, size in RNG_DRAWS:
+            got = ours.uniform(low, high, size)
+            assert got.shape == (size,)
+            assert np.array_equal(got, ref.uniform(low, high, size)), (seed, low, high, size)
     a = make_rng(42).uniform(0.0, 1.0, 8)
-    b = make_rng(42).uniform(0.0, 1.0, 8)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a, make_rng(42).uniform(0.0, 1.0, 8))
     assert not np.array_equal(a, make_rng(43).uniform(0.0, 1.0, 8))
-    assert type(make_rng(0).bit_generator).__name__ == "Philox"
     assert RNG_ALGORITHM == "philox4x32-10"
 
 

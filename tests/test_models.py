@@ -212,6 +212,35 @@ def test_full_inverse_does_not_stop_short_near_the_bound(y, c):
     assert relativistic(c).momentum(got) == pytest.approx(y, rel=1e-6)
 
 
+def _momentum_slope_reference(kind: str, w: float, c: float):
+    """F'(w) at 50 digits in u = w / c."""
+    with mpmath.workdps(50):
+        u = mpmath.mpf(w) / mpmath.mpf(c)
+        s = 1 - u * u
+        if kind == "rapidity":
+            return 1 / s
+        if kind == "proper-velocity":
+            return s ** mpmath.mpf(-1.5)
+        return s ** mpmath.mpf(-1.5) + (1 + u * u) / (mpmath.mpf(c) ** 2 * s * s)
+
+
+@pytest.mark.parametrize("c", [1e103, 1e150, 1e200, 1e300])
+def test_slopes_for_huge_bounds_match_mpmath(c):
+    # c**3 overflows above c ~ 5.6e102 and c * c above ~ 1.34e154
+    for model in bounded_triple(c):
+        for w in (0.5, -2.0, 0.5 * c, -0.99 * c):
+            got = model.momentum_slope(w)
+            want = _momentum_slope_reference(model.kind.value, w, c)
+            assert abs(mpmath.mpf(got) - want) <= 1e-10 * want, (model.kind, w)
+    full = relativistic(c)
+    for y in (0.5, -2.0, 1e20, 3.0 * c):
+        w, _ = _velocity_reference("relativistic", y, c)
+        want = 1 / _momentum_slope_reference("relativistic", w, c)
+        got = full.velocity_slope(y)
+        assert abs(mpmath.mpf(got) - want) <= 1e-10 * want, y
+        assert full.min_velocity_slope(-abs(y), 0.5) == got
+
+
 @st.composite
 def _c_and_drive(draw):
     # c log-uniform in [1e-3, 1e3]; |y| log-uniform in [1e-300, 1e300] or,
