@@ -245,12 +245,21 @@ def _dispatch(cfg: RunConfig) -> ExperimentReport:
     return _runners()[cfg.scenario](**{k: v for k, v in kwargs.items() if k in params})
 
 
+def _make_output_directory(out: str) -> None:
+    """Create ``out`` before any work runs, so that an unusable path is a configuration error."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("out", f"cannot create directory {out!r}: {err.strerror}") from None
+
+
 def main(argv=None) -> int:
     """Run one scenario; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
+        _make_output_directory(cfg.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -64,9 +64,11 @@ Conventions that matter for downstream analysis:
   their rates, M rows each.
 * Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
   the bytes ``np.savetxt`` writes at ``%.16e``, formatting one block of
-  ``_OUTPUT_BLOCK_FLOATS`` floats (8 KiB) per ``%`` call without
-  stacking the table.  A run of more steps than numpy's index range
-  holds raises MemoryError before its first step.
+  ``_OUTPUT_BLOCK_FLOATS`` floats (8 KiB) at a time without stacking the
+  table.  The digits come from an error-bounded double-double scaling
+  in numpy arithmetic (``_format_rows``), and Python's ``%`` formats
+  every value that the bound cannot settle.  A run of more steps than
+  numpy's index range holds raises MemoryError before its first step.
 """
 
 from __future__ import annotations
@@ -550,13 +552,129 @@ def _write_csv(path, header: str, columns) -> None:
     bytes of ``np.savetxt(path, np.column_stack(columns), delimiter=",",
     header=header, comments="", fmt="%.16e")``, but the table is never
     stacked: each ``_row_blocks`` block of ``_OUTPUT_BLOCK_FLOATS`` is
-    gathered from slices of the columns and formatted in one ``%`` call.
+    gathered from slices of the columns and formatted by
+    ``_format_rows``.
     """
     cols = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
     width = sum(col.shape[1] for col in cols)
-    line = ",".join(["%.16e"] * width) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for rows in _row_blocks(cols[0].shape[0], width, _OUTPUT_BLOCK_FLOATS):
-            block = np.concatenate([col[rows] for col in cols], axis=1, dtype=float)
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(np.concatenate([col[rows] for col in cols], axis=1,
+                                                 dtype=float)))
+
+
+def _split(x):
+    """Veltkamp's split of x into halves of 26 bits each, hi + lo == x."""
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _pow10_tables():
+    """10^k correctly rounded, its split halves and its correctly rounded remainder.
+
+    For k in [-99, 115]: the exponent comparison reaches 10^99 and the
+    scaling of the smallest formatted value 10^115.  Python's int true
+    division rounds correctly, and the remainder is exact before its one
+    rounding.
+    """
+    pows, rems = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        pow10 = num / den
+        n, d = pow10.as_integer_ratio()
+        pows.append(pow10)
+        rems.append((num * d - n * den) / (den * d))
+    pows = np.array(pows)
+    return (pows, *_split(pows), np.array(rems))
+
+
+def _ascii_words():
+    """Little-endian words of four ASCII bytes, built in int16 arithmetic.
+
+    Returns the words of ``"%04d" % k`` for k < 10^4, and of
+    ``"e%+03d" % E`` at index E + 99 for |E| <= 99.
+    """
+    k = np.arange(10_000, dtype=np.int16)
+    digits = sum((48 + k // 10 ** (3 - i) % 10).astype("<u4") << (8 * i) for i in range(4))
+    e = np.arange(-99, 100, dtype=np.int16)
+    exponents = (ord("e") + (np.where(e < 0, ord("-"), ord("+")).astype("<u4") << 8)
+                 + ((48 + abs(e) // 10).astype("<u4") << 16)
+                 + ((48 + abs(e) % 10).astype("<u4") << 24))
+    return digits, exponents
+
+
+_POW10_MIN, _POW10_MAX = -99, 115
+_POW10, _POW10_HI, _POW10_LO, _POW10_REM = _pow10_tables()
+_DIGIT_WORDS, _EXPONENT_WORDS = _ascii_words()
+# A value's 28-byte slot: [pad, sign, lead digit, "."], four words of
+# digits, the exponent word, [pad, pad, pad, separator].  Spaces pad, and
+# "%27.16e" right-aligns any float's text (at most 24 characters) in the
+# slot's first 27 bytes.
+_PLUS_WORD, _MINUS_WORD = np.uint32(0x2E302020), np.uint32(0x2E302D20)
+_COMMA_WORD, _NEWLINE_WORD = np.uint32(0x2C202020), np.uint32(0x0A202020)
+
+
+def _significands(x: np.ndarray):
+    """17-digit decimal significands D and exponents E of |x|, and where they are exact.
+
+    A finite x with 1e-99 <= |x| < 1e99 prints at ``%.16e`` as
+    D = round(|x| * 10^s), s = 16 - E, with E its decimal exponent.  E
+    comes from x's binary exponent and one comparison with 10^(E + 1).
+    10^s is _POW10 + _POW10_REM to about 2^-106 relative, and |x| * _POW10
+    is Dekker's exact product p + e, where p is an integer-valued double
+    (>= 2^53 when E is right).  So r = e + |x| * _POW10_REM is within
+    1e-14 of the exact |x| * 10^s - p, and D = p + floor(r), plus one
+    when frac(r) > 1/2, is exact unless frac(r) lies within 1e-6 of 1/2.
+    A floor(r) off by one at an integer moves neither the rounding nor D.
+    Not exact: zeros, nan, inf, three-digit exponents, a wrong E (the
+    floor of the exact product outside [10^16, 10^17)), a D that carries
+    to 10^17 and the near-ties.
+    """
+    a = np.abs(x)
+    exact = (a >= 1e-99) & (a < 1e99)
+    a = np.where(exact, a, 1.0)
+    # floor(e * log10(2)) for the binary exponent e of |x|, in [-330, 330]
+    exp10 = (((a.view(np.int64) >> 52) - 1023) * 78913) >> 18
+    exp10 += a >= _POW10[exp10 + 1 - _POW10_MIN]
+    k = 16 - exp10 - _POW10_MIN
+    p = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    r = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo + a * _POW10_REM[k]
+    whole = np.floor(r)
+    frac = r - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    exact &= (digits >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
+    digits += frac > 0.5
+    exact &= digits < 10**17
+    return digits, exp10, exact
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D ``block`` as CSV lines, byte for byte ``"%.16e"``.
+
+    Each value fills a 28-byte slot of space-padded ASCII, from the digit
+    tables where ``_significands`` is exact and from one ``%`` call per
+    block elsewhere; dropping the spaces leaves the text.
+    """
+    x = block.ravel()
+    digits, exp10, exact = _significands(x)
+    # Scalar divisors only: numpy divides by a scalar far faster.
+    high = digits // 10**8
+    lead = high // 10**8
+    eights = np.stack([high - lead * 10**8, digits - high * 10**8], axis=1)
+    fours = eights // 10_000
+    words = np.empty((x.size, 7), "<u4")
+    words[:, 0] = np.where(np.signbit(x), _MINUS_WORD, _PLUS_WORD) + (lead.astype("<u4") << 16)
+    words[:, 1:5] = _DIGIT_WORDS[np.stack([fours, eights - fours * 10_000], axis=2).reshape(-1, 4)]
+    words[:, 5] = _EXPONENT_WORDS[exp10 + 99]
+    words[:, 6] = _COMMA_WORD
+    words[block.shape[1] - 1::block.shape[1], 6] = _NEWLINE_WORD
+    chars = words.view(np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = ("%27.16e" * slow.size) % tuple(x[slow].tolist())
+        chars[slow, :27] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 27)
+    return str(chars[chars != 32], "ascii")

@@ -5,6 +5,7 @@ can be asserted without spawning an interpreter; only the check of which
 modules a run loads starts a fresh one.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relkura import cli
 from relkura.cli import RunConfig, main, parse_config
 from relkura.errors import ConfigError
 
@@ -166,6 +168,24 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
     assert "c_list" in capsys.readouterr().err
 
 
+def test_main_exit_2_on_an_unusable_output_directory(tmp_path, capsys, monkeypatch):
+    # the path runs through a regular file; the runner must never start
+    def never_called(*args, **kwargs):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setattr(cli, "run_simulate", functools.wraps(cli.run_simulate)(never_called))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["--scenario", "simulate", "--n", "3", "--t-final", "0.1",
+                 "--out", str(blocker / "sub")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: out: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_main_exit_3_on_a_run_too_large_to_allocate(tmp_path, capsys):
     # 1e17 recorded rows pass validation; numpy refuses the state array
     # before allocating any of it, and 2e18 rows exceed its size range (a
@@ -206,18 +226,20 @@ def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):
 
 def test_main_seeded_scenario_does_not_import_numpy_random(tmp_path):
     # sampling uses relkura's own Philox stream, so a fresh interpreter that
-    # runs a seeded scenario never loads numpy.random and its bit generators
+    # runs a seeded scenario never loads numpy.random and its bit generators;
+    # the CSV writer's exact digits need neither fractions nor decimal
     code = ("import sys\n"
             "from relkura.cli import main\n"
             "assert main(['--scenario', 'simulate', '--seed', '3', '--t-final', '0.5',\n"
             f"             '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print([m for m in ('numpy.random', 'fractions', 'decimal') if m in sys.modules])\n")
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "report.json").is_file()
+    assert (tmp_path / "trajectory_relativistic.csv").is_file()
 
 
 def test_main_simulate_explicit_vectors(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from relkura import (
     FrequencyResponse,
@@ -28,7 +29,7 @@ from relkura import (
     write_trajectory_csv,
 )
 from relkura.diagnostics import DiagnosticsSeries, write_diagnostics_csv
-from relkura.dynamics import Trajectory, _momentum_coupling
+from relkura.dynamics import Trajectory, _format_rows, _momentum_coupling
 from relkura.errors import DomainError
 from relkura.experiments import sample_protocol_ensemble
 
@@ -819,3 +820,46 @@ def test_diagnostics_csv_bytes_equal_savetxt(tmp_path, rows):
     want = _savetxt_bytes(tmp_path / "want.csv", columns,
                           "t,diameter,freq_diameter,r,phi,potential,energy")
     assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def _percent_rows(block):
+    """The reference: every float of a 2-D block through Python's ``%``."""
+    line = ",".join(["%.16e"] * block.shape[1]) + "\n"
+    return line * len(block) % tuple(block.ravel().tolist())
+
+
+def _adversarial_floats():
+    rng = np.random.default_rng(16)
+    # nearest doubles to decimal midpoints d.ddddddddddddddd5e+-k
+    mids = [float(f"{d}5e{k}") for d, k in zip(rng.integers(10**15, 10**16, 400),
+                                                 rng.integers(-120, 101, 400))]
+    # exact ties: odd m / 2^(s+1) scaled by 10^s is m * 5^s / 2
+    ties = [(int(m) | 1) / 2.0 ** (s + 1) for s in range(1, 21)
+            for m in 3 * 10**16 // 5**s + rng.integers(0, 1000, 8)]
+    # powers of ten and their neighbours one and two ulps away
+    pows = np.array([float(f"1e{k}") for k in range(-101, 102)])
+    down, up = np.nextafter(pows, 0.0), np.nextafter(pows, np.inf)
+    near = [pows, down, up, np.nextafter(down, 0.0), np.nextafter(up, np.inf)]
+    bounds = [1e99, 9.999999999999999e98, 1e-99, 1.00001e-100, 1.0000000000000001e-99,
+              9.99999999999999999e42, 9.99999999999999995e42, 99999999999999999.0,
+              0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+              5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    bits = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)
+    subnormals = rng.integers(1, 2**52, 200, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([mids, ties, *near, bounds, bits, subnormals])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("width", [1, 7, 21, 2001])
+def test_format_rows_matches_percent_on_adversarial_floats(width):
+    values = _adversarial_floats()
+    table = np.resize(values, (-(-values.size // width), width))
+    for rows in dynamics._row_blocks(len(table), width, 1024):
+        assert _format_rows(table[rows]) == _percent_rows(table[rows])
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40),
+              elements=st.floats()))
+def test_format_rows_matches_percent_formatting(block):
+    assert _format_rows(block) == _percent_rows(block)
