@@ -10,7 +10,9 @@ order parameter, the potential's phasor spread, the energy) is taken
 over ``_OUTPUT_BLOCK_FLOATS`` row blocks, each row reduced as in one
 pass over all rows, so no temporary outgrows a block and the floats do
 not depend on the blocking; only the potential's linear term
-``theta @ omega`` is one product over all rows.
+``theta @ omega`` is one product over all rows.  The order parameter of
+a configuration and of each recorded row come from one rule
+(``_order_rows``), which also owns the ``R_UNDEFINED_BELOW`` cut.
 
 The energy observable is the integral of w * F'(w) from 0 to |w_i| per
 oscillator, summed; each bounded kind has it in closed form:
@@ -21,9 +23,9 @@ gamma - 1 = w**2 / (sqrt(span) * (c + sqrt(span))),
 gamma**2 - 1 = w**2 / span and ln(gamma) = log1p(gamma**2 - 1) / 2, so
 neither small speeds nor speeds next to the bound lose digits to
 cancellation.  Above c ~ 6.7e153, where these c**2-sized intermediates
-overflow, the terms are taken in u = w / c instead, with no factor c * c
-formed.  The classical kind has no finite velocity bound and no such
-energy.
+overflow, and below c ~ 1e-146, where the span can underflow, the terms
+are taken in u = w / c instead, with no factor c * c formed.  The
+classical kind has no finite velocity bound and no such energy.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .dynamics import (
     _write_csv,
 )
 from .errors import DegenerateFitError, DomainError, UnsupportedModelError
-from .models import FrequencyResponse, ModelKind
+from .models import FrequencyResponse, ModelKind, _span_underflows
 
 __all__ = [
     "OrderParameter",
@@ -64,8 +66,10 @@ __all__ = [
 # zero and the mean phase angle carries no information.
 R_UNDEFINED_BELOW = 1e-12
 
-# Above this bound root * (c + root), about 2 c**2, can overflow in the
-# energy terms (and c * c does above 1.34e154), so they are taken scaled by c.
+# The energy terms are taken scaled by c above this bound, where
+# root * (c + root), about 2 c**2, can overflow (and c * c does above
+# 1.34e154), and below c ~ 1e-146, where the span (c - w) * (c + w) can
+# underflow (``_span_underflows``).
 _ENERGY_SCALED_ABOVE = math.sqrt(sys.float_info.max / 4.0)
 
 
@@ -98,14 +102,23 @@ def phase_diameter(theta) -> float:
     return float(np.ptp(th))
 
 
+def _order_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = |mean e^{i theta}| and its angle phi along the last axis.
+
+    phi is nan where r <= R_UNDEFINED_BELOW.  The one rule behind
+    ``order_parameter`` and the order series of ``compute_diagnostics``.
+    """
+    z = np.exp(1j * theta).mean(axis=-1)
+    r = np.abs(z)
+    return r, np.where(r > R_UNDEFINED_BELOW, np.angle(z), np.nan)
+
+
 def order_parameter(theta) -> OrderParameter:
     th = np.asarray(theta, dtype=float)
     if th.size == 0:
         raise ValueError("order_parameter needs at least one phase")
-    z = np.exp(1j * th).mean()
-    r = float(np.abs(z))
-    phi = float(np.angle(z)) if r > R_UNDEFINED_BELOW else None
-    return OrderParameter(r, phi)
+    r, phi = _order_rows(th.reshape(-1))
+    return OrderParameter(float(r), None if np.isnan(phi) else float(phi))
 
 
 def _phasor_spread(theta: np.ndarray) -> np.ndarray:
@@ -148,13 +161,13 @@ def potential(theta, kappa: float, omega):
 
 
 def _energy_terms_scaled(kind: ModelKind, td: np.ndarray, c: float) -> np.ndarray:
-    """The energy terms of ``energy`` for a bound above _ENERGY_SCALED_ABOVE.
+    """The energy terms of ``energy`` for a huge or a tiny bound.
 
     Taken in u = td / c and s = (1 - u) * (1 + u) with root = sqrt(s):
     c**2 (gamma - 1) = (td / root) * (td / (1 + root)), gamma**2 - 1 = g
     = u**2 / s and c**2 ln(gamma) = (td / root)**2 / 2 * log1p(g) / g,
     whose last factor is 1 where g underflows to 0.  No factor c * c is
-    formed, so a term overflows only where its value does.
+    formed, so a term over- or underflows only where its value does.
     """
     u = td / c
     s = (1.0 - u) * (1.0 + u)
@@ -187,7 +200,7 @@ def energy(model: FrequencyResponse, theta_dot):
     c = model.velocity_bound
     if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= c):
         raise DomainError(f"velocities must satisfy |theta_dot| < {c}")
-    if c > _ENERGY_SCALED_ABOVE:
+    if c > _ENERGY_SCALED_ABOVE or _span_underflows(c * c, 1.0):
         terms = _energy_terms_scaled(model.kind, td, c)
     else:
         span = (c - td) * (c + td)
@@ -279,31 +292,29 @@ class DiagnosticsSeries:
 
 
 def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> DiagnosticsSeries:
-    """Every observable at every recorded row, taken over row blocks."""
+    """Every observable at every recorded row, taken over row blocks.
+
+    The order parameter and the energy come from one pass over the
+    ``_OUTPUT_BLOCK_FLOATS`` blocks of recorded rows, and the potential's
+    phasor spread from its own pass over the same blocks; every row gets
+    the floats of a call on it alone.
+    """
     th = trajectory.thetas
     vd = trajectory.theta_dots
-    pd = np.ptp(th, axis=1)
-    fd = np.ptp(vd, axis=1)
-    r = np.empty(th.shape[0])
-    phi = np.empty(th.shape[0])
-    for rows in _row_blocks(th.shape[0], th.shape[1], _OUTPUT_BLOCK_FLOATS):
-        z = np.exp(1j * th[rows]).mean(axis=1)
-        r[rows] = np.abs(z)
-        phi[rows] = np.where(r[rows] > R_UNDEFINED_BELOW, np.angle(z), np.nan)
-    pots = potential(th, config.kappa, config.omega)
-    if config.model.kind is ModelKind.CLASSICAL:
-        en = np.full(th.shape[0], np.nan)
-    else:
-        en = np.empty(vd.shape[0])
-        for rows in _row_blocks(vd.shape[0], vd.shape[1], _OUTPUT_BLOCK_FLOATS):
+    m, n = th.shape
+    r, phi, en = np.empty(m), np.empty(m), np.full(m, np.nan)
+    bounded = config.model.kind is not ModelKind.CLASSICAL
+    for rows in _row_blocks(m, n, _OUTPUT_BLOCK_FLOATS):
+        r[rows], phi[rows] = _order_rows(th[rows])
+        if bounded:
             en[rows] = energy(config.model, vd[rows])
     return DiagnosticsSeries(
         times=trajectory.times,
-        phase_diameter=pd,
-        frequency_diameter=fd,
+        phase_diameter=np.ptp(th, axis=1),
+        frequency_diameter=np.ptp(vd, axis=1),
         order_r=r,
         order_phi=phi,
-        potential=pots,
+        potential=potential(th, config.kappa, config.omega),
         energy=en,
         omega_diameter=float(np.ptp(config.omega)),
     )

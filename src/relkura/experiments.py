@@ -14,9 +14,13 @@ There is one runner per CLI scenario (``run_simulate``,
 ``run_four_model_comparison``, ``run_rate_vs_c``, ``run_limit_scaling``,
 ``run_sync_predicates``, ``run_rcs_crosscheck``, ``run_admissibility``),
 and its signature is the only place that scenario's defaults are
-written.  Given ``out_dir``, a runner writes its CSVs through ``_emit``
-and its report through ``_report``; the diagnostics series it writes
-are taken, and written, a block of recorded rows at a time.
+written.  Drawn natural frequencies come from ``FREQ_INTERVAL``;
+``sample_protocol_ensemble`` and ``run_sync_predicates`` also take
+another ``freq_interval``, and the other runners draw from the constant
+alone (``run_rate_vs_c``'s homogeneous mode draws zeros).  Given
+``out_dir``, a runner writes its CSVs through ``_emit`` and its report
+through ``_report``; the diagnostics series it writes are taken, and
+written, a block of recorded rows at a time.
 
 Reports carry every checked predicate with its expected and observed
 values.  Each claim is built by ``_claim`` from its slack ``margin``,
@@ -83,6 +87,9 @@ __all__ = [
 # make_rng), but the recorded benchmark references pin this string.
 RNG_ALGORITHM = "philox4x32-10"
 
+# Interval of the natural-frequency draw of the reference protocol.
+FREQ_INTERVAL = (-0.15, 0.15)
+
 # Fit windows, pinned once and recorded in reports.  Homogeneous runs fit
 # the phase diameter strictly inside its linear regime; comparisons fit
 # the frequency diameter after the sorting transient.
@@ -126,7 +133,7 @@ def sample_protocol_ensemble(
     seed: int,
     n: int = 10,
     kappa: float = 1.0,
-    freq_interval: tuple[float, float] = (-0.15, 0.15),
+    freq_interval: tuple[float, float] = FREQ_INTERVAL,
     center_frequencies: bool = False,
     omega=None,
 ):
@@ -372,7 +379,6 @@ def run_four_model_comparison(
     dt: float = 0.01,
     t_final: float = 20.0,
     record_every: int = 1,
-    freq_interval: tuple[float, float] = (-0.15, 0.15),
     out_dir=None,
 ) -> ExperimentReport:
     """Run all four kinds from shared initial data and compare decay rates.
@@ -386,9 +392,7 @@ def run_four_model_comparison(
     reported, flagged ``decay_rates_meaningful: false``, and nothing is
     asserted.
     """
-    theta0, omega, tstar = sample_protocol_ensemble(
-        seed, n=n, kappa=kappa, freq_interval=freq_interval
-    )
+    theta0, omega, tstar = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     models = [classical(), relativistic(c), proper_velocity(c), rapidity(c)]
     configs = [SystemConfig(n, kappa, omega, m, dt, t_final, record_every) for m in models]
     trajs = simulate_batch(configs, theta0)
@@ -435,7 +439,7 @@ def run_four_model_comparison(
         "snapshots": snapshots,
     })
     config = _config_echo(relativistic(c), n, kappa, dt, t_final, record_every,
-                          freq_interval=list(freq_interval), kinds=[m.kind.value for m in models])
+                          freq_interval=list(FREQ_INTERVAL), kinds=[m.kind.value for m in models])
     return _report(out_dir, "compare", seed, config, results, predicates, files)
 
 
@@ -448,7 +452,6 @@ def run_rate_vs_c(
     dt: float = 0.01,
     t_final: float = 40.0,
     record_every: int = 1,
-    freq_interval: tuple[float, float] = (-0.15, 0.15),
     out_dir=None,
 ) -> ExperimentReport:
     """Sweep the velocity bound for the full relativistic kind.
@@ -461,7 +464,7 @@ def run_rate_vs_c(
     terminal diameters and a transient fit flagged qualitative.
     """
     c_values = _velocity_bounds(c_values)
-    interval = (0.0, 0.0) if homogeneous else freq_interval
+    interval = (0.0, 0.0) if homogeneous else FREQ_INTERVAL
     theta0, omega, tstar = sample_protocol_ensemble(
         seed, n=n, kappa=kappa, freq_interval=interval
     )
@@ -542,7 +545,6 @@ def run_limit_scaling(
     dt: float = 0.01,
     record_every: int = 1,
     regimes: tuple[str, ...] = ("heterogeneous", "identical", "zero"),
-    freq_interval: tuple[float, float] = (-0.15, 0.15),
     checkpoint_times: tuple[float, ...] = (),
     out_dir=None,
 ) -> ExperimentReport:
@@ -552,10 +554,13 @@ def run_limit_scaling(
     kinds on identical grids and initial data, tracks the l1 phase
     discrepancy, and reports s(c) = sup over samples together with
     c**2 * s(c).  For consecutive doublings within ``c_values`` asserts
-    s(c)/s(2c) in [3, 5].  In the all-zero regime, where both flows stop,
-    c**2 * s(c) must also stay bounded in time: with at least two
-    checkpoint times the sup up to the last one may exceed the sup up to
-    the first by at most 5%.  The heterogeneous and identical-frequency
+    s(c)/s(2c) in [3, 5].  No ratio is formed where s(2c) = 0: the claim
+    is skipped if s(c) = 0 too (the flows coincide, as in the zero regime
+    at n = 1) and fails with ``ratio: null`` otherwise, and the row of c
+    says which under ``doubling``.  In the all-zero regime, where both
+    flows stop, c**2 * s(c) must also stay bounded in time: with at least
+    two checkpoint times the sup up to the last one may exceed the sup up
+    to the first by at most 5%.  The heterogeneous and identical-frequency
     regimes carry no boundedness assertion (their discrepancy drifts).
     ``regimes`` must name at least one regime and none twice, and no
     checkpoint may lie past ``t_final``.
@@ -567,9 +572,7 @@ def run_limit_scaling(
     checkpoints = tuple(float(t) for t in checkpoint_times)
     if any(t > t_final for t in checkpoints):
         raise DomainError("checkpoint_times must not lie past t_final")
-    theta0, omega_het, _ = sample_protocol_ensemble(
-        seed, n=n, kappa=kappa, freq_interval=freq_interval
-    )
+    theta0, omega_het, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     frequency_choices = {
         "heterogeneous": omega_het,
         "identical": np.full(n, LIMIT_IDENTICAL_VALUE),
@@ -604,12 +607,21 @@ def run_limit_scaling(
         for low, high in zip(rows, rows[1:]):
             if not math.isclose(high["c"], 2.0 * low["c"], rel_tol=1e-12):
                 continue
+            name = f"{regime}-scaling-c{low['c']:g}-to-c{high['c']:g}"
+            observed = {"s_c": low["sup_l1"], "s_2c": high["sup_l1"]}
+            if high["sup_l1"] == 0.0:
+                # no ratio: equal flows (nothing to scale) or a gap that
+                # vanishes only at 2c, which no 1/c**2 law gives
+                if low["sup_l1"] == 0.0:
+                    low["doubling"] = "skipped: s(c) = s(2c) = 0, the flows coincide"
+                    continue
+                low["doubling"] = "failed: s(2c) = 0 < s(c), no ratio"
+                predicates.append(PredicateOutcome(name, "s(c)/s(2c) in [3, 5]",
+                                                   {**observed, "ratio": None}, False))
+                continue
             ratio = low["sup_l1"] / high["sup_l1"]
-            predicates.append(_claim(
-                f"{regime}-scaling-c{low['c']:g}-to-c{high['c']:g}", "s(c)/s(2c) in [3, 5]",
-                {"s_c": low["sup_l1"], "s_2c": high["sup_l1"], "ratio": ratio},
-                float(min(ratio - 3.0, 5.0 - ratio)),
-            ))
+            predicates.append(_claim(name, "s(c)/s(2c) in [3, 5]", {**observed, "ratio": ratio},
+                                     float(min(ratio - 3.0, 5.0 - ratio))))
         if regime == "zero" and len(checkpoints) >= 2:
             for row in rows:
                 stamps = sorted(row["checkpoints"], key=float)
@@ -642,7 +654,7 @@ def run_sync_predicates(
     t_final: float = 50.0,
     record_every: int = 1,
     omega=None,
-    freq_interval: tuple[float, float] = (-0.15, 0.15),
+    freq_interval: tuple[float, float] = FREQ_INTERVAL,
     out_dir=None,
 ) -> ExperimentReport:
     """Check the synchronization guarantees on one seeded run.
@@ -744,7 +756,6 @@ def run_rcs_crosscheck(
     dt: float = 1e-3,
     t_final: float = 10.0,
     record_every: int = 10,
-    freq_interval: tuple[float, float] = (-0.15, 0.15),
     out_dir=None,
 ) -> ExperimentReport:
     """Cross-validate the first-order and momentum integrators.
@@ -755,9 +766,7 @@ def run_rcs_crosscheck(
     max norm and that the momentum form conserves its induced
     frequencies.
     """
-    theta0, omega, _ = sample_protocol_ensemble(
-        seed, n=n, kappa=kappa, freq_interval=freq_interval
-    )
+    theta0, omega, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     model = relativistic(c)
     config = SystemConfig(n, kappa, omega, model, dt, t_final, record_every)
     thetadot0 = model.velocity(omega + coupling(config, theta0))

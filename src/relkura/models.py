@@ -48,6 +48,12 @@ Numerical notes baked into this module:
   even/odd in floating point.
 * The proper-velocity inverse is ``c*y/hypot(y, c)``, which cannot
   overflow for any finite drive.
+* The slopes are taken in u = w/c where an unscaled power of c would
+  overflow (huge bounds), and they and the full response are taken in u
+  where a power of the span (c - w) * (c + w) could underflow (tiny
+  bounds), so they stay accurate, or read 0 or inf where the value
+  does, for every bound from 1e-300 to 1e300.  The Newton solve keeps
+  its unscaled forms.
 * All evaluators accept scalars or numpy arrays, return the same shape,
   and are pure functions of immutable state.
 """
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +155,23 @@ def _prepared_bounds(c: float) -> tuple:
     return tuple(np.array(v) for v in (c, c_cubed, c * c, np.nextafter(c, 0.0)))
 
 
+# span = (c - w) * (c + w) is at least about c*c*eps for |w| < c.  Where a
+# power of that span (or c*c itself) can fall below the smallest normal
+# float, the unscaled forms lose digits, or divide by 0, so the forward
+# response and the slopes are taken in u = w/c there.
+_SPAN_FLOOR_PER_C_SQ = sys.float_info.epsilon
+_SMALLEST_NORMAL = sys.float_info.min
+# the power of the span each unscaled slope divides by (the full kind's
+# also divides by span**1.5)
+_SLOPE_SPAN_POWER = {ModelKind.RAPIDITY: 1.0, ModelKind.PROPER_VELOCITY: 1.5,
+                     ModelKind.RELATIVISTIC: 2.0}
+
+
+def _span_underflows(c_sq, power: float) -> bool:
+    """Whether span**power can fall below the normal floats for some |w| < c."""
+    return bool((c_sq * _SPAN_FLOOR_PER_C_SQ) ** power < _SMALLEST_NORMAL)
+
+
 def _lorentz(w: np.ndarray, c) -> np.ndarray:
     u = w / c
     return _ONE / np.sqrt((_ONE - u) * (_ONE + u))
@@ -164,12 +188,25 @@ def _full_momentum_slope(w: np.ndarray, c, c_sq, c_cubed) -> np.ndarray:
     return c_cubed / span**1.5 + (c_sq + w * w) / (span * span)
 
 
+def _scaled_full_momentum(w: np.ndarray, c) -> np.ndarray:
+    """The full response w*g + (u*g)*(g/c), u = w/c, for a tiny bound.
+
+    No power of c is formed, so the result overflows only where the
+    response does.
+    """
+    g = _lorentz(w, c)
+    with np.errstate(over="ignore"):
+        return w * g + (w / c) * g * (g / c)
+
+
 def _scaled_momentum_slope(kind: ModelKind, w: np.ndarray, c) -> np.ndarray:
-    """F'(w) in u = w/c, for a bound whose c**3 (c*c for rapidity) overflows.
+    """F'(w) in u = w/c, for a bound where the unscaled slope over- or underflows.
 
     With s = (1 - u) * (1 + u) the slope is 1/s (rapidity), s**-1.5
     (proper velocity) and s**-1.5 + (1 + u**2) / (c**2 s**2) (full kind),
-    whose last term is taken divided by c twice and underflows harmlessly.
+    whose last term is taken divided by c twice: it underflows harmlessly
+    for a huge bound and, for a tiny one, overflows only where the slope
+    does.
     """
     u = w / c
     s = (_ONE - u) * (_ONE + u)
@@ -177,7 +214,8 @@ def _scaled_momentum_slope(kind: ModelKind, w: np.ndarray, c) -> np.ndarray:
         return _ONE / s
     slope = s**-1.5
     if kind is ModelKind.RELATIVISTIC:
-        slope = slope + (_ONE + u * u) / (s * s) / c / c
+        with np.errstate(over="ignore"):
+            slope = slope + (_ONE + u * u) / (s * s) / c / c
     return slope
 
 
@@ -324,6 +362,8 @@ class FrequencyResponse:
             return c * np.arctanh(w / c)
         if kind is ModelKind.PROPER_VELOCITY:
             return w * _lorentz(w, c)
+        if _span_underflows(c_sq, 1.0):  # gamma / c_sq loses digits or overflows
+            return _scaled_full_momentum(w, c)
         return _full_momentum(w, c, c_sq)
 
     def _momentum_slope_unchecked(self, w: np.ndarray) -> np.ndarray:
@@ -331,7 +371,8 @@ class FrequencyResponse:
         if kind is ModelKind.CLASSICAL:
             return np.ones_like(w)
         c, c_cubed, c_sq, _ = self._bounds
-        if np.isinf(c_sq if kind is ModelKind.RAPIDITY else c_cubed):
+        if np.isinf(c_sq if kind is ModelKind.RAPIDITY else c_cubed) or _span_underflows(
+                c_sq, _SLOPE_SPAN_POWER[kind]):
             return _scaled_momentum_slope(kind, w, c)
         span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
         if kind is ModelKind.RAPIDITY:

@@ -314,6 +314,32 @@ def test_main_runs_when_frequency_spread_is_not_below_kappa(tmp_path, capsys, sc
         assert payload["predicates"] == []
 
 
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_every_scenario_at_one_oscillator_exits_with_a_documented_code(tmp_path, capsys,
+                                                                       scenario):
+    # a lone oscillator feels no coupling; limit's zero regime then has
+    # s(c) = s(2c) = 0, which used to end in a ZeroDivisionError
+    code = main(["--scenario", scenario, "--n", "1", "--t-final", "0.5",
+                 "--out", str(tmp_path)])
+    assert code in (0, 1, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    if scenario == "limit":
+        assert code == 0
+
+
+@pytest.mark.parametrize("scenario", ["simulate", "sync-check", "rcs-check"])
+def test_main_at_a_tiny_bound_runs_without_numpy_warnings(tmp_path, capsys, scenario):
+    # c * c and c**3 underflow at c = 1e-300; a RuntimeWarning fails the test
+    # (pyproject's filterwarnings), and the energies used to be written as nan
+    code = main(["--scenario", scenario, "--model", "relativistic", "--c", "1e-300",
+                 "--n", "3", "--t-final", "0.05", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    energies = np.loadtxt(next(tmp_path.glob("diagnostics_*.csv")), delimiter=",",
+                          skiprows=1)[:, -1]
+    assert np.all(np.isfinite(energies))
+
+
 def test_main_reports_a_zero_lock_angle_as_zero(tmp_path):
     # identical frequencies lock at theta* = asin(0) = 0, a real angle
     cfg = tmp_path / "sync.json"

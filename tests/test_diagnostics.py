@@ -32,7 +32,7 @@ from relkura import (
     theta_star,
     write_diagnostics_csv,
 )
-from relkura.dynamics import _shifted_phasors
+from relkura.dynamics import Trajectory, _shifted_phasors
 from relkura.errors import DegenerateFitError, DomainError, UnsupportedModelError
 
 # 50-digit references
@@ -204,6 +204,27 @@ def test_energy_for_huge_bounds_matches_mpmath(make, c):
     assert energy(model, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+@pytest.mark.parametrize("c", [1e-100, 1e-160, 1e-200, 1e-300])
+def test_energy_for_tiny_bounds_matches_mpmath(make, c):
+    # unscaled, span = (c - w) * (c + w) underflows below c ~ 1.49e-154 (NaN
+    # from 0 / 0); below 1e-146 the terms are taken scaled.  The full kind's
+    # energy is O(1) in w / c; the other two are O(c**2) and underflow to 0
+    # below c ~ 1e-162
+    model = make(c)
+    speeds = c * np.array([0.5, -0.99, 1e-8])
+    assert np.array_equal(energy(model, np.stack([speeds, speeds])), [energy(model, speeds)] * 2)
+    for w in speeds:
+        want = _energy_reference_small_ratio(model.kind.value, w, c)
+        value = energy(model, [w])
+        if want < 2.0**-1075:
+            assert value == 0.0, w
+        else:
+            # a subnormal value keeps the absolute spacing 2**-1074 only
+            assert abs(mpmath.mpf(value) - want) <= max(1e-10 * want, 2.0**-1074), (w, value)
+    assert energy(model, 0.0) == 0.0
+
+
 def test_energy_rejects_classical_and_superluminal():
     with pytest.raises(UnsupportedModelError):
         energy(classical(), [0.5])
@@ -356,6 +377,27 @@ def test_compute_diagnostics_matches_pointwise_observables(small_run):
             potential(th, cfg.kappa, cfg.omega), rel=1e-13)
         assert series.energy[k] == pytest.approx(
             energy(cfg.model, traj.theta_dots[k]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000])
+def test_compute_diagnostics_order_series_equals_order_parameter_per_row(n):
+    # one rule for r, phi and the R_UNDEFINED_BELOW cut; row 0 is balanced
+    # (no mean phase) at even n
+    rows = 2 if n == 1000 else 300
+    rng = np.random.default_rng(n)
+    thetas = rng.uniform(-math.pi, math.pi, size=(rows, n))
+    thetas[0, : n - n % 2] = np.repeat([0.25, 0.25 + math.pi], n // 2)
+    cfg = SystemConfig(n, 1.0, np.zeros(n), classical(), 0.01, 1.0)
+    traj = Trajectory(cfg, np.arange(rows, dtype=float), thetas, np.zeros((rows, n)))
+    series = compute_diagnostics(cfg, traj)
+    for k in range(rows):
+        op = order_parameter(thetas[k])
+        assert series.order_r[k] == op.r
+        if op.phi is None:
+            assert math.isnan(series.order_phi[k])
+        else:
+            assert series.order_phi[k] == op.phi
+    assert math.isnan(series.order_phi[0]) == (n % 2 == 0)
 
 
 def test_compute_diagnostics_order_and_potential_equal_whole_array_formulas():

@@ -207,6 +207,35 @@ def test_limit_scaling_skips_non_doubling_pairs():
     assert report.predicates == []
 
 
+def test_limit_scaling_forms_no_ratio_when_the_flows_coincide():
+    # one oscillator feels no coupling: in the zero regime both flows stay at
+    # theta0, so s(c) = s(2c) = 0 and the doubling claims are skipped
+    report = run_limit_scaling(0, n=1, t_final=0.5)
+    names = [p.name for p in report.predicates]
+    assert names == [f"{regime}-scaling-c{a}-to-c{b}" for regime in ("heterogeneous", "identical")
+                     for a, b in ((5, 10), (10, 20))]
+    assert report.passed
+    zero = report.results["tables"]["zero"]
+    assert [row["sup_l1"] for row in zero] == [0.0, 0.0, 0.0]
+    assert [row.get("doubling") for row in zero] == [
+        "skipped: s(c) = s(2c) = 0, the flows coincide"] * 2 + [None]
+
+
+def test_limit_scaling_fails_a_doubling_whose_gap_vanishes_only_at_2c():
+    # at c = 1e8 this run rounds to the classical flow, at c = 5e7 it does not
+    report = run_limit_scaling(0, c_values=(5e7, 1e8), t_final=1.0, n=3,
+                               regimes=("heterogeneous",))
+    (outcome,) = report.predicates
+    assert not outcome.passed
+    assert outcome.margin is None
+    assert outcome.observed["s_c"] > 0.0
+    assert outcome.observed["s_2c"] == 0.0
+    assert outcome.observed["ratio"] is None
+    row = report.results["tables"]["heterogeneous"][0]
+    assert row["doubling"] == "failed: s(2c) = 0 < s(c), no ratio"
+    assert '"ratio": null' in report.to_json()
+
+
 def test_limit_scaling_validates_inputs():
     with pytest.raises(DomainError):
         run_limit_scaling(11, c_values=(5.0, 4.0))

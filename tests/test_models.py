@@ -6,6 +6,7 @@ high-precision root find, not from the library's own Newton solve.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -239,6 +240,51 @@ def test_slopes_for_huge_bounds_match_mpmath(c):
         got = full.velocity_slope(y)
         assert abs(mpmath.mpf(got) - want) <= 1e-10 * want, y
         assert full.min_velocity_slope(-abs(y), 0.5) == got
+
+
+def _momentum_reference(kind: str, w: float, c: float):
+    """F(w) at 50 digits in u = w / c."""
+    with mpmath.workdps(50):
+        w, c = mpmath.mpf(w), mpmath.mpf(c)
+        u = w / c
+        if kind == "rapidity":
+            return c * mpmath.atanh(u)
+        gamma = 1 / mpmath.sqrt(1 - u * u)
+        if kind == "proper-velocity":
+            return w * gamma
+        return w * gamma * (1 + gamma / (c * c))
+
+
+def _assert_matches_or_leaves_the_floats(got: float, want) -> None:
+    """got within 1e-10 relative of want, or +-inf or 0.0 where want over- or underflows."""
+    if abs(want) > sys.float_info.max:
+        assert got == math.copysign(math.inf, want)
+    elif abs(want) < 2.0**-1075:
+        assert got == 0.0
+    else:
+        assert abs(mpmath.mpf(got) - want) <= 1e-10 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e-160, 1e-200, 1e-300])
+def test_slopes_for_tiny_bounds_match_mpmath(c):
+    # next to the bound the full kind's span**2 can underflow below
+    # c ~ 8.2e-70, the proper-velocity span**1.5 below ~1.9e-95 and the span
+    # itself below ~1e-146; there the slopes and the full response take u
+    for model in bounded_triple(c):
+        for w in (0.5 * c, -0.99 * c, 1e-8 * c):
+            _assert_matches_or_leaves_the_floats(
+                model.momentum_slope(w), _momentum_slope_reference(model.kind.value, w, c))
+            _assert_matches_or_leaves_the_floats(
+                model.momentum(w), _momentum_reference(model.kind.value, w, c))
+    full = relativistic(c)
+    for w in (0.5 * c, -0.99 * c):
+        y = full.momentum(w)
+        got = full.velocity_slope(y)
+        # 1/F'(G(y)): the slope is exact, G carries the solve's small-bound error
+        assert got == 1.0 / full.momentum_slope(full.velocity(y))
+        assert full.min_velocity_slope(-abs(y), 0.0) == got
+        if c < 1e-154:
+            assert got == 0.0  # F' overflows, and 1/F' is below 1e-300
 
 
 @st.composite
