@@ -21,14 +21,15 @@ Conventions that matter for downstream analysis:
   same (dt, t_final, record_every).
 * Several first-order systems on one grid integrate as one (B, n) state
   (``simulate_batch``; ``simulate`` is a batch of one): one coupling sum
-  for the batch per RK4 stage and one velocity call per model kind.  The
-  full kind's Newton solve stops each row on its own convergence test,
-  so every system gets exactly the floats a run of it alone gives.
+  for the batch per RK4 stage and one velocity call per run of adjacent
+  rows of one model kind.  The full kind's Newton solve stops each row on
+  its own convergence test, so every system gets exactly the floats a run
+  of it alone gives.
 * The two forms of one system integrate as one stacked (3, n) state
   (theta_m, p, theta_f) (``simulate_both_forms``; ``simulate_momentum``
   is its momentum half): each RK4 stage inverts the momenta p and the
-  first-order drives in one velocity call on two stacked rows, and the
-  per-row stop test gives each form the floats a run of it alone gives.
+  first-order drives in one velocity call on two rows, and the per-row
+  stop test gives each form the floats a run of it alone gives.
   Only the ODE each form integrates is its own.
 * Each recorded state keeps the velocity the integrator computed there:
   the first RK4 stage of the step that starts from it, or one more
@@ -64,17 +65,21 @@ Conventions that matter for downstream analysis:
   their rates, M rows each.
 * Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
   the bytes ``np.savetxt`` writes at ``%.16e``, formatting one block of
-  ``_OUTPUT_BLOCK_FLOATS`` floats (8 KiB) at a time without stacking the
-  table.  The digits come from an error-bounded double-double scaling
-  in numpy arithmetic (``_format_rows``), and Python's ``%`` formats
-  every value that the bound cannot settle.  A run of more steps than
-  numpy's index range holds raises MemoryError before its first step.
+  at most ``_OUTPUT_BLOCK_FLOATS`` floats (8 KiB), or one wider row, at
+  a time without stacking the table: from n = 512 a trajectory row (2n +
+  1 floats) is formatted whole, so the writer's temporaries grow with n.
+  The digits come from an error-bounded double-double scaling in numpy
+  arithmetic (``_format_rows``), and Python's ``%`` formats every value
+  that the bound cannot settle.  A run of more steps than numpy's index
+  range holds raises MemoryError before its first step.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +122,9 @@ class SystemConfig:
         om = np.array(self.omega, dtype=float).reshape(-1)
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.n, self.record_every)):
+            raise ValueError("n and record_every must be integers")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if om.shape != (self.n,):
@@ -358,30 +366,26 @@ def _batch_phases(configs: list[SystemConfig], theta0) -> np.ndarray:
     return th
 
 
-def _kind_groups(configs: list[SystemConfig]) -> list[tuple[np.ndarray, FrequencyResponse]]:
-    """(rows, stacked response) for each model kind in the batch."""
-    rows: dict = {}
-    for b, config in enumerate(configs):
-        rows.setdefault(config.model.kind, []).append(b)
-    return [(np.array(idx), stack_rows([configs[b].model for b in idx]))
-            for idx in rows.values()]
+def _kind_groups(configs: list[SystemConfig]) -> list[tuple[slice, FrequencyResponse]]:
+    """(rows, stacked response) per run of adjacent rows of one kind, as a slice (a view)."""
+    groups, start = [], 0
+    for _, run in itertools.groupby(configs, key=lambda config: config.model.kind):
+        models = [config.model for config in run]
+        groups.append((slice(start, start + len(models)), stack_rows(models)))
+        start += len(models)
+    return groups
 
 
 def _batch_rates(configs: list[SystemConfig]):
-    """Phase velocities of a (B, n) batch: one coupling sum, one velocity call per kind."""
-    if len(configs) == 1:
-        # one system runs the plain first-order form, which the batched one
-        # matches float for float, so single runs keep rhs and coupling
-        return lambda y: rhs(configs[0], y)
+    """Phase velocities of a (B, n) batch: one coupling sum, one velocity call per kind run."""
     omega = np.stack([config.omega for config in configs])
     scale = np.array([[config.kappa / config.n] for config in configs])
     groups = _kind_groups(configs)
 
     def rates(y):
-        drives = omega + scale * _sine_sums(y)
-        out = np.empty_like(drives)
+        out = omega + scale * _sine_sums(y)  # the drives, mapped in place run by run
         for rows, response in groups:
-            out[rows] = response.velocity(drives[rows])
+            out[rows] = response.velocity(out[rows])
         return out
 
     return rates
@@ -394,13 +398,14 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     one step plan and one recording grid; kappa, omega and the model may
     differ per row.  ``theta0`` is one (n,) row for every system or a
     (B, n) array.  Each step evaluates the coupling for the whole batch
-    and the velocities once per model kind, with the rows of a kind
-    stacked (``models.stack_rows``); every row gets the floats a run of
-    its config alone gives.  The recorded states stay in one (M, B, n)
-    array and each trajectory's ``thetas`` is a view into it.  If the
-    model evaluation fails mid-run the batch stops there and the error
-    propagates with the samples recorded so far attached, one partial
-    trajectory per system, as ``partial_trajectories``.
+    and the velocities once per run of adjacent rows of one model kind,
+    with the rows of a run stacked (``models.stack_rows``); each row is one system to that call,
+    so it gets the floats a run of its config alone gives.  The recorded
+    states stay in one (M, B, n) array and each trajectory's ``thetas``
+    is a view into it.  If the model evaluation fails mid-run the batch
+    stops there and the error propagates with the samples recorded so far
+    attached, one partial trajectory per system, as
+    ``partial_trajectories``.
     """
     configs = list(configs)
     if not configs:
@@ -420,9 +425,10 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
 def simulate(config: SystemConfig, theta0) -> Trajectory:
     """Integrate the first-order form from theta0 over the config time grid.
 
-    A batch of one (``simulate_batch``).  Records every ``record_every``-th
-    step plus the initial and final states; a mid-run model failure
-    carries the samples recorded so far as ``partial_trajectories``.
+    A batch of one, on the path of every batch (``simulate_batch``).
+    Records every ``record_every``-th step plus the initial and final
+    states; a mid-run model failure carries the samples recorded so far
+    as ``partial_trajectories``.
     """
     return simulate_batch([config], _check_initial_phases(config, theta0))[0]
 
@@ -465,16 +471,15 @@ def _both_forms_rates(config: SystemConfig, nu: np.ndarray):
     """Derivative of the stacked state y = (theta_m, p, theta_f), shape (3, n).
 
     One velocity call inverts the momenta p and the first-order drives
-    nu + coupling(theta_f) as two stacked rows, each with its own stop test.
+    nu + coupling(theta_f) as two rows, each its own system to the call.
     """
-    response = stack_rows([config.model, config.model])
     scale = config.kappa / config.n
 
     def rates(y):
         drives = np.empty((2, config.n))
         drives[0] = y[1]
         drives[1] = nu + scale * _sine_sums(y[2])
-        v = response.velocity(drives)
+        v = config.model.velocity(drives)
         # a fresh array per call: _rk4 holds k1 to k4 at once
         out = np.empty_like(y)
         out[0] = v[0]

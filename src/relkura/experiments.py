@@ -310,8 +310,8 @@ def _fit_asdict(fit) -> dict:
 
 def _velocity_bounds(c_values) -> tuple[float, ...]:
     c_values = tuple(float(c) for c in c_values)
-    if any(c <= 0 for c in c_values) or list(c_values) != sorted(c_values):
-        raise DomainError("c_values must be positive and ascending")
+    if not c_values or any(c <= 0 for c in c_values) or list(c_values) != sorted(c_values):
+        raise DomainError("c_values must be non-empty, positive and ascending")
     return c_values
 
 

@@ -21,10 +21,11 @@ closed-form proper-velocity inverse bounds the full inverse from above,
 which gives a finite bracket that never needs to be widened, so the
 bracket test alone rejects a non-finite Newton step, and a bisection
 midpoint is formed only in a round where some step falls back.
-``stack_rows`` stacks responses of one kind so that one ``velocity``
-call maps a batch of systems, one per row, each with its own bound and,
-for the full kind, its own stop test; rows that all share one bound
-solve on that scalar bound, still with one stop test per row.
+Every row of the last axis of a drive is one system: the full kind's
+solve stops each row on its own test, so a row gets the floats a call on
+it alone gives.  ``stack_rows`` stacks responses of one kind with
+distinct bounds so that one ``velocity`` call maps a batch of systems,
+one per row, each with its own bound.
 
 The Newton round works on a few rows of n = 10 drives, where its cost is
 numpy call overhead rather than arithmetic, so it is kept cheap without
@@ -297,9 +298,6 @@ class FrequencyResponse:
     kind: ModelKind
     c: float | None = None
 
-    # systems in one full-kind solve: 1, or B for a stacked response
-    _rows = 1
-
     def __post_init__(self):
         if self.kind is ModelKind.CLASSICAL:
             return
@@ -391,9 +389,11 @@ class FrequencyResponse:
         """Unique velocity whose drive equals ``drive``.
 
         Total on the reals for every kind; the result satisfies
-        |velocity| < velocity_bound strictly.  Raises DomainError for
-        non-finite input and ConvergenceError if the full-response solve
-        exhausts its iteration budget (not observed in practice).
+        |velocity| < velocity_bound strictly.  Each row of the last axis
+        is one system and gets the floats a call on it alone gives.  Raises
+        DomainError for non-finite input and ConvergenceError if the
+        full-response solve exhausts its iteration budget (not observed in
+        practice).
         """
         y, scalar = _prepare(drive)
         if np.count_nonzero(np.isfinite(y)) != y.size:
@@ -427,7 +427,8 @@ class FrequencyResponse:
         Equal to 1/F'(G(drive)); strictly positive, even in the drive,
         and maximal at zero.  At drive 0 this is 1 for the classical,
         proper-velocity and rapidity kinds and c**2/(c**2 + 1) for the
-        full relativistic kind (whose slope at rest is 1 + 1/c**2).
+        full relativistic kind (whose slope at rest is 1 + 1/c**2).  Rows
+        of the last axis are systems, as for ``velocity``.
         """
         y, scalar = _prepare(drive)
         if np.count_nonzero(np.isfinite(y)) != y.size:
@@ -452,11 +453,12 @@ class FrequencyResponse:
         """Full-response inverse through ``_solve_full``.
 
         Works on |y| and restores the sign afterwards, which makes the
-        inverse exactly odd.  A plain response makes the whole input one
-        system with one stop test; a stacked one (see ``stack_rows``)
-        makes each row of a (B, m) input its own system.
+        inverse exactly odd.  Each row of the last axis is one system with
+        its own stop test, and a 0-d drive is one row of one entry.
         """
-        w = _solve_full(np.abs(y).reshape(self._rows, -1), *self._bounds)
+        if y.size == 0:  # no rows to solve, or rows of no entries
+            return y.copy()
+        w = _solve_full(np.abs(y).reshape(-1, y.shape[-1] if y.ndim else 1), *self._bounds)
         return np.sign(y) * w.reshape(y.shape)
 
     # ------------------------------------------------------------------
@@ -534,32 +536,22 @@ def rapidity(c: float) -> FrequencyResponse:
 def stack_rows(responses) -> FrequencyResponse:
     """One response that maps a (B, m) array of drives row by row.
 
-    Row b follows ``responses[b]``, which must all share one kind: the
-    stacked ``c`` is a (B, 1) column of their bounds, and the full kind's
-    solve stops each row on its own test, so ``velocity`` gives every row
-    the floats a call on its own response gives.  Rows that all share one
-    bound solve on its 0-d prepared bounds, which numpy broadcasts faster
-    than (B, 1) columns, still with one stop test per row.  A single
-    response, or classical ones (which have no bound), come back as they
-    are.  Only ``velocity`` is meant to be called on the stacked response.
+    Row b follows ``responses[b]``, which must all share one kind.  Every
+    response solves each row as its own system, so classical responses
+    (which have no bound) and ones that share a bound come back as the
+    first.  For distinct bounds the stacked ``c`` and prepared bounds are
+    (B, 1) columns of the rows' own, so ``velocity`` gives every row the
+    floats a call on its own response gives.  Only ``velocity`` is meant
+    to be called on the stacked response.
     """
     first = responses[0]
     if any(r.kind is not first.kind for r in responses):
         raise ValueError("stacked responses must share one kind")
-    if len(responses) == 1 or first.kind is ModelKind.CLASSICAL:
+    if first.kind is ModelKind.CLASSICAL or all(r.c == first.c for r in responses):
         return first
-    bounds = [r.c for r in responses]
-    column = np.array([[b] for b in bounds])
-    if all(b == first.c for b in bounds):
-        prepared = first._bounds
-    else:
-        # (B, 1) columns of the rows' own prepared bounds, so each row gets
-        # the floats of its own response
-        prepared = tuple(np.array([[v] for v in values])
-                         for values in zip(*(r._bounds for r in responses)))
     stacked = object.__new__(FrequencyResponse)
     object.__setattr__(stacked, "kind", first.kind)
-    object.__setattr__(stacked, "c", column)
-    object.__setattr__(stacked, "_bounds", prepared)
-    object.__setattr__(stacked, "_rows", len(responses))
+    object.__setattr__(stacked, "c", np.array([[r.c] for r in responses]))
+    object.__setattr__(stacked, "_bounds", tuple(
+        np.array([[v] for v in values]) for values in zip(*(r._bounds for r in responses))))
     return stacked

@@ -79,5 +79,15 @@ class ReferenceInverse:
 
 
 def reference_invert_full(response, y: np.ndarray) -> np.ndarray:
-    """``response._invert_full(y)`` through the reference solve."""
-    return ReferenceInverse(response.c)._invert_full(y)
+    """``response._invert_full(y)`` through the reference solve.
+
+    Each row of the last axis is one system: a plain response's drive, of
+    any shape, solves as rows on a column of its bound, one stop test per
+    row, as a stacked one does.
+    """
+    c = response.c
+    if np.ndim(c) or not np.size(y):
+        return ReferenceInverse(c)._invert_full(y)
+    rows = np.reshape(y, (-1, np.shape(y)[-1] if np.ndim(y) else 1))
+    w = ReferenceInverse(np.full((len(rows), 1), c))._invert_full(rows)
+    return w.reshape(np.shape(y))

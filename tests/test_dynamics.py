@@ -62,6 +62,11 @@ def test_config_rejects_bad_values():
         ("t_final", 0.05),   # below dt
         ("t_final", math.inf),
         ("record_every", 0),
+        # non-integers used to fail later, in numpy or in write_csv
+        ("n", 3.0),
+        ("n", True),
+        ("record_every", 2.5),
+        ("record_every", True),
         ("omega", np.zeros(4)),
         ("omega", np.array([0.0, math.nan, 0.0])),
     ]:

@@ -168,6 +168,9 @@ def test_rate_vs_c_heterogeneous_is_qualitative():
 def test_rate_vs_c_rejects_unsorted_c():
     with pytest.raises(DomainError):
         run_rate_vs_c(7, c_values=(2.0, 1.0), t_final=6.0)
+    # an empty list used to end in an IndexError
+    with pytest.raises(DomainError):
+        run_rate_vs_c(0, c_values=())
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +242,8 @@ def test_limit_scaling_fails_a_doubling_whose_gap_vanishes_only_at_2c():
 def test_limit_scaling_validates_inputs():
     with pytest.raises(DomainError):
         run_limit_scaling(11, c_values=(5.0, 4.0))
+    with pytest.raises(DomainError):  # used to end in an IndexError
+        run_limit_scaling(0, c_values=())
     with pytest.raises(DomainError):
         run_limit_scaling(11, regimes=("warp",))
     # an empty or repeated regime list used to run nothing or a regime twice

@@ -354,17 +354,44 @@ def test_full_inverse_floats_match_the_reference_solve(arrangement, case):
     bounds, drives = case
     drives = np.array(drives)
     if arrangement == "plain":
-        # one system per call: one joint stop over all its entries
-        c = bounds[0]
-        for y in (drives[0], drives):
-            assert np.array_equal(relativistic(c).velocity(y),
-                                  ReferenceInverse(c)._invert_full(y))
+        # one system per row: a row alone, and every row with its own stop
+        model = relativistic(bounds[0])
+        for y in (drives[0], drives, np.stack([drives, drives[::-1]])):
+            assert np.array_equal(model.velocity(y), reference_invert_full(model, y))
         return
     if arrangement == "shared":
         bounds = [bounds[0]] * len(bounds)
     got = stack_rows([relativistic(c) for c in bounds]).velocity(drives)
     want = ReferenceInverse(np.array([[c] for c in bounds]))._invert_full(drives)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [classical, *ALL_BOUNDED],
+                         ids=["classical", "relativistic", "proper_velocity", "rapidity"])
+@settings(deadline=None, derandomize=True, database=None, max_examples=50)
+@given(case=_bounds_and_drives())
+# drives that a joint stop over both rows would solve to other floats
+@example(case=([1.28, 1.28], [[1.0, 5e-324], [31.6, 1e300]]))
+@example(case=([1.0, 1.0], [[1.0, 0.0], [1e15, 1e6]]))
+def test_each_row_of_a_drive_is_its_own_system(make, case):
+    bounds, drives = case
+    model = classical() if make is classical else make(bounds[0])
+    rows = np.array(drives)
+    for y in (rows, np.stack([rows, rows[::-1]])):
+        for evaluate in (model.velocity, model.velocity_slope):
+            got = evaluate(y)
+            for index in np.ndindex(y.shape[:-1]):
+                # bytes, so -0.0 and 0.0 differ
+                assert np.asarray(evaluate(y[index])).tobytes() == got[index].tobytes()
+
+
+@pytest.mark.parametrize("make", [classical, *ALL_BOUNDED],
+                         ids=["classical", "relativistic", "proper_velocity", "rapidity"])
+def test_empty_drives_give_empty_velocities(make):
+    model = classical() if make is classical else make(1.0)
+    for shape in ((0,), (0, 3), (2, 0), (2, 0, 3)):
+        assert model.velocity(np.zeros(shape)).shape == shape
+        assert model.velocity_slope(np.zeros(shape)).shape == shape
 
 
 def _assert_reference_bits(response, drives):
@@ -636,5 +663,7 @@ def test_stack_rows_passes_single_and_classical_responses_through():
     assert stack_rows([single]) is single
     both = [classical(), classical()]
     assert stack_rows(both) is both[0]
+    shared = [relativistic(2.0), relativistic(2.0)]
+    assert stack_rows(shared) is shared[0]
     with pytest.raises(ValueError):
         stack_rows([relativistic(1.0), rapidity(1.0)])
