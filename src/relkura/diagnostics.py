@@ -7,12 +7,17 @@ trajectory-level helpers evaluate the observables along a recorded run
 and export the series as plot-ready CSV, written a block of rows at a
 time with the bytes of ``np.savetxt`` at ``%.16e``.  Every series (the
 order parameter, the potential's phasor spread, the energy) is taken
-over ``_OUTPUT_BLOCK_FLOATS`` row blocks, each row reduced as in one
-pass over all rows, so no temporary outgrows a block and the floats do
-not depend on the blocking; only the potential's linear term
-``theta @ omega`` is one product over all rows.  The order parameter of
-a configuration and of each recorded row come from one rule
-(``_order_rows``), which also owns the ``R_UNDEFINED_BELOW`` cut.
+over ``_OUTPUT_BLOCK_FLOATS`` (4096-float) row blocks, each row reduced
+as in one pass over all rows, so the floats do not depend on the
+blocking and no temporary outgrows a block, or one row where a row is
+wider (n > 4096); only the potential's linear term ``theta @ omega`` is
+one product over all rows.  The potential's phasor spread keeps
+cos(x) - 1 as -2 sin(x/2)**2 (``_shifted_phasors``), since its
+deviations from the mean are the digits it reports; the coupling's O(n)
+sums in ``dynamics`` take plain cos(x), which they use whole.  The
+order parameter of a configuration and of each recorded row come from
+one rule (``_order_rows``), which also owns the ``R_UNDEFINED_BELOW``
+cut.
 
 The energy observable is the integral of w * F'(w) from 0 to |w_i| per
 oscillator, summed; each bounded kind has it in closed form:
@@ -22,10 +27,12 @@ They are evaluated through span = (c - w) * (c + w), with
 gamma - 1 = w**2 / (sqrt(span) * (c + sqrt(span))),
 gamma**2 - 1 = w**2 / span and ln(gamma) = log1p(gamma**2 - 1) / 2, so
 neither small speeds nor speeds next to the bound lose digits to
-cancellation.  Above c ~ 6.7e153, where these c**2-sized intermediates
-overflow, and below c ~ 1e-146, where the span can underflow, the terms
-are taken in u = w / c instead, with no factor c * c formed.  The
-classical kind has no finite velocity bound and no such energy.
+cancellation; where w * w is subnormal, gamma**2 - 1 is taken as
+u**2 / ((1 - u) * (1 + u)) with u = w / c instead.  Above c ~ 6.7e153,
+where these c**2-sized intermediates overflow, and below c ~ 1e-146,
+where the span can underflow, all terms are taken in u, with no factor
+c * c formed.  The classical kind has no finite velocity bound and no
+such energy.
 """
 
 from __future__ import annotations
@@ -41,11 +48,10 @@ from .dynamics import (
     SystemConfig,
     Trajectory,
     _row_blocks,
-    _shifted_phasors,
     _write_csv,
 )
 from .errors import DegenerateFitError, DomainError, UnsupportedModelError
-from .models import FrequencyResponse, ModelKind, _span_underflows
+from .models import _SMALLEST_NORMAL, FrequencyResponse, ModelKind, _span_underflows
 
 __all__ = [
     "OrderParameter",
@@ -119,6 +125,17 @@ def order_parameter(theta) -> OrderParameter:
         raise ValueError("order_parameter needs at least one phase")
     r, phi = _order_rows(th.reshape(-1))
     return OrderParameter(float(r), None if np.isnan(phi) else float(phi))
+
+
+def _shifted_phasors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(x) and cos(x) - 1 of x = theta minus each row's first phase.
+
+    Identical phases give exact zeros, large unwrapped phases cost no
+    digits, and cos(x) - 1, taken as -2 sin(x/2)**2, keeps its relative
+    precision near synchrony where 1 - cos(x) would be rounding noise.
+    """
+    shifted = theta - theta[..., :1]
+    return np.sin(shifted), -2.0 * np.sin(0.5 * shifted) ** 2
 
 
 def _phasor_spread(theta: np.ndarray) -> np.ndarray:
@@ -205,11 +222,17 @@ def energy(model: FrequencyResponse, theta_dot):
     else:
         span = (c - td) * (c + td)
         root = np.sqrt(span)
-        gamma_m1 = td * td / (root * (c + root))
-        gamma2_m1 = td * td / span
+        td_sq = td * td
+        gamma_m1 = td_sq / (root * (c + root))
         if model.kind is ModelKind.PROPER_VELOCITY:
             terms = c * c * gamma_m1
         else:
+            gamma2_m1 = td_sq / span
+            # where w * w is subnormal it has lost digits that (w / c)**2 keeps
+            tiny = td_sq < _SMALLEST_NORMAL
+            if tiny.any():
+                u = td[tiny] / c
+                gamma2_m1[tiny] = u * u / ((1.0 - u) * (1.0 + u))
             log_gamma = 0.5 * np.log1p(gamma2_m1)
             if model.kind is ModelKind.RAPIDITY:
                 terms = c * c * log_gamma
@@ -324,7 +347,7 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
     """Write ``t,diameter,freq_diameter,r,phi,potential,energy`` at 17 significant digits."""
     _write_csv(
         path,
-        "t,diameter,freq_diameter,r,phi,potential,energy",
+        ["t", "diameter", "freq_diameter", "r", "phi", "potential", "energy"],
         [
             series.times,
             series.phase_diameter,

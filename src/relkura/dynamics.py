@@ -65,13 +65,15 @@ Conventions that matter for downstream analysis:
   their rates, M rows each.
 * Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
   the bytes ``np.savetxt`` writes at ``%.16e``, formatting one block of
-  at most ``_OUTPUT_BLOCK_FLOATS`` floats (8 KiB), or one wider row, at
-  a time without stacking the table: from n = 512 a trajectory row (2n +
-  1 floats) is formatted whole, so the writer's temporaries grow with n.
+  at most ``_OUTPUT_BLOCK_FLOATS`` floats (32 KiB) at a time without
+  stacking the table or joining the header whole.  A row wider than a
+  block, a trajectory row (2n + 1 floats) from n = 2048, is formatted in
+  chunks of one block, so the writer's temporaries do not grow with n.
   The digits come from an error-bounded double-double scaling in numpy
   arithmetic (``_format_rows``), and Python's ``%`` formats every value
-  that the bound cannot settle.  A run of more steps than numpy's index
-  range holds raises MemoryError before its first step.
+  that the bound cannot settle; the ASCII bytes go to the file as they
+  are.  A run of more steps than numpy's index range holds raises
+  MemoryError before its first step.
 """
 
 from __future__ import annotations
@@ -198,12 +200,13 @@ PAIRWISE_MAX_N = 16
 _BLOCK_FLOATS = 1 << 16
 
 # Floats in one block of the output path: the CSV writer formats, and
-# ``compute_diagnostics`` takes the energy of, at most this many floats
-# of recorded rows per pass (8 KiB), and never fewer than one row.  Small
-# enough that the blocks' temporaries leave the peak RSS flat; a larger
-# block saves little, since one pass already costs far more than its
-# Python call.
-_OUTPUT_BLOCK_FLOATS = 1 << 10
+# ``compute_diagnostics`` takes every series of, at most this many floats
+# of recorded rows per pass (32 KiB).  A row wider than a block is
+# written in chunks of one block each; the series take such a row whole.
+# Large enough that a pass takes several rows of n = 1000, each pass
+# costing some 45 numpy calls, and small enough that the blocks'
+# temporaries leave the peak RSS flat.
+_OUTPUT_BLOCK_FLOATS = 1 << 12
 
 
 def _row_blocks(rows: int, row_floats: int, block_floats: int = _BLOCK_FLOATS):
@@ -216,26 +219,18 @@ def _row_blocks(rows: int, row_floats: int, block_floats: int = _BLOCK_FLOATS):
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def _shifted_phasors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin(x) and cos(x) - 1 of x = theta minus each row's first phase.
-
-    The O(n) sums work on these rather than on the raw phases: identical
-    phases give exact zeros, large unwrapped phases cost no digits, and
-    cos(x) - 1, taken as -2 sin(x/2)**2, keeps its relative precision
-    near synchrony where 1 - cos(x) would be rounding noise.
-    """
-    shifted = theta - theta[..., :1]
-    return np.sin(shifted), -2.0 * np.sin(0.5 * shifted) ** 2
-
-
 def _sine_sums(theta: np.ndarray) -> np.ndarray:
     """sum_j sin(theta_j - theta_i) along the last axis of a (..., n) array.
 
-    Above PAIRWISE_MAX_N this is c_i * S - s_i * C, with s, c the shifted
-    phasors of ``_shifted_phasors`` and S, C their sums.  At and below it
-    the sums are pairwise, over ``_row_blocks`` of the flattened leading
-    axes, so no temporary exceeds one block; each row is reduced as in
-    one pass over all rows, so the floats do not depend on the blocking.
+    Above PAIRWISE_MAX_N this is c_i * S - s_i * C, with s, c the sine
+    and cosine of x = theta minus each row's first phase and S, C their
+    sums: identical phases give exact zeros, and large unwrapped phases
+    cost no digits.  The cosine is taken directly, since c enters the
+    sums whole and a cos(x) - 1 form would lose its extra digits to the
+    1 added straight back.  At and below it the sums are pairwise, over
+    ``_row_blocks`` of the flattened leading axes, so no temporary
+    exceeds one block; each row is reduced as in one pass over all rows,
+    so the floats do not depend on the blocking.
     """
     n = theta.shape[-1]
     if n <= PAIRWISE_MAX_N:
@@ -248,8 +243,8 @@ def _sine_sums(theta: np.ndarray) -> np.ndarray:
             block = flat[rows]
             np.sin(block[:, None, :] - block[:, :, None]).sum(axis=-1, out=out[rows])
         return out.reshape(theta.shape)
-    s, cos_m1 = _shifted_phasors(theta)
-    c = 1.0 + cos_m1
+    shifted = theta - theta[..., :1]
+    s, c = np.sin(shifted), np.cos(shifted)
     return c * s.sum(axis=-1, keepdims=True) - s * c.sum(axis=-1, keepdims=True)
 
 
@@ -542,31 +537,40 @@ def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajec
 def write_trajectory_csv(traj, path) -> None:
     """Write ``t, theta_1..theta_n, thetadot_1..thetadot_n`` at 17 significant digits."""
     n = traj.config.n
-    header = ",".join(
-        ["t"]
-        + [f"theta_{i}" for i in range(1, n + 1)]
-        + [f"thetadot_{i}" for i in range(1, n + 1)]
-    )
-    _write_csv(path, header, [traj.times, traj.thetas, traj.theta_dots])
+    names = itertools.chain(["t"], (f"theta_{i}" for i in range(1, n + 1)),
+                            (f"thetadot_{i}" for i in range(1, n + 1)))
+    _write_csv(path, names, [traj.times, traj.thetas, traj.theta_dots])
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and the rows of ``columns`` side by side as CSV.
+def _write_csv(path, names, columns) -> None:
+    """Write the column ``names`` and the rows of ``columns`` side by side as CSV.
 
     ``columns`` are (M,) or (M, k) arrays.  The file holds exactly the
     bytes of ``np.savetxt(path, np.column_stack(columns), delimiter=",",
-    header=header, comments="", fmt="%.16e")``, but the table is never
-    stacked: each ``_row_blocks`` block of ``_OUTPUT_BLOCK_FLOATS`` is
+    header=",".join(names), comments="", fmt="%.16e")``, but neither the
+    table nor the header is built whole: the names are joined a block at
+    a time, and each ``_row_blocks`` block of ``_OUTPUT_BLOCK_FLOATS`` is
     gathered from slices of the columns and formatted by
-    ``_format_rows``.
+    ``_format_rows``.  A row wider than one block is gathered and
+    formatted in chunks of one block, with the newline after its last.
     """
     cols = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
-    width = sum(col.shape[1] for col in cols)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    edges = list(itertools.accumulate((col.shape[1] for col in cols), initial=0))
+    width = edges[-1]
+    chunks = [(start, min(start + _OUTPUT_BLOCK_FLOATS, width))
+              for start in range(0, width, _OUTPUT_BLOCK_FLOATS)]
+    names = iter(names)
+    with open(path, "wb") as fh:
+        fh.write(",".join(itertools.islice(names, _OUTPUT_BLOCK_FLOATS)).encode())
+        while batch := ",".join(itertools.islice(names, _OUTPUT_BLOCK_FLOATS)):
+            fh.write(b"," + batch.encode())
+        fh.write(b"\n")
         for rows in _row_blocks(cols[0].shape[0], width, _OUTPUT_BLOCK_FLOATS):
-            fh.write(_format_rows(np.concatenate([col[rows] for col in cols], axis=1,
-                                                 dtype=float)))
+            for start, stop in chunks:
+                block = np.concatenate([col[rows, max(start - lo, 0):stop - lo]
+                                        for col, lo, hi in zip(cols, edges, edges[1:])
+                                        if lo < stop and start < hi], axis=1, dtype=float)
+                fh.write(_format_rows(block, newline=stop == width))
 
 
 def _split(x):
@@ -657,12 +661,14 @@ def _significands(x: np.ndarray):
     return digits, exp10, exact
 
 
-def _format_rows(block: np.ndarray) -> str:
-    """The rows of a 2-D ``block`` as CSV lines, byte for byte ``"%.16e"``.
+def _format_rows(block: np.ndarray, newline: bool = True) -> bytes:
+    """The rows of a 2-D ``block`` as ASCII CSV lines, byte for byte ``"%.16e"``.
 
     Each value fills a 28-byte slot of space-padded ASCII, from the digit
     tables where ``_significands`` is exact and from one ``%`` call per
-    block elsewhere; dropping the spaces leaves the text.
+    block elsewhere; dropping the spaces leaves the text.  Without
+    ``newline`` every value, the last of each row included, ends in a
+    comma: the block is a leading chunk of longer rows.
     """
     x = block.ravel()
     digits, exp10, exact = _significands(x)
@@ -676,10 +682,11 @@ def _format_rows(block: np.ndarray) -> str:
     words[:, 1:5] = _DIGIT_WORDS[np.stack([fours, eights - fours * 10_000], axis=2).reshape(-1, 4)]
     words[:, 5] = _EXPONENT_WORDS[exp10 + 99]
     words[:, 6] = _COMMA_WORD
-    words[block.shape[1] - 1::block.shape[1], 6] = _NEWLINE_WORD
+    if newline:
+        words[block.shape[1] - 1::block.shape[1], 6] = _NEWLINE_WORD
     chars = words.view(np.uint8)
     slow = np.flatnonzero(~exact)
     if slow.size:
         text = ("%27.16e" * slow.size) % tuple(x[slow].tolist())
         chars[slow, :27] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 27)
-    return str(chars[chars != 32], "ascii")
+    return chars[chars != 32].tobytes()

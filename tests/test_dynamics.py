@@ -29,7 +29,7 @@ from relkura import (
     write_trajectory_csv,
 )
 from relkura.diagnostics import DiagnosticsSeries, write_diagnostics_csv
-from relkura.dynamics import Trajectory, _format_rows, _momentum_coupling
+from relkura.dynamics import Trajectory, _format_rows, _momentum_coupling, _write_csv
 from relkura.errors import DomainError
 from relkura.experiments import sample_protocol_ensemble
 
@@ -783,7 +783,7 @@ SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, -1e300, math.nan])
 
 @pytest.mark.parametrize("rows, n", [
     (1, 3),       # one row
-    (1001, 10),   # 48 rows per block, 1001 rows end mid-block
+    (1001, 10),   # 195 rows per block, 1001 rows end mid-block
     (4, 3000),    # a row of 6001 floats, wider than one block
 ])
 def test_trajectory_csv_bytes_equal_savetxt(tmp_path, rows, n):
@@ -813,9 +813,9 @@ def test_trajectory_csv_of_a_batch_view_equals_savetxt(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == want
 
 
-@pytest.mark.parametrize("rows", [1, 146, 147, 4001])
+@pytest.mark.parametrize("rows", [1, 146, 147, 585, 586, 4001])
 def test_diagnostics_csv_bytes_equal_savetxt(tmp_path, rows):
-    # 146 rows of 7 floats fill one block; the classical kind's energy is nan
+    # 585 rows of 7 floats fill one block; the classical kind's energy is nan
     rng = np.random.default_rng(rows)
     columns = [rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
                for _ in range(6)] + [np.full(rows, math.nan)]
@@ -825,6 +825,46 @@ def test_diagnostics_csv_bytes_equal_savetxt(tmp_path, rows):
     want = _savetxt_bytes(tmp_path / "want.csv", columns,
                           "t,diameter,freq_diameter,r,phi,potential,energy")
     assert (tmp_path / "got.csv").read_bytes() == want
+
+
+# Column widths whose rows outgrow one block B: one float past it, a
+# column ending on the chunk edge, a column spanning two chunk edges, and
+# a lone (M, 3B + 5) column.
+@pytest.mark.parametrize("widths", [
+    lambda b: (1, b),
+    lambda b: (1, b - 1, b),
+    lambda b: (2, 2 * b + 1, 3),
+    lambda b: (3 * b + 5,),
+], ids=["B+1", "2B", "2B+6", "3B+5"])
+def test_csv_rows_wider_than_a_block_equal_savetxt(tmp_path, widths):
+    widths = widths(dynamics._OUTPUT_BLOCK_FLOATS)
+    values = _adversarial_floats()
+    table = np.resize(values, (3, sum(widths)))
+    columns = np.split(table, np.cumsum(widths)[:-1], axis=1)
+    columns[0] = columns[0][:, 0] if widths[0] == 1 else columns[0]
+    names = [f"x{i}" for i in range(table.shape[1])]
+    _write_csv(tmp_path / "got.csv", names, columns)
+    want = _savetxt_bytes(tmp_path / "want.csv", [table], ",".join(names))
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def test_trajectory_writer_peak_does_not_grow_with_n(tmp_path):
+    n, rows = 10**4, 11
+    rng = np.random.default_rng(0)
+    cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.1, 1.0, 1)
+    traj = Trajectory(cfg, np.arange(rows) * 0.1, rng.normal(size=(rows, n)),
+                      rng.uniform(-0.9, 0.9, (rows, n)))
+    # formatting one block keeps about 20 arrays of its size live (digits,
+    # exponents, masks, ASCII words); a row of 2n + 1 floats spans five
+    # blocks, so formatting it whole would take about five times that
+    bound = 2 * 20 * 8 * dynamics._OUTPUT_BLOCK_FLOATS
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _percent_rows(block):
@@ -859,12 +899,12 @@ def _adversarial_floats():
 def test_format_rows_matches_percent_on_adversarial_floats(width):
     values = _adversarial_floats()
     table = np.resize(values, (-(-values.size // width), width))
-    for rows in dynamics._row_blocks(len(table), width, 1024):
-        assert _format_rows(table[rows]) == _percent_rows(table[rows])
+    for rows in dynamics._row_blocks(len(table), width, dynamics._OUTPUT_BLOCK_FLOATS):
+        assert _format_rows(table[rows]) == _percent_rows(table[rows]).encode("ascii")
 
 
 @settings(deadline=None, derandomize=True, database=None)
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40),
               elements=st.floats()))
 def test_format_rows_matches_percent_formatting(block):
-    assert _format_rows(block) == _percent_rows(block)
+    assert _format_rows(block) == _percent_rows(block).encode("ascii")
