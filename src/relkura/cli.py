@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -185,8 +186,8 @@ def _validate(cfg: RunConfig) -> None:
                                     f"not by {cfg.scenario}")
     if cfg.c_list is not None:
         values = _finite_list(cfg, "c_list")
-        if not values or any(v <= 0 for v in values) or values != sorted(values):
-            raise ConfigError("c_list", "must be non-empty, positive, ascending")
+        if not values or not all(a < b for a, b in itertools.pairwise((0.0, *values))):
+            raise ConfigError("c_list", "must be non-empty, positive, strictly ascending")
     if cfg.regimes is not None:
         allowed = ("heterogeneous", "identical", "zero")
         regimes = cfg.regimes

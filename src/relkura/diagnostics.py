@@ -7,8 +7,8 @@ trajectory-level helpers evaluate the observables along a recorded run
 and export the series as plot-ready CSV, written a block of rows at a
 time with the bytes of ``np.savetxt`` at ``%.16e``.  Every series (the
 order parameter, the potential's phasor spread, the energy) is taken
-over ``_OUTPUT_BLOCK_FLOATS`` (4096-float) row blocks, each row reduced
-as in one pass over all rows, so the floats do not depend on the
+over the 4096-float row blocks of ``dynamics._row_blocks``, each row
+reduced as in one pass over all rows, so the floats do not depend on the
 blocking and no temporary outgrows a block, or one row where a row is
 wider (n > 4096); only the potential's linear term ``theta @ omega`` is
 one product over all rows.  The potential's phasor spread keeps
@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    _OUTPUT_BLOCK_FLOATS,
-    SystemConfig,
-    Trajectory,
-    _row_blocks,
-    _write_csv,
-)
+from .dynamics import SystemConfig, Trajectory, _row_blocks, _write_csv
 from .errors import DegenerateFitError, DomainError, UnsupportedModelError
 from .models import _SMALLEST_NORMAL, FrequencyResponse, ModelKind, _span_underflows
 
@@ -144,14 +138,14 @@ def _phasor_spread(theta: np.ndarray) -> np.ndarray:
     Equal to n * (1 - r**2), i.e. sum_ij (1 - cos(theta_j - theta_i)) / n,
     in O(n).  The shifted phasors keep every term free of cancellation, so
     nearly synchronised rows, where n - n * r**2 is rounding noise, keep
-    full relative precision.  The rows are taken in ``_row_blocks`` of
-    ``_OUTPUT_BLOCK_FLOATS``, so no temporary outgrows one block; each row
-    is reduced as in one pass over all rows.
+    full relative precision.  The rows are taken in ``_row_blocks``, so no
+    temporary outgrows one block; each row is reduced as in one pass over
+    all rows.
     """
     n = theta.shape[-1]
     flat = theta.reshape(-1, n)
     out = np.empty(len(flat))
-    for rows in _row_blocks(len(flat), n, _OUTPUT_BLOCK_FLOATS):
+    for rows in _row_blocks(len(flat), n):
         sin_dev, cos_dev = _shifted_phasors(flat[rows])
         sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
         cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
@@ -318,16 +312,16 @@ def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> Diagnos
     """Every observable at every recorded row, taken over row blocks.
 
     The order parameter and the energy come from one pass over the
-    ``_OUTPUT_BLOCK_FLOATS`` blocks of recorded rows, and the potential's
-    phasor spread from its own pass over the same blocks; every row gets
-    the floats of a call on it alone.
+    ``_row_blocks`` of recorded rows, and the potential's phasor spread
+    from its own pass over the same blocks; every row gets the floats of
+    a call on it alone.
     """
     th = trajectory.thetas
     vd = trajectory.theta_dots
     m, n = th.shape
     r, phi, en = np.empty(m), np.empty(m), np.full(m, np.nan)
     bounded = config.model.kind is not ModelKind.CLASSICAL
-    for rows in _row_blocks(m, n, _OUTPUT_BLOCK_FLOATS):
+    for rows in _row_blocks(m, n):
         r[rows], phi[rows] = _order_rows(th[rows])
         if bounded:
             en[rows] = energy(config.model, vd[rows])

@@ -43,32 +43,28 @@ Conventions that matter for downstream analysis:
   carries the velocities evaluated at it, and NaN where they were not.
   ``simulate`` and ``simulate_momentum`` return one item of those
   integrators' results, so their errors carry the same attribute.
-* The all-to-all sine sums cost O(n) above ``PAIRWISE_MAX_N``
-  oscillators: Kuramoto's order-parameter identity rewrites
-  sum_j sin(theta_j - theta_i) as cos(theta_i) * S - sin(theta_i) * C
-  with S, C the sums of sin and cos over the ensemble, so no n x n array
-  is built.  At and below the threshold, which covers the paper's n = 10,
-  the explicit pairwise form is kept: it is faster there, and the decay
-  fits at that size reach a 1e-12 diameter floor where the identity's
-  different rounding would move the fitted rates by ~1e-7 relative.  The
-  momentum form's cosine-weighted coupling stays pairwise at every n.
-* Memory: no pairwise temporary of the sine sums or of the momentum
-  coupling exceeds one block of ``_BLOCK_FLOATS`` floats (512 KiB).  The
-  sums over the M recorded states (the momentum residuals) take the rows
-  in blocks and write into one preallocated output; an integrator
-  stage's state fits in one block and is summed in one pass.  The
-  momentum coupling of one state takes its n x n pairs a block of rows
-  at a time once n * n exceeds one block, and in one pass at and below
-  that, which covers the paper's n = 10.  Each row is reduced as in one
-  pass over all rows, so the floats do not depend on the blocking.  The
-  largest arrays of a run are its results: the recorded states and
-  their rates, M rows each.
+* The all-to-all sums cost O(n) above ``PAIRWISE_MAX_N`` oscillators:
+  Kuramoto's order-parameter identity rewrites sum_j sin(theta_j - theta_i)
+  as cos(theta_i) * S - sin(theta_i) * C with S, C the sums of sin and cos
+  over the ensemble, and the momentum form's cosine-weighted coupling
+  splits the same way, so no n x n array is built.  At and below the
+  threshold, which covers the paper's n = 10, the explicit pairwise forms
+  are kept: they are faster there, and the decay fits at that size reach a
+  1e-12 diameter floor where the identity's different rounding would move
+  the fitted rates by ~1e-7 relative.
+* Memory: one block of ``_BLOCK_FLOATS`` floats (32 KiB) bounds every
+  row-wise pass.  The pairwise sine sums over many rows (the momentum
+  residuals over the M recorded states) take the rows in blocks and write
+  into one preallocated output, so no pairwise temporary exceeds one
+  block; each row is reduced as in one pass over all rows, so the floats
+  do not depend on the blocking.  The largest arrays of a run are its
+  results: the recorded states and their rates, M rows each.
 * Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
   the bytes ``np.savetxt`` writes at ``%.16e``, formatting one block of
-  at most ``_OUTPUT_BLOCK_FLOATS`` floats (32 KiB) at a time without
-  stacking the table or joining the header whole.  A row wider than a
-  block, a trajectory row (2n + 1 floats) from n = 2048, is formatted in
-  chunks of one block, so the writer's temporaries do not grow with n.
+  at most ``_BLOCK_FLOATS`` floats at a time without stacking the table
+  or joining the header whole.  A row wider than a block, a trajectory
+  row (2n + 1 floats) from n = 2048, is formatted in chunks of one
+  block, so the writer's temporaries do not grow with n.
   The digits come from an error-bounded double-double scaling in numpy
   arithmetic (``_format_rows``), and Python's ``%`` formats every value
   that the bound cannot settle; the ASCII bytes go to the file as they
@@ -194,28 +190,22 @@ class MomentumTrajectory:
 # relative.  Must stay >= 10 so paper-size runs keep the pairwise rounding.
 PAIRWISE_MAX_N = 16
 
-# Floats in one pairwise temporary.  Pairwise passes over many rows take
-# them in blocks of consecutive rows whose temporaries hold at most this
-# many floats (512 KiB), and never fewer than one row.
-_BLOCK_FLOATS = 1 << 16
-
-# Floats in one block of the output path: the CSV writer formats, and
-# ``compute_diagnostics`` takes every series of, at most this many floats
-# of recorded rows per pass (32 KiB).  A row wider than a block is
-# written in chunks of one block each; the series take such a row whole.
-# Large enough that a pass takes several rows of n = 1000, each pass
-# costing some 45 numpy calls, and small enough that the blocks'
-# temporaries leave the peak RSS flat.
-_OUTPUT_BLOCK_FLOATS = 1 << 12
+# Floats in one block of a row-wise pass: the pairwise sine sums over many
+# rows, the CSV writer and every series of ``compute_diagnostics`` take
+# consecutive rows holding at most this many floats per pass (32 KiB), and
+# never fewer than one row.  Large enough that a pass takes several rows of
+# n = 1000, each pass costing some 45 numpy calls, and small enough that
+# the blocks' temporaries leave the peak RSS flat.
+_BLOCK_FLOATS = 1 << 12
 
 
-def _row_blocks(rows: int, row_floats: int, block_floats: int = _BLOCK_FLOATS):
+def _row_blocks(rows: int, row_floats: int):
     """Slices of consecutive rows covering range(rows), one block each.
 
     A block holds as many rows of ``row_floats`` floats each as fit in
-    ``block_floats``, and at least one.
+    ``_BLOCK_FLOATS``, and at least one.
     """
-    step = max(1, block_floats // row_floats)
+    step = max(1, _BLOCK_FLOATS // row_floats)
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
@@ -233,19 +223,17 @@ def _sine_sums(theta: np.ndarray) -> np.ndarray:
     so the floats do not depend on the blocking.
     """
     n = theta.shape[-1]
-    if n <= PAIRWISE_MAX_N:
-        if theta.size * n <= _BLOCK_FLOATS:  # all rows fit in one block
-            # [..., i, j] = theta_j - theta_i
-            return np.sin(theta[..., None, :] - theta[..., :, None]).sum(axis=-1)
-        flat = theta.reshape(-1, n)
-        out = np.empty(flat.shape)
-        for rows in _row_blocks(flat.shape[0], n * n):
-            block = flat[rows]
-            np.sin(block[:, None, :] - block[:, :, None]).sum(axis=-1, out=out[rows])
-        return out.reshape(theta.shape)
-    shifted = theta - theta[..., :1]
-    s, c = np.sin(shifted), np.cos(shifted)
-    return c * s.sum(axis=-1, keepdims=True) - s * c.sum(axis=-1, keepdims=True)
+    if n > PAIRWISE_MAX_N:
+        shifted = theta - theta[..., :1]
+        s, c = np.sin(shifted), np.cos(shifted)
+        return c * s.sum(axis=-1, keepdims=True) - s * c.sum(axis=-1, keepdims=True)
+    flat = theta.reshape(-1, n)
+    out = np.empty(flat.shape)
+    for rows in _row_blocks(len(flat), n * n):
+        block = flat[rows]
+        # [r, i, j] = theta_j - theta_i
+        np.sin(block[:, None, :] - block[:, :, None]).sum(axis=-1, out=out[rows])
+    return out.reshape(theta.shape)
 
 
 def coupling(config: SystemConfig, theta: np.ndarray) -> np.ndarray:
@@ -436,20 +424,22 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
 def _momentum_coupling(config, theta, v):
     """(kappa/n) * sum_j cos(theta_j - theta_i) * (v_j - v_i) for (n,) rows.
 
-    Pairwise at every n, over ``_row_blocks`` of i once the n x n
-    temporaries exceed one block; each row is summed as in one pass, so
-    the floats do not depend on the blocking.
+    Pairwise at and below ``PAIRWISE_MAX_N``, as the sine sums are.  Above
+    it the cosine of a difference splits into c_i * c_j + s_i * s_j, with
+    s, c the sine and cosine of x = theta - theta_0, so the sum is
+    c_i * (c . w) + s_i * (s . w) - w_i * (c_i * C + s_i * S) in O(n), with
+    w = v - v_0 and S, C the sums of s and c: large unwrapped phases cost
+    no digits, and equal velocities give exact zeros.
     """
     n = theta.shape[0]
-    if n * n <= _BLOCK_FLOATS:
+    if n <= PAIRWISE_MAX_N:
         diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
         rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
         return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
-    sums = np.empty(n)
-    for rows in _row_blocks(n, n):
-        (np.cos(theta[None, :] - theta[rows, None])
-         * (v[None, :] - v[rows, None])).sum(axis=1, out=sums[rows])
-    return (config.kappa / config.n) * sums
+    shifted, w = theta - theta[0], v - v[0]
+    s, c = np.sin(shifted), np.cos(shifted)
+    return (config.kappa / config.n) * (c * (c @ w) + s * (s @ w)
+                                        - w * (c * c.sum() + s * s.sum()))
 
 
 def _check_initial_velocities(config: SystemConfig, thetadot0) -> np.ndarray:
@@ -549,7 +539,7 @@ def _write_csv(path, names, columns) -> None:
     bytes of ``np.savetxt(path, np.column_stack(columns), delimiter=",",
     header=",".join(names), comments="", fmt="%.16e")``, but neither the
     table nor the header is built whole: the names are joined a block at
-    a time, and each ``_row_blocks`` block of ``_OUTPUT_BLOCK_FLOATS`` is
+    a time, and each ``_row_blocks`` block of ``_BLOCK_FLOATS`` is
     gathered from slices of the columns and formatted by
     ``_format_rows``.  A row wider than one block is gathered and
     formatted in chunks of one block, with the newline after its last.
@@ -557,15 +547,15 @@ def _write_csv(path, names, columns) -> None:
     cols = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
     edges = list(itertools.accumulate((col.shape[1] for col in cols), initial=0))
     width = edges[-1]
-    chunks = [(start, min(start + _OUTPUT_BLOCK_FLOATS, width))
-              for start in range(0, width, _OUTPUT_BLOCK_FLOATS)]
+    chunks = [(start, min(start + _BLOCK_FLOATS, width))
+              for start in range(0, width, _BLOCK_FLOATS)]
     names = iter(names)
     with open(path, "wb") as fh:
-        fh.write(",".join(itertools.islice(names, _OUTPUT_BLOCK_FLOATS)).encode())
-        while batch := ",".join(itertools.islice(names, _OUTPUT_BLOCK_FLOATS)):
+        fh.write(",".join(itertools.islice(names, _BLOCK_FLOATS)).encode())
+        while batch := ",".join(itertools.islice(names, _BLOCK_FLOATS)):
             fh.write(b"," + batch.encode())
         fh.write(b"\n")
-        for rows in _row_blocks(cols[0].shape[0], width, _OUTPUT_BLOCK_FLOATS):
+        for rows in _row_blocks(cols[0].shape[0], width):
             for start, stop in chunks:
                 block = np.concatenate([col[rows, max(start - lo, 0):stop - lo]
                                         for col, lo, hi in zip(cols, edges, edges[1:])

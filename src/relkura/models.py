@@ -90,8 +90,9 @@ INVERSION_TOL = 1e-12
 INVERSION_GAP_FRACTION = 1e-6
 INVERSION_MAX_ITER = 200
 
-# Bounds of check_admissibility: relative oddness residual and absolute
-# G(F(w)) = w round-trip residual.
+# Bounds of check_admissibility: the oddness residual relative to
+# max(1, |F(w)|) and the G(F(w)) = w round-trip residual relative to
+# max(1, |w|), so that large bounds are held to their floats' precision.
 ADMISSIBILITY_ODDNESS_TOL = 1e-12
 ADMISSIBILITY_ROUNDTRIP_TOL = 1e-10
 
@@ -110,8 +111,9 @@ class AdmissibilityReport:
     """Outcome of structural sampling checks on a response function.
 
     ``oddness_residual`` is max |F(-w) + F(w)| / max(1, |F(w)|) over the
-    grid; ``roundtrip_residual`` is max |G(F(w)) - w|.  The scenario
-    ``run_admissibility`` decides them against ADMISSIBILITY_*_TOL.
+    grid; ``roundtrip_residual`` is max |G(F(w)) - w| / max(1, |w|).  The
+    scenario ``run_admissibility`` decides them against
+    ADMISSIBILITY_*_TOL.
     """
 
     kind: str
@@ -486,8 +488,8 @@ class FrequencyResponse:
 
         Measures oddness (relative residual, admissible up to
         ADMISSIBILITY_ODDNESS_TOL), strict monotonicity of F, and the
-        G(F(w)) = w round trip (absolute residual, admissible up to
-        ADMISSIBILITY_ROUNDTRIP_TOL) on a symmetric grid: +/- 0.999 *
+        G(F(w)) = w round trip (residual relative to max(1, |w|), admissible
+        up to ADMISSIBILITY_ROUNDTRIP_TOL) on a symmetric grid: +/- 0.999 *
         velocity_bound for bounded kinds, +/- 1e3 for the classical kind.
         Never raises on failure; ``run_admissibility`` gives the verdict.
         """
@@ -502,7 +504,8 @@ class FrequencyResponse:
         scale = np.maximum(1.0, np.abs(fw))
         oddness = float(np.max(np.abs(fw + fw[::-1]) / scale))
         increasing = bool(np.all(np.diff(fw) > 0.0))
-        roundtrip = float(np.max(np.abs(self.velocity(fw) - grid)))
+        roundtrip = float(np.max(np.abs(self.velocity(fw) - grid)
+                                 / np.maximum(1.0, np.abs(grid))))
         return AdmissibilityReport(
             kind=self.kind.value,
             c=self.c,

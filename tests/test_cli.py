@@ -72,6 +72,9 @@ def test_parse_config_names_offending_field(tmp_path):
         ('{"scenario": "rate-vs-c", "c_list": [1.0, 1e999]}', "c_list"),
         ('{"scenario": "rate-vs-c", "c_list": [true]}', "c_list"),
         ('{"scenario": "rate-vs-c", "c_list": [0.5, NaN]}', "c_list"),
+        # bounds must be strictly ascending: a repeat would run twice
+        ('{"scenario": "rate-vs-c", "c_list": [1.0, 1.0]}', "c_list"),
+        ('{"scenario": "limit", "c_list": [5.0, 10.0, 10.0]}', "c_list"),
         ('{"scenario": "limit", "checkpoints": [NaN]}', "checkpoints"),
         ('{"scenario": "limit", "checkpoints": [1e999]}', "checkpoints"),
         ('{"scenario": "limit", "checkpoints": [false]}', "checkpoints"),

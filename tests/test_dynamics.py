@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -469,8 +469,15 @@ def test_simulate_batch_validates_its_inputs():
 # ----------------------------------------------------------------------
 
 # Both sides of dynamics.PAIRWISE_MAX_N, large unwrapped offsets, and
-# spreads from nearly synchronised to a half circle.
+# spreads from nearly synchronised to a half circle.  The examples pin the
+# last pairwise size, the first O(n) one and three larger sizes, each at
+# a half-circle spread.
 @settings(deadline=None, derandomize=True, database=None)
+@example(n=16, offset=-1e3, log_spread=math.log10(math.pi), kappa=1.3, seed=16)
+@example(n=17, offset=-1e3, log_spread=math.log10(math.pi), kappa=1.3, seed=17)
+@example(n=256, offset=1e3, log_spread=math.log10(math.pi), kappa=1.3, seed=256)
+@example(n=257, offset=1e3, log_spread=math.log10(math.pi), kappa=1.3, seed=257)
+@example(n=700, offset=1e3, log_spread=math.log10(math.pi), kappa=1.3, seed=700)
 @given(
     n=st.integers(1, 300),
     offset=st.floats(-1e3, 1e3),
@@ -501,6 +508,11 @@ def test_mean_field_coupling_is_exactly_zero_for_identical_phases():
     cfg = SystemConfig(n, 1.0, np.zeros(n), classical(), 0.01, 1.0)
     for phase in (0.0, 2.0, 3.0, 123.4, -1e3 + 0.1):
         assert np.array_equal(coupling(cfg, np.full(n, phase)), np.zeros(n))
+        # the momentum coupling vanishes for equal velocities, at identical
+        # phases and at spread ones alike
+        spread = phase + np.random.default_rng(n).uniform(-3.0, 3.0, n)
+        for theta in (np.full(n, phase), spread):
+            assert np.array_equal(_momentum_coupling(cfg, theta, np.full(n, 0.7)), np.zeros(n))
 
 
 def test_mean_field_runs_match_pairwise_runs(monkeypatch):
@@ -552,8 +564,8 @@ def test_blocked_sine_sums_equal_one_shot_pairwise_sums(n, shape):
 def test_blocked_sine_sums_peak_below_output_plus_a_few_blocks():
     theta = np.random.default_rng(0).uniform(-3.0, 3.0, (20001, 16))
     # per block, the differences and their sines are the only live
-    # temporaries; one more block covers reduction buffers and bookkeeping
-    bound = theta.nbytes + 3 * 8 * dynamics._BLOCK_FLOATS
+    # temporaries; two more blocks cover reduction buffers and bookkeeping
+    bound = theta.nbytes + 4 * 8 * dynamics._BLOCK_FLOATS
     tracemalloc.start()
     try:
         out = dynamics._sine_sums(theta)
@@ -570,10 +582,9 @@ def _one_shot_momentum_coupling(config, theta, v):
     return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
 
 
-# the one-shot path at n = 10 and at 256, where n * n is one block; at
-# 257 blocks of 255 and 2 rows, at 700 of 93 rows and a ragged 49
-@pytest.mark.parametrize("n", [10, 256, 257, 700])
-def test_blocked_momentum_coupling_equals_one_shot_pairwise_sums(n):
+# the pairwise sizes, where the paper-size runs keep these floats
+@pytest.mark.parametrize("n", [1, 2, 10, 16])
+def test_momentum_coupling_equals_one_shot_pairwise_sums(n):
     gen = np.random.default_rng(n)
     cfg = SystemConfig(n, 1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
     theta = gen.uniform(-1e3, 1e3, n)
@@ -582,14 +593,30 @@ def test_blocked_momentum_coupling_equals_one_shot_pairwise_sums(n):
                           _one_shot_momentum_coupling(cfg, theta, v))
 
 
-def test_blocked_momentum_coupling_peak_below_output_plus_a_few_blocks():
+# n = 256, where n * n was one block, and 257 and 700, which were split
+# into row blocks; these sizes now take the O(n) sums, which keep within
+# 1e-14 * kappa of the one-shot pairwise sums, and the pairwise branch
+# forced on at these sizes still gives its floats exactly
+@pytest.mark.parametrize("n", [256, 257, 700])
+def test_blocked_momentum_coupling_equals_one_shot_pairwise_sums(n, monkeypatch):
+    assert n > dynamics.PAIRWISE_MAX_N
+    gen = np.random.default_rng(n)
+    cfg = SystemConfig(n, 1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    theta = gen.uniform(-1e3, 1e3, n)
+    v = gen.uniform(-0.99, 0.99, n)
+    reference = _one_shot_momentum_coupling(cfg, theta, v)
+    assert np.max(np.abs(_momentum_coupling(cfg, theta, v) - reference)) <= 1e-14 * cfg.kappa
+    monkeypatch.setattr(dynamics, "PAIRWISE_MAX_N", n)
+    assert np.array_equal(_momentum_coupling(cfg, theta, v), reference)
+
+
+def test_momentum_coupling_peak_below_output_plus_a_few_blocks():
     n = 2000
     gen = np.random.default_rng(0)
     cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.01, 1.0)
     theta, v = gen.uniform(-3.0, 3.0, n), gen.uniform(-0.9, 0.9, n)
-    # per block, the phase differences, their cosines, the velocity
-    # differences and the products; at most three are live at once, and
-    # one more block covers reduction buffers and bookkeeping
+    # the O(n) sums keep a few (n,) arrays live, well inside the
+    # allowance of four blocks
     bound = 8 * n + 4 * 8 * dynamics._BLOCK_FLOATS
     tracemalloc.start()
     try:
@@ -837,7 +864,7 @@ def test_diagnostics_csv_bytes_equal_savetxt(tmp_path, rows):
     lambda b: (3 * b + 5,),
 ], ids=["B+1", "2B", "2B+6", "3B+5"])
 def test_csv_rows_wider_than_a_block_equal_savetxt(tmp_path, widths):
-    widths = widths(dynamics._OUTPUT_BLOCK_FLOATS)
+    widths = widths(dynamics._BLOCK_FLOATS)
     values = _adversarial_floats()
     table = np.resize(values, (3, sum(widths)))
     columns = np.split(table, np.cumsum(widths)[:-1], axis=1)
@@ -857,7 +884,7 @@ def test_trajectory_writer_peak_does_not_grow_with_n(tmp_path):
     # formatting one block keeps about 20 arrays of its size live (digits,
     # exponents, masks, ASCII words); a row of 2n + 1 floats spans five
     # blocks, so formatting it whole would take about five times that
-    bound = 2 * 20 * 8 * dynamics._OUTPUT_BLOCK_FLOATS
+    bound = 2 * 20 * 8 * dynamics._BLOCK_FLOATS
     tracemalloc.start()
     try:
         write_trajectory_csv(traj, tmp_path / "traj.csv")
@@ -899,7 +926,7 @@ def _adversarial_floats():
 def test_format_rows_matches_percent_on_adversarial_floats(width):
     values = _adversarial_floats()
     table = np.resize(values, (-(-values.size // width), width))
-    for rows in dynamics._row_blocks(len(table), width, dynamics._OUTPUT_BLOCK_FLOATS):
+    for rows in dynamics._row_blocks(len(table), width):
         assert _format_rows(table[rows]) == _percent_rows(table[rows]).encode("ascii")
 
 

@@ -168,6 +168,9 @@ def test_rate_vs_c_heterogeneous_is_qualitative():
 def test_rate_vs_c_rejects_unsorted_c():
     with pytest.raises(DomainError):
         run_rate_vs_c(7, c_values=(2.0, 1.0), t_final=6.0)
+    # a repeated bound used to run, write and list its trajectory twice
+    with pytest.raises(DomainError):
+        run_rate_vs_c(7, c_values=(1.0, 1.0), t_final=6.0)
     # an empty list used to end in an IndexError
     with pytest.raises(DomainError):
         run_rate_vs_c(0, c_values=())
@@ -240,8 +243,9 @@ def test_limit_scaling_fails_a_doubling_whose_gap_vanishes_only_at_2c():
 
 
 def test_limit_scaling_validates_inputs():
-    with pytest.raises(DomainError):
-        run_limit_scaling(11, c_values=(5.0, 4.0))
+    for c_values in ((5.0, 4.0), (5.0, 5.0)):
+        with pytest.raises(DomainError):
+            run_limit_scaling(11, c_values=c_values)
     with pytest.raises(DomainError):  # used to end in an IndexError
         run_limit_scaling(0, c_values=())
     with pytest.raises(DomainError):
@@ -254,6 +258,12 @@ def test_limit_scaling_validates_inputs():
     with pytest.raises(DomainError):
         run_limit_scaling(3, c_values=(5.0,), t_final=2.0, n=4, regimes=("zero",),
                           checkpoint_times=(1.0, 5.0))
+    # a negative or NaN checkpoint used to end in a ValueError from an
+    # empty max
+    for checkpoints in ((-1.0, 0.5), (math.nan, 0.5)):
+        with pytest.raises(DomainError):
+            run_limit_scaling(3, c_values=(5.0,), t_final=2.0, n=4, regimes=("zero",),
+                              checkpoint_times=checkpoints)
 
 
 # ----------------------------------------------------------------------

@@ -590,6 +590,21 @@ def test_check_admissibility_passes_for_every_kind():
         assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL, report
 
 
+def test_check_admissibility_round_trip_is_relative_to_max_1_w(monkeypatch):
+    # one ulp of |w| ~ 1e7 is 1.9e-9, beyond any absolute 1e-10
+    for factory in ALL_BOUNDED:
+        for c in (1e7, 1e300):
+            report = factory(c).check_admissibility(samples=101)
+            assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL, report
+    exact = FrequencyResponse.velocity
+    monkeypatch.setattr(FrequencyResponse, "velocity",
+                        lambda self, y: exact(self, y) * (1.0 + 1e-9))
+    for factory in ALL_BOUNDED:
+        for c in (1.0, 1e7, 1e300):
+            report = factory(c).check_admissibility(samples=101)
+            assert report.roundtrip_residual > ADMISSIBILITY_ROUNDTRIP_TOL, report
+
+
 def test_check_admissibility_large_grid_small_c():
     report = relativistic(0.5).check_admissibility(samples=1001)
     assert report.oddness_residual <= ADMISSIBILITY_ODDNESS_TOL
