@@ -14,6 +14,8 @@ import operator
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 # Philox-4x64 round multipliers and key increments (Salmon et al., 2011)
@@ -89,7 +91,7 @@ class PhiloxStream:
     def __init__(self, seed: int):
         seed = operator.index(seed)
         if seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError("seed", "must be an integer >= 0")
         key = _seed_key(seed)
         # the key of each round: bumped by the Weyl constants after each round
         self._round_keys = [
@@ -119,13 +121,11 @@ class PhiloxStream:
         return words
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        """``size`` draws from [low, high), raising as NumPy's ``uniform`` does."""
+        """``size`` draws from [low, high), which must be a finite interval."""
         low, high, size = float(low), float(high), operator.index(size)
         span = high - low
-        if not math.isfinite(span):
-            raise OverflowError("high - low range exceeds valid bounds")
-        if span < 0.0:
-            raise ValueError("high - low < 0")
+        if not 0.0 <= span < math.inf:  # also rejects NaN
+            raise ConfigError("high", "high - low must be finite and >= 0")
         if size < 0:
-            raise ValueError("negative dimensions are not allowed")
+            raise ConfigError("size", "must be >= 0")
         return low + span * ((self._words(size) >> np.uint64(11)) * 2.0**-53)

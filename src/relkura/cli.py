@@ -1,15 +1,18 @@
 """Command-line front end.
 
 One subcommand-style ``--scenario`` flag selects the run, and every
-scenario is one ``experiments`` runner.  The CLI parses and validates
-flags and the optional config file, then calls the runner with the keys
-that were set; everything left unset takes the runner's own default, so
-each scenario's defaults (``t_final``, ``dt``, ``record_every``,
-``c_list``, ``regimes``, ...) are written once, in its runner's
-signature.  Every scenario writes ``report.json`` (plus trajectory and
-diagnostics CSVs) into the output directory and prints one line per
-checked predicate.  Exit codes: 0 all predicates passed, 1 at least one
-failed, 2 configuration error, 3 numerical failure or a run too large to
+scenario is one ``experiments`` runner.  The CLI parses the flags and the
+optional config file into a ``RunConfig``, then calls the runner with the
+keys that were set; everything left unset takes the runner's own
+default, so each scenario's defaults (``t_final``, ``dt``,
+``record_every``, ``c_list``, ``regimes``, ...) are written once, in its
+runner's signature.  The CLI checks only the JSON type of each key and
+that the scenario reads every key set; the library checks every value,
+before any integration, and its ConfigError is exit 2 as well.  Every
+scenario writes ``report.json`` (plus trajectory and diagnostics CSVs)
+into the output directory and prints one line per checked predicate.
+Exit codes: 0 all predicates passed, 1 at least one failed, 2
+configuration error, 3 numerical failure or a run too large to
 allocate.  Flag values override config-file values.
 """
 
@@ -17,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import itertools
 import json
-import math
 import sys
+import types
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -39,7 +42,7 @@ from .experiments import (
     run_simulate,
     run_sync_predicates,
 )
-from .models import FrequencyResponse, ModelKind
+from .models import FrequencyResponse
 
 __all__ = ["RunConfig", "parse_config", "main", "entrypoint"]
 
@@ -66,33 +69,30 @@ SCENARIOS = tuple(_runners())
 # RunConfig keys whose runner parameter has another name.
 _RENAMED = {"c_list": "c_values", "checkpoints": "checkpoint_times", "out": "out_dir"}
 
-# Keys that only some runners take.  Setting one for a scenario whose
-# runner has no such parameter is a configuration error rather than a
-# silently dropped value.  The common keys (model, c, n, kappa, dt,
-# t_final, record_every, seed) are accepted for every scenario and
-# passed to the runners that take them.
-_OPTIONAL_KEYS = ("theta0", "omega", "c_list", "regimes", "checkpoints", "homogeneous")
-
 
 @dataclass
 class RunConfig:
-    """Validated scenario configuration; flags override config-file values."""
+    """Scenario configuration; flags override config-file values.
+
+    Each annotation is the JSON type the key must have; a bool is no
+    number, and an int is also a float.
+    """
 
     scenario: str
     model: str = "relativistic"
     n: int = 10
     kappa: float = 1.0
     c: float = 1.0
-    c_list: list | None = None
+    c_list: list[float] | None = None
     dt: float | None = None
     t_final: float | None = None
     record_every: int | None = None
     seed: int = 0
     homogeneous: bool | None = None
-    regimes: list | None = None
-    checkpoints: list | None = None
-    theta0: list | None = None
-    omega: list | None = None
+    regimes: list[str] | None = None
+    checkpoints: list[float] | None = None
+    theta0: list[float] | None = None
+    omega: list[float] | None = None
     out: str = "relkura-out"
 
 
@@ -116,10 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags plus optional --config JSON into a validated RunConfig.
+    """Parse flags plus optional --config JSON into a typed RunConfig.
 
-    Raises ConfigError (naming the offending field) on any invalid or
-    unknown value; the CLI maps that to exit code 2.
+    Raises ConfigError (naming the offending field) on an unknown flag or
+    key, a value of the wrong JSON type, or a key the scenario does not
+    read; the CLI maps that to exit code 2.  The values themselves are
+    checked by the library, before any integration, when ``main`` runs
+    the config.
     """
     parser = _build_parser()
     try:
@@ -152,102 +155,66 @@ def parse_config(argv) -> RunConfig:
 
     if "scenario" not in merged or merged["scenario"] is None:
         raise ConfigError("scenario", "required (flag --scenario or config file)")
-    cfg = RunConfig(**{**{"scenario": merged.pop("scenario")}, **merged})
+    cfg = RunConfig(**merged)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
+    """Check each key's JSON type, and that a key the runner does not read keeps its default.
+
+    ``c`` counts as read wherever ``model`` is, since it builds the model.
+    """
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        hint = hints[f.name]
+        if not _has_type(getattr(cfg, f.name), hint):
+            raise ConfigError(f.name, f"must be of JSON type {getattr(hint, '__name__', hint)}")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}")
     params = _parameters(cfg.scenario)
-    if cfg.model not in {k.value for k in ModelKind}:
-        raise ConfigError("model", f"unknown model kind {cfg.model!r}")
-    if not _integer(cfg.n) or cfg.n < 1:
-        raise ConfigError("n", "must be an integer >= 1")
-    if not _finite(cfg.kappa) or cfg.kappa < 0:
-        raise ConfigError("kappa", "must be finite and >= 0")
-    if not _finite(cfg.c) or cfg.c <= 0:
-        raise ConfigError("c", "must be finite and > 0")
-    if cfg.dt is not None and (not _finite(cfg.dt) or cfg.dt <= 0):
-        raise ConfigError("dt", "must be finite and > 0")
-    if cfg.t_final is not None and (not _finite(cfg.t_final) or cfg.t_final <= 0):
-        raise ConfigError("t_final", "must be finite and > 0")
-    if "dt" in params and _effective(cfg, params, "t_final") < _effective(cfg, params, "dt"):
-        raise ConfigError("t_final", "must be >= dt")
-    if cfg.record_every is not None and (not _integer(cfg.record_every) or cfg.record_every < 1):
-        raise ConfigError("record_every", "must be an integer >= 1")
-    if not _integer(cfg.seed) or cfg.seed < 0:
-        raise ConfigError("seed", "must be an integer >= 0")
-    for name in _OPTIONAL_KEYS:
-        if getattr(cfg, name) is not None and _RENAMED.get(name, name) not in params:
-            readers = [s for s in SCENARIOS if _RENAMED.get(name, name) in _parameters(s)]
-            raise ConfigError(name, f"is read only by {' and '.join(readers)}, "
-                                    f"not by {cfg.scenario}")
-    if cfg.c_list is not None:
-        values = _finite_list(cfg, "c_list")
-        if not values or not all(a < b for a, b in itertools.pairwise((0.0, *values))):
-            raise ConfigError("c_list", "must be non-empty, positive, strictly ascending")
-    if cfg.regimes is not None:
-        allowed = ("heterogeneous", "identical", "zero")
-        regimes = cfg.regimes
-        if (not isinstance(regimes, list) or not regimes
-                or not all(r in allowed for r in regimes) or len(set(regimes)) < len(regimes)):
-            raise ConfigError("regimes", f"must be a non-empty list of distinct names "
-                                         f"from {list(allowed)}")
-    if cfg.checkpoints is not None:
-        values = _finite_list(cfg, "checkpoints")
-        if any(v <= 0 for v in values):
-            raise ConfigError("checkpoints", "must be positive times")
-        t_final = _effective(cfg, params, "t_final")
-        if any(v > t_final for v in values):
-            raise ConfigError("checkpoints", f"must not lie past t_final={t_final:g}")
-    for name in ("theta0", "omega"):
-        if getattr(cfg, name) is not None and len(_finite_list(cfg, name)) != cfg.n:
-            raise ConfigError(name, f"must have exactly n={cfg.n} entries")
-    if cfg.homogeneous is not None and not isinstance(cfg.homogeneous, bool):
-        raise ConfigError("homogeneous", "must be true or false")
-    if not isinstance(cfg.out, str) or not cfg.out:
-        raise ConfigError("out", "must be a non-empty path")
+    for f in fields(RunConfig)[1:]:  # every key but scenario
+        read = _RENAMED.get(f.name, f.name) in params or (f.name == "c" and "model" in params)
+        if not read and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f.name, f"is not read by the {cfg.scenario} scenario")
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a parsed JSON value has the annotated type (see RunConfig)."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, *typing.get_args(hint)) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _parameters(scenario: str):
     return inspect.signature(_runners()[scenario]).parameters
 
 
-def _effective(cfg: RunConfig, params, name: str):
-    """The configured value of ``name``, else the runner's default."""
-    value = getattr(cfg, name)
-    return params[name].default if value is None else value
-
-
-def _integer(x) -> bool:
-    # bool is a subclass of int, but a JSON true is not a count or a seed
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _finite_list(cfg: RunConfig, name: str) -> list:
-    values = getattr(cfg, name)
-    if not isinstance(values, list) or not all(_finite(v) for v in values):
-        raise ConfigError(name, "must be a list of finite numbers")
-    return [float(v) for v in values]
-
-
 def _dispatch(cfg: RunConfig) -> ExperimentReport:
-    """Call the scenario's runner with the keys that were set and that it takes."""
+    """Call the scenario's runner with the keys that were set and that it takes.
+
+    A ConfigError from the library names the RunConfig key, not the
+    runner parameter it was passed as.
+    """
     params = _parameters(cfg.scenario)
     kwargs = {_RENAMED.get(k, k): v for k, v in asdict(cfg).items() if v is not None}
-    if "model" in params:
-        kwargs["model"] = FrequencyResponse.from_name(cfg.model, cfg.c)
-    return _runners()[cfg.scenario](**{k: v for k, v in kwargs.items() if k in params})
+    try:
+        if "model" in params:
+            kwargs["model"] = FrequencyResponse.from_name(cfg.model, cfg.c)
+        return _runners()[cfg.scenario](**{k: v for k, v in kwargs.items() if k in params})
+    except ConfigError as err:
+        key = next((k for k, v in _RENAMED.items() if v == err.field), err.field)
+        raise ConfigError(key, err.message) from None
 
 
 def _make_output_directory(out: str) -> None:
     """Create ``out`` before any work runs, so that an unusable path is a configuration error."""
+    if not out:
+        raise ConfigError("out", "must be a non-empty path")
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -261,10 +228,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
         _make_output_directory(cfg.out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
         report = _dispatch(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

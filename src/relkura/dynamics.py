@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .models import FrequencyResponse, stack_rows
 
 __all__ = [
@@ -117,26 +117,31 @@ class SystemConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        om = np.array(self.omega, dtype=float).reshape(-1)
+        _check_count("n", self.n)
+        _check_count("record_every", self.record_every)
+        om = _finite_vector("omega", self.omega, self.n)
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.n, self.record_every)):
-            raise ValueError("n and record_every must be integers")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if om.shape != (self.n,):
-            raise ValueError(f"omega must have length n={self.n}, got {om.shape}")
-        if not np.all(np.isfinite(om)):
-            raise ValueError("omega entries must be finite")
         if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be finite and >= 0")
+            raise ConfigError("kappa", "must be finite and >= 0")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be finite and > 0")
+            raise ConfigError("dt", "must be finite and > 0")
         if not (self.t_final >= self.dt and math.isfinite(self.t_final)):
-            raise ValueError("t_final must be finite and >= dt")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ConfigError("t_final", "must be finite and >= dt")
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ConfigError(name) unless ``value`` is an integer >= 1 (a bool is none)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ConfigError(name, "must be an integer >= 1")
+
+
+def _finite_vector(name: str, values, n: int) -> np.ndarray:
+    """``values`` as a flat float array; ConfigError(name) unless it holds n finite entries."""
+    arr = np.array(values, dtype=float).reshape(-1)
+    if arr.shape != (n,) or not np.all(np.isfinite(arr)):
+        raise ConfigError(name, f"must hold exactly n={n} finite entries")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -323,29 +328,17 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     return times[:row], states[:row], derivs[:row], err
 
 
-def _check_initial_phases(config: SystemConfig, theta0) -> np.ndarray:
-    th = np.array(theta0, dtype=float).reshape(-1)
-    if th.shape != (config.n,):
-        raise ValueError(f"theta0 must have length n={config.n}")
-    if not np.all(np.isfinite(th)):
-        raise ValueError("theta0 entries must be finite")
-    return th
-
-
 def _grid(config: SystemConfig) -> tuple:
     return config.n, config.dt, config.t_final, config.record_every
 
 
 def _batch_phases(configs: list[SystemConfig], theta0) -> np.ndarray:
     """theta0 as a (B, n) array: one shared (n,) row or one row per config."""
-    th = np.array(theta0, dtype=float)
+    th, shape = np.array(theta0, dtype=float), (len(configs), configs[0].n)
     if th.ndim <= 1:
-        return np.tile(_check_initial_phases(configs[0], th), (len(configs), 1))
-    if th.shape != (len(configs), configs[0].n):
-        raise ValueError(f"theta0 must have shape (n,) or (B, n) = "
-                         f"{(len(configs), configs[0].n)}")
-    if not np.all(np.isfinite(th)):
-        raise ValueError("theta0 entries must be finite")
+        return np.tile(_finite_vector("theta0", th, shape[1]), (shape[0], 1))
+    if th.shape != shape or not np.all(np.isfinite(th)):
+        raise ConfigError("theta0", f"must be finite, of shape (n,) or (B, n) = {shape}")
     return th
 
 
@@ -413,7 +406,7 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
     states; a mid-run model failure carries the samples recorded so far
     as ``partial_trajectories``.
     """
-    return simulate_batch([config], _check_initial_phases(config, theta0))[0]
+    return simulate_batch([config], _finite_vector("theta0", theta0, config.n))[0]
 
 
 # ----------------------------------------------------------------------
@@ -443,11 +436,9 @@ def _momentum_coupling(config, theta, v):
 
 
 def _check_initial_velocities(config: SystemConfig, thetadot0) -> np.ndarray:
-    td = np.array(thetadot0, dtype=float).reshape(-1)
-    if td.shape != (config.n,):
-        raise ValueError(f"thetadot0 must have length n={config.n}")
+    td = _finite_vector("thetadot0", thetadot0, config.n)
     bound = config.model.velocity_bound
-    if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= bound):
+    if np.any(np.abs(td) >= bound):
         raise DomainError(f"initial velocities must satisfy |thetadot| < {bound}")
     return td
 
@@ -489,7 +480,7 @@ def simulate_both_forms(config: SystemConfig, theta0,
     model evaluation fails mid-run the error propagates with the samples
     recorded so far attached, as the pair ``partial_trajectories``.
     """
-    th = _check_initial_phases(config, theta0)
+    th = _finite_vector("theta0", theta0, config.n)
     td = _check_initial_velocities(config, thetadot0)
     p = config.model.momentum(td)
     nu = p - coupling(config, th)

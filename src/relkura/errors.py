@@ -37,13 +37,16 @@ class DegenerateFitError(RelkuraError):
     """Regression input carries no usable signal (e.g. all abscissae equal)."""
 
 
-class ConfigError(RelkuraError):
-    """A run configuration failed validation.
+class ConfigError(DomainError, ValueError):
+    """An argument or configuration value failed validation.
 
-    The offending field name is kept on ``field`` so command-line errors
-    can point at exactly what to fix.
+    Every argument check of the library raises it, named by the parameter
+    it checks, and the CLI exits 2 on it.  The offending name is kept on
+    ``field`` and the complaint on ``message``, so command-line errors can
+    point at exactly what to fix.
     """
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message

@@ -52,13 +52,15 @@ from .diagnostics import (
 )
 from .dynamics import (
     SystemConfig,
+    _check_count,
+    _finite_vector,
     _row_blocks,
     coupling,
     simulate,
     simulate_batch,
     simulate_both_forms,
 )
-from .errors import DegenerateFitError, DomainError
+from .errors import ConfigError, DegenerateFitError
 from .models import (
     ADMISSIBILITY_ODDNESS_TOL,
     ADMISSIBILITY_ROUNDTRIP_TOL,
@@ -146,17 +148,17 @@ def sample_protocol_ensemble(
     frequencies and None when the spread is not below kappa and no lock
     angle exists.  Phases are then drawn from [-(pi - theta*)/2,
     (pi - theta*)/2], with theta* taken as 0 where it is None.  Returns
-    (theta0, omega, theta_star).
+    (theta0, omega, theta_star).  A bad seed, ``n`` or ``omega`` raises
+    ConfigError before anything is drawn.
     """
     gen = make_rng(seed)
+    _check_count("n", n)
     if omega is None:
         omega = gen.uniform(freq_interval[0], freq_interval[1], n)
         if center_frequencies:
             omega = omega - omega.mean()
     else:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (n,):
-            raise DomainError(f"omega must have length n={n}")
+        omega = _finite_vector("omega", omega, n)
     spread = float(np.ptp(omega))
     tstar = theta_star(kappa, spread) if spread < kappa else None
     halfwidth = 0.5 * (math.pi - (tstar or 0.0))
@@ -315,7 +317,7 @@ def _velocity_bounds(c_values) -> tuple[float, ...]:
     c_values = tuple(float(c) for c in c_values)
     # 0 < c_1 < c_2 < ... < inf, which NaN fails too
     if not c_values or not all(a < b for a, b in itertools.pairwise((0.0, *c_values, math.inf))):
-        raise DomainError("c_values must be non-empty, finite, positive and strictly ascending")
+        raise ConfigError("c_values", "must be non-empty, finite, positive and strictly ascending")
     return c_values
 
 
@@ -572,10 +574,10 @@ def run_limit_scaling(
     c_values = _velocity_bounds(c_values)
     known = {"heterogeneous", "identical", "zero"}
     if not regimes or len(set(regimes)) < len(regimes) or not set(regimes) <= known:
-        raise DomainError(f"regimes must be distinct names from {sorted(known)}, at least one")
+        raise ConfigError("regimes", f"must be distinct names from {sorted(known)}, at least one")
     checkpoints = tuple(float(t) for t in checkpoint_times)
     if not all(0.0 <= t <= t_final for t in checkpoints):  # also rejects NaN
-        raise DomainError("checkpoint_times must be finite and in [0, t_final]")
+        raise ConfigError("checkpoint_times", "must be finite and in [0, t_final]")
     theta0, omega_het, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     frequency_choices = {
         "heterogeneous": omega_het,
@@ -810,8 +812,9 @@ def run_admissibility(seed: int, model: FrequencyResponse, out_dir=None) -> Expe
     Runs ``model.check_admissibility`` on ADMISSIBILITY_SAMPLES points and
     reports oddness and the inverse round trip against the bounds that
     method applies, plus strict monotonicity.  Nothing is sampled at
-    random; ``seed`` is only recorded.
+    random; ``seed`` is only recorded, once it passes the sampler's rule.
     """
+    make_rng(seed)  # draws nothing, but rejects a seed no sampled scenario takes
     check = model.check_admissibility(samples=ADMISSIBILITY_SAMPLES)
 
     odd, roundtrip = check.oddness_residual, check.roundtrip_residual

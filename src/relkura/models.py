@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 
 __all__ = [
     "ModelKind",
@@ -294,32 +294,37 @@ class FrequencyResponse:
         Which response function to use.
     c:
         Velocity bound for the three bounded kinds; ignored by
-        ``classical``.  Must be finite and positive.
+        ``classical``.  Must be finite and positive wherever it is given.
     """
 
     kind: ModelKind
     c: float | None = None
 
     def __post_init__(self):
+        if self.c is None and self.kind is ModelKind.CLASSICAL:
+            return
+        # a c given to the classical kind is checked too, though it is ignored
+        if self.c is None or not math.isfinite(self.c) or self.c <= 0.0:
+            raise ConfigError("c", f"must be finite and > 0 (model kind {self.kind.value!r})")
         if self.kind is ModelKind.CLASSICAL:
             return
-        if self.c is None or not math.isfinite(self.c) or self.c <= 0.0:
-            raise DomainError(f"model kind {self.kind.value!r} requires a finite c > 0")
         c = float(self.c)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_bounds", _prepared_bounds(c))
 
     @classmethod
     def from_name(cls, name: str, c: float | None = None) -> "FrequencyResponse":
-        """Build a response from its serialized kind string."""
+        """Build a response from its serialized kind string.
+
+        A given ``c`` is checked for every kind; the classical one drops it.
+        """
         try:
             kind = ModelKind(name)
         except ValueError:
             valid = ", ".join(k.value for k in ModelKind)
-            raise DomainError(f"unknown model kind {name!r} (expected one of: {valid})")
-        if kind is ModelKind.CLASSICAL:
-            return cls(kind)
-        return cls(kind, c)
+            raise ConfigError("model", f"unknown model kind {name!r} (expected one of: {valid})")
+        response = cls(kind, c)
+        return cls(kind) if kind is ModelKind.CLASSICAL else response
 
     @property
     def velocity_bound(self) -> float:
@@ -494,7 +499,7 @@ class FrequencyResponse:
         Never raises on failure; ``run_admissibility`` gives the verdict.
         """
         if samples < 3:
-            raise DomainError("admissibility check needs samples >= 3")
+            raise ConfigError("samples", "admissibility check needs samples >= 3")
         edge = 1e3 if self.kind is ModelKind.CLASSICAL else 0.999 * self.c
         # Mirror a half grid so the sample set is exactly symmetric in
         # floating point; linspace alone does not guarantee that.

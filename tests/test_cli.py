@@ -5,18 +5,25 @@ can be asserted without spawning an interpreter; only the check of which
 modules a run loads starts a fresh one.
 """
 
+import contextlib
 import functools
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relkura import cli
-from relkura.cli import RunConfig, main, parse_config
+from relkura.cli import RunConfig, _dispatch, main, parse_config
 from relkura.errors import ConfigError
 
 
@@ -47,10 +54,48 @@ def test_parse_config_rejects_unknown_flag():
     assert excinfo.value.field == "--warp"
 
 
+def _config_file(tmp_path, name: str, text: str) -> list:
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    return ["--config", str(path)]
+
+
 def test_parse_config_names_offending_field(tmp_path):
+    cases = []
+    # a JSON true is an int to Python but no valid count, seed or value
+    for field in ("n", "record_every", "seed", "kappa", "c", "dt", "t_final"):
+        text = json.dumps({"scenario": "simulate", field: True})
+        cases.append((_config_file(tmp_path, f"bool_{field}", text), field))
+    # list entries must be numbers (or names) of JSON's own types
+    bad_lists = [
+        ('{"scenario": "rate-vs-c", "c_list": [true]}', "c_list"),
+        ('{"scenario": "limit", "checkpoints": [false]}', "checkpoints"),
+        ('{"scenario": "simulate", "n": 2, "theta0": [0.1, true]}', "theta0"),
+        ('{"scenario": "simulate", "n": 2, "omega": [true, false]}', "omega"),
+        ('{"scenario": "limit", "regimes": [["zero"]]}', "regimes"),
+        ('{"scenario": "rate-vs-c", "homogeneous": 1}', "homogeneous"),
+        # valid values for a key the scenario does not read
+        ('{"scenario": "sync-check", "n": 2, "theta0": [0.0, 0.5]}', "theta0"),
+        ('{"scenario": "compare", "n": 2, "omega": [0.1, -0.1]}', "omega"),
+        ('{"scenario": "sync-check", "c_list": [1.0, 2.0]}', "c_list"),
+        ('{"scenario": "rate-vs-c", "regimes": ["zero"]}', "regimes"),
+        ('{"scenario": "rcs-check", "checkpoints": [5, 10]}', "checkpoints"),
+        ('{"scenario": "sync-check", "homogeneous": false}', "homogeneous"),
+    ]
+    cases += [(_config_file(tmp_path, f"list_{i}", text), field)
+              for i, (text, field) in enumerate(bad_lists)]
+    for argv, field in cases:
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(argv)
+        assert excinfo.value.field == field, argv
+
+
+def test_dispatch_names_offending_value(tmp_path):
+    # values parse, and the library rejects them before any integration
     cases = [
         (["--scenario", "simulate", "--dt", "-0.5"], "dt"),
         (["--scenario", "simulate", "--c", "0"], "c"),
+        (["--scenario", "simulate", "--model", "classical", "--c", "0"], "c"),
         (["--scenario", "simulate", "--kappa", "-1"], "kappa"),
         (["--scenario", "simulate", "--n", "0"], "n"),
         (["--scenario", "simulate", "--model", "galilean"], "model"),
@@ -62,50 +107,67 @@ def test_parse_config_names_offending_field(tmp_path):
         (["--scenario", "simulate", "--seed", "-1"], "seed"),
         (["--scenario", "compare", "--seed", "-7"], "seed"),
     ]
-    # a JSON true is an int to Python but no valid count, seed or value
-    for field in ("n", "record_every", "seed", "kappa", "c", "dt", "t_final"):
-        path = tmp_path / f"bool_{field}.json"
-        path.write_text(json.dumps({"scenario": "simulate", field: True}))
-        cases.append((["--config", str(path)], field))
-    # list entries must be finite numbers too; JSON allows NaN and 1e999 parses as inf
+    # list entries must be finite too; JSON allows NaN and 1e999 parses as inf
     bad_lists = [
         ('{"scenario": "rate-vs-c", "c_list": [1.0, 1e999]}', "c_list"),
-        ('{"scenario": "rate-vs-c", "c_list": [true]}', "c_list"),
         ('{"scenario": "rate-vs-c", "c_list": [0.5, NaN]}', "c_list"),
         # bounds must be strictly ascending: a repeat would run twice
         ('{"scenario": "rate-vs-c", "c_list": [1.0, 1.0]}', "c_list"),
         ('{"scenario": "limit", "c_list": [5.0, 10.0, 10.0]}', "c_list"),
         ('{"scenario": "limit", "checkpoints": [NaN]}', "checkpoints"),
         ('{"scenario": "limit", "checkpoints": [1e999]}', "checkpoints"),
-        ('{"scenario": "limit", "checkpoints": [false]}', "checkpoints"),
-        ('{"scenario": "simulate", "n": 2, "theta0": [0.1, true]}', "theta0"),
         ('{"scenario": "simulate", "n": 2, "theta0": [0.1, -1e999]}', "theta0"),
+        ('{"scenario": "simulate", "n": 3, "theta0": [0.2, -0.2]}', "theta0"),
         ('{"scenario": "simulate", "n": 2, "omega": [NaN, 0.0]}', "omega"),
-        ('{"scenario": "simulate", "n": 2, "omega": [true, false]}', "omega"),
-        # valid values for a key the scenario does not read
-        ('{"scenario": "sync-check", "n": 2, "theta0": [0.0, 0.5]}', "theta0"),
-        ('{"scenario": "compare", "n": 2, "omega": [0.1, -0.1]}', "omega"),
-        ('{"scenario": "sync-check", "c_list": [1.0, 2.0]}', "c_list"),
-        ('{"scenario": "rate-vs-c", "regimes": ["zero"]}', "regimes"),
-        ('{"scenario": "rcs-check", "checkpoints": [5, 10]}', "checkpoints"),
-        ('{"scenario": "sync-check", "homogeneous": false}', "homogeneous"),
-        ('{"scenario": "rate-vs-c", "homogeneous": 1}', "homogeneous"),
         # regimes must be non-empty and distinct
         ('{"scenario": "limit", "regimes": []}', "regimes"),
         ('{"scenario": "limit", "regimes": ["zero", "zero"]}', "regimes"),
-        ('{"scenario": "limit", "regimes": [["zero"]]}', "regimes"),
         # checkpoints past the configured or the runner's default t_final
         ('{"scenario": "limit", "t_final": 2.0, "checkpoints": [1.0, 5.0]}', "checkpoints"),
         ('{"scenario": "limit", "checkpoints": [5, 11]}', "checkpoints"),  # default 10
     ]
-    for i, (text, field) in enumerate(bad_lists):
-        path = tmp_path / f"list_{i}.json"
-        path.write_text(text)
-        cases.append((["--config", str(path)], field))
+    cases += [(_config_file(tmp_path, f"list_{i}", text), field)
+              for i, (text, field) in enumerate(bad_lists)]
+    out = tmp_path / "out"
     for argv, field in cases:
+        cfg = parse_config([*argv, "--out", str(out)])
+        with pytest.raises(ConfigError) as excinfo:
+            _dispatch(cfg)
+        assert excinfo.value.field == field, argv
+    assert not out.exists()
+
+
+def test_parse_config_rejects_model_and_c_where_the_scenario_reads_neither(tmp_path):
+    # both used to validate and be dropped: compare runs every kind, and
+    # limit takes its bounds from c_list
+    for argv, field in ((["--scenario", "compare", "--model", "classical"], "model"),
+                        (["--scenario", "limit", "--c", "7"], "c")):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(argv)
-        assert excinfo.value.field == field, argv
+        assert excinfo.value.field == field
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+
+
+def test_parse_config_accepts_the_benchmark_invocation_shapes(tmp_path):
+    # model and c hold their defaults where the runner reads neither, so
+    # these keep parsing; the shapes are copied, not imported, from the
+    # benchmark's workload definitions
+    shapes = [
+        {"scenario": "compare", "model": "relativistic", "n": 10, "kappa": 1.0, "c": 1.0,
+         "dt": 0.01, "record_every": 1, "seed": 0, "t_final": 20.0},
+        {"scenario": "rate-vs-c", "model": "relativistic", "n": 10, "kappa": 1.0, "c": 1.0,
+         "dt": 0.01, "record_every": 1, "seed": 0, "t_final": 40.0,
+         "c_list": [0.5, 1.0, 5.0, 10.0], "homogeneous": True},
+        {"scenario": "simulate", "model": "proper-velocity", "n": 1000,
+         "kappa": 1.0, "c": 1.0, "dt": 0.01, "t_final": 1.0,
+         "record_every": 2, "seed": 0},
+        {"scenario": "rcs-check", "model": "relativistic", "n": 10,
+         "kappa": 1.0, "c": 1.0, "dt": 1e-3, "t_final": 10.0,
+         "record_every": 10, "seed": 0},
+    ]
+    for i, shape in enumerate(shapes):
+        cfg = parse_config(_config_file(tmp_path, f"shape_{i}", json.dumps(shape)))
+        assert cfg == RunConfig(**shape)
 
 
 def test_parse_config_file_with_flag_override(tmp_path):
@@ -142,14 +204,6 @@ def test_parse_config_vector_fields(tmp_path):
     }))
     cfg = parse_config(["--config", str(path)])
     assert cfg.theta0 == [0.2, -0.2]
-
-    mismatched = tmp_path / "mismatched.json"
-    mismatched.write_text(json.dumps({
-        "scenario": "simulate", "n": 3, "theta0": [0.2, -0.2],
-    }))
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(["--config", str(mismatched)])
-    assert excinfo.value.field == "theta0"
 
 
 # ----------------------------------------------------------------------
@@ -321,13 +375,38 @@ def test_main_runs_when_frequency_spread_is_not_below_kappa(tmp_path, capsys, sc
 def test_every_scenario_at_one_oscillator_exits_with_a_documented_code(tmp_path, capsys,
                                                                        scenario):
     # a lone oscillator feels no coupling; limit's zero regime then has
-    # s(c) = s(2c) = 0, which used to end in a ZeroDivisionError
-    code = main(["--scenario", scenario, "--n", "1", "--t-final", "0.5",
-                 "--out", str(tmp_path)])
+    # s(c) = s(2c) = 0, which used to end in a ZeroDivisionError.
+    # admissibility has neither n nor a time grid, so it gets neither flag
+    flags = [] if scenario == "admissibility" else ["--n", "1", "--t-final", "0.5"]
+    code = main(["--scenario", scenario, *flags, "--out", str(tmp_path)])
     assert code in (0, 1, 3)
     assert "Traceback" not in capsys.readouterr().err
     if scenario == "limit":
         assert code == 0
+
+
+def test_main_exit_2_on_a_flag_admissibility_does_not_read(tmp_path, capsys):
+    for flag, value in (("--n", "1"), ("--t-final", "0.5")):
+        assert main(["--scenario", "admissibility", flag, value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag[2:].replace('-', '_')}: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_main_exit_2_on_a_negative_admissibility_seed(tmp_path, capsys):
+    # the seed rule used to live in the CLI only: the runner recorded seed -1
+    assert main(["--scenario", "admissibility", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+
+
+def test_main_limit_takes_a_checkpoint_at_zero(tmp_path):
+    # run_limit_scaling takes checkpoints in [0, t_final]; the CLI used to
+    # reject 0 on a rule of its own
+    path = tmp_path / "limit.json"
+    path.write_text('{"scenario": "limit", "checkpoints": [0, 5]}')
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["config"]["checkpoint_times"] == [0.0, 5.0]
 
 
 @pytest.mark.parametrize("scenario", ["simulate", "sync-check", "rcs-check"])
@@ -363,3 +442,110 @@ def test_main_rcs_scenario_defaults(tmp_path):
     assert payload["config"]["dt"] == 1e-3
     assert payload["config"]["record_every"] == 10
     assert (tmp_path / "trajectory_momentum.csv").is_file()
+
+
+# ----------------------------------------------------------------------
+# malformed configs
+# ----------------------------------------------------------------------
+
+# A small valid config per scenario (n <= 4, t_final <= 0.1), and the keys
+# each scenario reads besides its output directory.
+SMALL_CONFIGS = {
+    "simulate": {"n": 3, "t_final": 0.1},
+    "compare": {"n": 3, "t_final": 0.1},
+    "rate-vs-c": {"n": 3, "t_final": 0.1, "c_list": [1.0, 2.0]},
+    "limit": {"n": 3, "t_final": 0.1, "c_list": [5.0, 10.0], "regimes": ["zero"]},
+    "sync-check": {"n": 3, "t_final": 0.1},
+    "rcs-check": {"n": 3, "t_final": 0.1},
+    "admissibility": {},
+}
+GRID = ("n", "kappa", "dt", "t_final", "record_every", "seed")
+READS = {
+    "simulate": ("model", "c", *GRID, "theta0", "omega"),
+    "compare": ("c", *GRID),
+    "rate-vs-c": (*GRID, "c_list", "homogeneous"),
+    "limit": (*GRID, "c_list", "regimes", "checkpoints"),
+    "sync-check": ("model", "c", *GRID, "omega"),
+    "rcs-check": ("c", *GRID),
+    "admissibility": ("model", "c", "seed"),
+}
+# A valid value other than the default, for a key the scenario does not read.
+NOT_DEFAULT = {"model": "classical", "c": 2.0, "n": 3, "kappa": 0.5, "dt": 0.01,
+               "t_final": 0.1, "record_every": 2, "c_list": [1.0, 2.0], "regimes": ["zero"],
+               "checkpoints": [0.05], "theta0": [0.1, 0.2, 0.3], "omega": [0.0, 0.1, 0.2],
+               "homogeneous": False}
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False)
+_NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False)
+_NOT_A_NUMBER = st.sampled_from([True, False, None, "1", [1.0], {"x": 1.0}])
+_NOT_AN_INT = st.sampled_from([True, None, 1.5, 2.0, "1", [1]])
+_NOT_A_LIST = st.sampled_from([1.0, "x", {"x": 1.0}, [True], [[1.0]], ["1"]])
+_BAD_ENTRY = _NON_FINITE | _NEGATIVE
+_BAD_VECTOR = (st.integers(0, 6).filter(lambda k: k != 3).map(lambda k: [0.1] * k)
+               | _BAD_ENTRY.map(lambda v: [0.1, v, 0.2]) | _NOT_A_LIST)
+# Only invalid values: nothing here is a valid large size or step count.
+BROKEN = {
+    "model": st.sampled_from(["galilean", "", "Relativistic", 1, True, ["relativistic"]]),
+    "c": _NON_FINITE | _NOT_POSITIVE | _NOT_A_NUMBER,
+    "n": st.integers(max_value=0) | _NOT_AN_INT,
+    "kappa": _NON_FINITE | _NEGATIVE | _NOT_A_NUMBER,
+    "dt": _NON_FINITE | _NOT_POSITIVE | _NOT_A_NUMBER.filter(lambda v: v is not None),
+    "t_final": _NON_FINITE | _NOT_POSITIVE | _NOT_A_NUMBER.filter(lambda v: v is not None),
+    "record_every": st.integers(max_value=0) | _NOT_AN_INT.filter(lambda v: v is not None),
+    "seed": st.integers(max_value=-1) | _NOT_AN_INT,
+    "c_list": (st.sampled_from([[], [1.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
+               | _BAD_ENTRY.map(lambda v: [1.0, v]) | _NOT_A_LIST),
+    "checkpoints": (_BAD_ENTRY | st.floats(0.11, 1e300)).map(lambda v: [0.05, v]) | _NOT_A_LIST,
+    "regimes": (st.sampled_from([[], ["zero", "zero"], ["warp"], ["zero", "Zero"]])
+                | _NOT_A_LIST),
+    "theta0": _BAD_VECTOR,
+    "omega": _BAD_VECTOR,
+    "homogeneous": st.sampled_from([0, 1, "true", [True]]),
+}
+
+
+@st.composite
+def _broken_configs(draw):
+    """(config, key): a small valid config with exactly ``key`` broken."""
+    scenario = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    config = {"scenario": scenario, **SMALL_CONFIGS[scenario]}
+    unread = sorted(set(NOT_DEFAULT) - set(READS[scenario]))
+    how = draw(st.sampled_from(["value", "unread", "unknown"]))
+    if how == "value":
+        key = draw(st.sampled_from(READS[scenario]))
+        config[key] = draw(BROKEN[key])
+    elif how == "unread":
+        key = draw(st.sampled_from(unread))
+        config[key] = NOT_DEFAULT[key]
+    else:
+        key = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+                   .filter(lambda k: k not in {f.name for f in fields(RunConfig)}))
+        config[key] = draw(st.sampled_from([0, 1.0, "x", None]))
+    return config, key
+
+
+def test_small_configs_are_valid(tmp_path):
+    # the fuzz below breaks one key of each; unbroken, each one runs
+    for scenario, keys in SMALL_CONFIGS.items():
+        argv = _config_file(tmp_path, scenario, json.dumps({"scenario": scenario, **keys}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(tmp_path / scenario)]) in (0, 1, 3), scenario
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(case=_broken_configs())
+def test_a_malformed_config_exits_2_naming_its_key(case):
+    config, key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "run.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--config", str(path), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code == 2, (config, err)
+        assert err.startswith(f"config error: {key}: "), (config, err)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert stdout.getvalue() == ""
+        assert not [p for p in out.rglob("*") if p.is_file()]

@@ -19,15 +19,17 @@ from relkura import (
     make_rng,
     rapidity,
     relativistic,
+    run_admissibility,
     run_four_model_comparison,
     run_limit_scaling,
     run_rate_vs_c,
     run_rcs_crosscheck,
+    run_simulate,
     run_sync_predicates,
     sample_protocol_ensemble,
 )
 from relkura.cli import SCENARIOS, _runners
-from relkura.errors import DomainError
+from relkura.errors import ConfigError, DomainError
 from relkura.experiments import _max_abs_pairwise_sine
 
 
@@ -97,6 +99,21 @@ def test_sample_protocol_ensemble_given_omega_and_no_lock_angle():
     assert np.array_equal(theta0, make_rng(21).uniform(-0.5 * math.pi, 0.5 * math.pi, 4))
     with pytest.raises(DomainError):
         sample_protocol_ensemble(21, n=5, omega=omega)
+
+
+@pytest.mark.parametrize("call, field", [
+    # n = 0 used to end in numpy's "zero-size array to reduction operation
+    # maximum", and n = -2 in "negative dimensions are not allowed"
+    (lambda: sample_protocol_ensemble(0, n=0), "n"),
+    (lambda: sample_protocol_ensemble(0, n=-2), "n"),
+    (lambda: run_simulate(0, classical(), n=0), "n"),
+    # admissibility draws nothing, but used to run and record seed -1
+    (lambda: run_admissibility(-1, relativistic(1.0)), "seed"),
+], ids=["sample-n0", "sample-n-2", "simulate-n0", "admissibility-seed-1"])
+def test_runners_reject_a_size_below_one_and_a_negative_seed(call, field):
+    with pytest.raises(ConfigError) as excinfo:
+        call()
+    assert excinfo.value.field == field
 
 
 # ----------------------------------------------------------------------
