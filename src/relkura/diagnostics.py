@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemConfig, Trajectory, _row_blocks, _write_csv
-from .errors import DegenerateFitError, DomainError, UnsupportedModelError
+from .errors import ConfigError, DegenerateFitError, DomainError, UnsupportedModelError
 from .models import _SMALLEST_NORMAL, FrequencyResponse, ModelKind, _span_underflows
 
 __all__ = [
@@ -98,7 +98,7 @@ def phase_diameter(theta) -> float:
     """max(theta) - min(theta); phases are unwrapped so this can exceed 2*pi."""
     th = np.asarray(theta, dtype=float)
     if th.size == 0:
-        raise ValueError("phase_diameter needs at least one phase")
+        raise ConfigError("theta", "phase_diameter needs at least one phase")
     return float(np.ptp(th))
 
 
@@ -116,7 +116,7 @@ def _order_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def order_parameter(theta) -> OrderParameter:
     th = np.asarray(theta, dtype=float)
     if th.size == 0:
-        raise ValueError("order_parameter needs at least one phase")
+        raise ConfigError("theta", "order_parameter needs at least one phase")
     r, phi = _order_rows(th.reshape(-1))
     return OrderParameter(float(r), None if np.isnan(phi) else float(phi))
 
@@ -166,8 +166,10 @@ def potential(theta, kappa: float, omega):
     """
     th = np.asarray(theta, dtype=float)
     om = np.asarray(omega, dtype=float)
-    if th.size == 0 or om.shape != th.shape[-1:]:
-        raise ValueError("potential needs phases and an omega of their last-axis length")
+    if th.size == 0:
+        raise ConfigError("theta", "potential needs at least one phase")
+    if om.shape != th.shape[-1:]:
+        raise ConfigError("omega", "potential needs an omega of the phases' last-axis length")
     return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
 
 
@@ -256,8 +258,15 @@ def predicted_rate(config: SystemConfig, initial_diameter: float) -> float:
 def fit_decay_rate(times, values) -> DecayFit:
     """Fit log(values) linearly in time; rate is the negated slope.
 
-    Requires at least three samples, strictly positive values, and
-    non-degenerate times.
+    The least-squares line is taken in closed form on centred times:
+    slope = sum((t - mean t) * (l - mean l)) / sum((t - mean t)**2) and
+    intercept = mean l - slope * mean t, with l = log(values).  The
+    residuals l - (slope * t + intercept) are taken centred too, as
+    (l - mean l) - slope * (t - mean t) less their float mean, so a
+    window far from t = 0 keeps its digits.  Elementwise sums call no
+    LAPACK routine, whose first call would leave about 1 MB of BLAS
+    workspace resident for the rest of the process.  Requires at least
+    three samples, strictly positive values, and non-degenerate times.
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     v = np.asarray(values, dtype=float).reshape(-1)
@@ -268,8 +277,14 @@ def fit_decay_rate(times, values) -> DecayFit:
     if not np.all(v > 0.0):
         raise DegenerateFitError("fit needs strictly positive values")
     logs = np.log(v)
-    slope, intercept = np.polyfit(t, logs, 1)
-    resid = logs - (slope * t + intercept)
+    t_mean, log_mean = t.mean(), logs.mean()
+    t_dev, log_dev = t - t_mean, logs - log_mean
+    slope = (t_dev * log_dev).sum() / (t_dev * t_dev).sum()
+    intercept = log_mean - slope * t_mean
+    resid = log_dev - slope * t_dev
+    # the residuals of the exact fit sum to 0; their float mean is the
+    # rounding of the two means, which would be all of the rms of an exact line
+    resid -= resid.mean()
     rms = float(np.sqrt(np.mean(resid * resid)))
     return DecayFit(rate=float(-slope), intercept=float(intercept), rms_residual=rms)
 

@@ -385,9 +385,9 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     """
     configs = list(configs)
     if not configs:
-        raise ValueError("simulate_batch needs at least one config")
+        raise ConfigError("configs", "simulate_batch needs at least one config")
     if any(_grid(config) != _grid(configs[0]) for config in configs):
-        raise ValueError("batched configs must share n, dt, t_final and record_every")
+        raise ConfigError("configs", "batched configs must share n, dt, t_final and record_every")
     th = _batch_phases(configs, theta0)
     times, states, derivs, err = _integrate(configs[0], th, _batch_rates(configs))
     trajs = [Trajectory(config, times, states[:, b], derivs[:, b], partial=err is not None)

@@ -43,10 +43,12 @@ class ConfigError(DomainError, ValueError):
     Every argument check of the library raises it, named by the parameter
     it checks, and the CLI exits 2 on it.  The offending name is kept on
     ``field`` and the complaint on ``message``, so command-line errors can
-    point at exactly what to fix.
+    point at exactly what to fix.  A field that is not printable (a JSON
+    key holding a newline, say) is rendered with ``repr`` in the error's
+    text, so the text stays on one line; ``field`` keeps it as given.
     """
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field if field.isprintable() else repr(field)}: {message}")
         self.field = field
         self.message = message

@@ -566,7 +566,9 @@ def run_limit_scaling(
     says which under ``doubling``.  In the all-zero regime, where both
     flows stop, c**2 * s(c) must also stay bounded in time: with at least
     two checkpoint times the sup up to the last one may exceed the sup up
-    to the first by at most 5%.  The heterogeneous and identical-frequency
+    to the first by at most 5%; where the first is 0 (a checkpoint at
+    t = 0) no growth is defined, so the claim is skipped and the row says
+    so under ``bounded``.  The heterogeneous and identical-frequency
     regimes carry no boundedness assertion (their discrepancy drifts).
     ``regimes`` must name at least one regime and none twice, and every
     checkpoint must lie in [0, ``t_final``].
@@ -635,7 +637,11 @@ def run_limit_scaling(
                     continue
                 first = row["checkpoints"][stamps[0]]["c2_sup_l1"]
                 last = row["checkpoints"][stamps[-1]]["c2_sup_l1"]
-                growth = last / first - 1.0 if first > 0.0 else 0.0
+                if first == 0.0:
+                    # no growth relative to 0 (a checkpoint at t = 0, or flows that coincide)
+                    row["bounded"] = "skipped: c^2 * sup l1 = 0 at the first checkpoint"
+                    continue
+                growth = last / first - 1.0
                 predicates.append(_claim(
                     f"zero-bounded-c{row['c']:g}",
                     "c^2 * sup l1 grows < 5% between first and last checkpoint",

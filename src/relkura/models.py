@@ -554,7 +554,7 @@ def stack_rows(responses) -> FrequencyResponse:
     """
     first = responses[0]
     if any(r.kind is not first.kind for r in responses):
-        raise ValueError("stacked responses must share one kind")
+        raise ConfigError("responses", "stacked responses must share one kind")
     if first.kind is ModelKind.CLASSICAL or all(r.c == first.c for r in responses):
         return first
     stacked = object.__new__(FrequencyResponse)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relkura import cli
@@ -409,6 +409,18 @@ def test_main_limit_takes_a_checkpoint_at_zero(tmp_path):
     assert payload["config"]["checkpoint_times"] == [0.0, 5.0]
 
 
+def test_main_limit_skips_the_bounded_claim_from_a_zero_first_checkpoint(tmp_path, capsys):
+    # c^2 * sup l1 is 0 at t = 0, so no growth is defined from it; the
+    # claim used to pass there with growth 0
+    path = tmp_path / "limit.json"
+    path.write_text('{"scenario": "limit", "checkpoints": [0, 5]}')
+    main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert "zero-bounded" not in capsys.readouterr().out
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    for row in payload["results"]["tables"]["zero"]:
+        assert row["bounded"].startswith("skipped: "), row
+
+
 @pytest.mark.parametrize("scenario", ["simulate", "sync-check", "rcs-check"])
 def test_main_at_a_tiny_bound_runs_without_numpy_warnings(tmp_path, capsys, scenario):
     # c * c and c**3 underflow at c = 1e-300; a RuntimeWarning fails the test
@@ -535,6 +547,9 @@ def test_small_configs_are_valid(tmp_path):
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=100)
 @given(case=_broken_configs())
+# a key that is not printable is named by its repr, so the error stays one line
+@example(case=({"scenario": "simulate", "a\nb": 1}, "a\nb"))
+@example(case=({"scenario": "simulate", "a\tb": 1}, "a\tb"))
 def test_a_malformed_config_exits_2_naming_its_key(case):
     config, key = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -545,7 +560,8 @@ def test_a_malformed_config_exits_2_naming_its_key(case):
             code = main(["--config", str(path), "--out", str(out)])
         err = stderr.getvalue()
         assert code == 2, (config, err)
-        assert err.startswith(f"config error: {key}: "), (config, err)
+        shown = key if key.isprintable() else repr(key)
+        assert err.startswith(f"config error: {shown}: "), (config, err)
         assert err.count("\n") == 1 and "Traceback" not in err
         assert stdout.getvalue() == ""
         assert not [p for p in out.rglob("*") if p.is_file()]

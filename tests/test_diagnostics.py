@@ -62,8 +62,9 @@ def test_phase_diameter():
     assert phase_diameter([0.5]) == 0.0
     assert phase_diameter([-1.0, 2.5, 0.0]) == 3.5
     assert phase_diameter([4.0, 10.0]) == 6.0  # unwrapped, may exceed 2*pi
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         phase_diameter([])
+    assert info.value.field == "theta"
 
 
 def test_order_parameter_aligned():
@@ -76,6 +77,12 @@ def test_order_parameter_balanced_has_no_phase():
     op = order_parameter([0.25, 0.25 + math.pi])
     assert op.r <= 1e-12
     assert op.phi is None
+
+
+def test_order_parameter_rejects_no_phases():
+    with pytest.raises(ValueError) as info:
+        order_parameter([])
+    assert info.value.field == "theta"
 
 
 def test_order_parameter_spot_value():
@@ -108,8 +115,12 @@ def test_potential_pair_term_keeps_digits_near_synchrony(n, offset, spread):
 
 
 def test_potential_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         potential(SPOT_THETA, 1.0, np.zeros(2))
+    assert info.value.field == "omega"
+    with pytest.raises(ValueError) as info:
+        potential([], 1.0, [])
+    assert info.value.field == "theta"
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +347,36 @@ def test_fit_decay_rate_recovers_exact_exponential():
     assert fit.rate == pytest.approx(0.8, rel=1e-12)
     assert fit.intercept == pytest.approx(math.log(3.5), rel=1e-12)
     assert fit.rms_residual < 1e-12
+
+
+@st.composite
+def _decay_samples(draw):
+    """(times, values): a noisy exponential sampled far from t = 0."""
+    times = np.sort(draw(st.lists(st.floats(1e3, 1e3 + 40.0), min_size=3, max_size=50,
+                                  unique=True)))
+    rate = 10.0 ** draw(st.floats(-3.0, 1.0))
+    log_start = draw(st.floats(1.0, 5.0))
+    noise = draw(st.lists(st.floats(-1e-2, 1e-2), min_size=len(times), max_size=len(times)))
+    return times, np.exp(log_start - rate * (times - 1e3) + np.array(noise))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(samples=_decay_samples())
+def test_fit_decay_rate_matches_a_high_precision_least_squares_fit(samples):
+    times, values = samples
+    fit = fit_decay_rate(times, values)
+    with mpmath.workdps(50):
+        t = [mpmath.mpf(float(x)) for x in times]
+        logs = [mpmath.mpf(float(x)) for x in np.log(values)]
+        t_mean, log_mean = sum(t) / len(t), sum(logs) / len(t)
+        slope = (sum((a - t_mean) * (b - log_mean) for a, b in zip(t, logs))
+                 / sum((a - t_mean) ** 2 for a in t))
+        intercept = log_mean - slope * t_mean
+        rms = mpmath.sqrt(sum((b - slope * a - intercept) ** 2 for a, b in zip(t, logs))
+                          / len(t))
+    assert abs(fit.rate + float(slope)) <= 1e-12 * abs(float(slope))
+    assert abs(fit.intercept - float(intercept)) <= 1e-12 * abs(float(intercept))
+    assert abs(fit.rms_residual - float(rms)) <= 1e-12
 
 
 def test_fit_decay_rate_degenerate_inputs():

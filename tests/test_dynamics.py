@@ -450,14 +450,16 @@ def test_simulate_batch_rejects_configs_on_different_grids(field, value):
     other = {**base, field: value}
     if field == "n":
         other["omega"] = np.zeros(3)
-    with pytest.raises(ValueError, match="share n, dt, t_final and record_every"):
+    with pytest.raises(ValueError, match="share n, dt, t_final and record_every") as info:
         simulate_batch([SystemConfig(**base), SystemConfig(**other)], np.array(PAIR_THETA0))
+    assert info.value.field == "configs"
 
 
 def test_simulate_batch_validates_its_inputs():
     cfg = pair_config(classical(), dt=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         simulate_batch([], np.array(PAIR_THETA0))
+    assert info.value.field == "configs"
     with pytest.raises(ValueError):
         simulate_batch([cfg, cfg], np.zeros((3, 2)))
     with pytest.raises(ValueError):

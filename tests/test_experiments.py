@@ -182,6 +182,20 @@ def test_rate_vs_c_heterogeneous_is_qualitative():
         assert "fit" not in row
 
 
+def test_decay_fits_run_without_lapack(monkeypatch):
+    # the first LAPACK call leaves about 1 MB of BLAS workspace resident
+    # for the rest of the process, so no scenario's fit may make one
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a decay fit called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", no_lapack)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    compare = run_four_model_comparison(5, t_final=3.0, dt=0.02)
+    assert all(fit["rate"] > 0.0 for fit in compare.results["decay_rates"].values())
+    sweep = run_rate_vs_c(7, c_values=(1.0, 2.0), t_final=6.0, dt=0.02)
+    assert all(row["fit"]["rate"] > 0.0 for row in sweep.results["table"])
+
+
 def test_rate_vs_c_rejects_unsorted_c():
     with pytest.raises(DomainError):
         run_rate_vs_c(7, c_values=(2.0, 1.0), t_final=6.0)

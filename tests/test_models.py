@@ -680,5 +680,6 @@ def test_stack_rows_passes_single_and_classical_responses_through():
     assert stack_rows(both) is both[0]
     shared = [relativistic(2.0), relativistic(2.0)]
     assert stack_rows(shared) is shared[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         stack_rows([relativistic(1.0), rapidity(1.0)])
+    assert info.value.field == "responses"
