@@ -136,7 +136,8 @@ def parse_config(argv) -> RunConfig:
     if namespace.config is not None:
         path = Path(namespace.config)
         if not path.is_file():
-            raise ConfigError("config", f"no such file: {path}")
+            # repr keeps a path holding a newline on the one line of the error
+            raise ConfigError("config", f"no such file: {str(path)!r}")
         try:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as err:

@@ -23,29 +23,27 @@ The energy observable is the integral of w * F'(w) from 0 to |w_i| per
 oscillator, summed; each bounded kind has it in closed form:
 c**2 * (gamma - 1) (proper-velocity), c**2 * ln(gamma) (rapidity) and
 c**2 * (gamma - 1) + (gamma**2 - 1) - ln(gamma) (full relativistic).
-They are evaluated through span = (c - w) * (c + w), with
-gamma - 1 = w**2 / (sqrt(span) * (c + sqrt(span))),
-gamma**2 - 1 = w**2 / span and ln(gamma) = log1p(gamma**2 - 1) / 2, so
-neither small speeds nor speeds next to the bound lose digits to
-cancellation; where w * w is subnormal, gamma**2 - 1 is taken as
-u**2 / ((1 - u) * (1 + u)) with u = w / c instead.  Above c ~ 6.7e153,
-where these c**2-sized intermediates overflow, and below c ~ 1e-146,
-where the span can underflow, all terms are taken in u, with no factor
-c * c formed.  The classical kind has no finite velocity bound and no
-such energy.
+They are taken at every bound in the u = |w|/c and s = 1 - u**2 of
+``models._span_ratio``, with root = sqrt(s): c**2 * (gamma - 1) =
+(w / root) * (w / (1 + root)), gamma**2 - 1 = g = u**2 / s and
+c**2 * ln(gamma) = (w / root) * ((w / root) * log1p(g) / g) / 2 (the
+ratio is 1 where g underflows to 0).  No factor c * c is formed and
+nothing cancels, so each term is within a few ulps, or over- or
+underflows only where its value does, for every bound from 1e-300 to
+1e300.  The classical kind has no finite velocity bound and no such
+energy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import SystemConfig, Trajectory, _row_blocks, _write_csv
 from .errors import ConfigError, DegenerateFitError, DomainError, UnsupportedModelError
-from .models import _SMALLEST_NORMAL, FrequencyResponse, ModelKind, _span_underflows
+from .models import FrequencyResponse, ModelKind, _span_ratio
 
 __all__ = [
     "OrderParameter",
@@ -65,12 +63,6 @@ __all__ = [
 # Below this magnitude the centroid of the unit phasors is numerically
 # zero and the mean phase angle carries no information.
 R_UNDEFINED_BELOW = 1e-12
-
-# The energy terms are taken scaled by c above this bound, where
-# root * (c + root), about 2 c**2, can overflow (and c * c does above
-# 1.34e154), and below c ~ 1e-146, where the span (c - w) * (c + w) can
-# underflow (``_span_underflows``).
-_ENERGY_SCALED_ABOVE = math.sqrt(sys.float_info.max / 4.0)
 
 
 @dataclass(frozen=True)
@@ -173,31 +165,6 @@ def potential(theta, kappa: float, omega):
     return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
 
 
-def _energy_terms_scaled(kind: ModelKind, td: np.ndarray, c: float) -> np.ndarray:
-    """The energy terms of ``energy`` for a huge or a tiny bound.
-
-    Taken in u = td / c and s = (1 - u) * (1 + u) with root = sqrt(s):
-    c**2 (gamma - 1) = (td / root) * (td / (1 + root)), gamma**2 - 1 = g
-    = u**2 / s and c**2 ln(gamma) = (td / root)**2 / 2 * log1p(g) / g,
-    whose last factor is 1 where g underflows to 0.  No factor c * c is
-    formed, so a term over- or underflows only where its value does.
-    """
-    u = td / c
-    s = (1.0 - u) * (1.0 + u)
-    root = np.sqrt(s)
-    scaled = td / root
-    gamma2_m1 = u * u / s
-    with np.errstate(over="ignore"):
-        if kind is ModelKind.RAPIDITY:
-            log1p_ratio = np.divide(np.log1p(gamma2_m1), gamma2_m1,
-                                    out=np.ones_like(gamma2_m1), where=gamma2_m1 > 0.0)
-            return 0.5 * scaled * scaled * log1p_ratio
-        c2_gamma_m1 = scaled * (td / (1.0 + root))
-    if kind is ModelKind.PROPER_VELOCITY:
-        return c2_gamma_m1
-    return c2_gamma_m1 + gamma2_m1 - 0.5 * np.log1p(gamma2_m1)
-
-
 def energy(model: FrequencyResponse, theta_dot):
     """Total kinetic-type energy of the velocities, along the last axis.
 
@@ -213,27 +180,22 @@ def energy(model: FrequencyResponse, theta_dot):
     c = model.velocity_bound
     if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= c):
         raise DomainError(f"velocities must satisfy |theta_dot| < {c}")
-    if c > _ENERGY_SCALED_ABOVE or _span_underflows(c * c, 1.0):
-        terms = _energy_terms_scaled(model.kind, td, c)
-    else:
-        span = (c - td) * (c + td)
-        root = np.sqrt(span)
-        td_sq = td * td
-        gamma_m1 = td_sq / (root * (c + root))
-        if model.kind is ModelKind.PROPER_VELOCITY:
-            terms = c * c * gamma_m1
+    u, _, s = _span_ratio(td, c)
+    root = np.sqrt(s)
+    scaled = td / root
+    gamma2_m1 = u * u / s
+    with np.errstate(over="ignore"):
+        if model.kind is ModelKind.RAPIDITY:
+            log1p_ratio = np.divide(np.log1p(gamma2_m1), gamma2_m1,
+                                    out=np.ones_like(gamma2_m1), where=gamma2_m1 > 0.0)
+            # scaled * scaled overflows next to bounds above ~3e146, where the energy is finite
+            terms = 0.5 * scaled * (scaled * log1p_ratio)
         else:
-            gamma2_m1 = td_sq / span
-            # where w * w is subnormal it has lost digits that (w / c)**2 keeps
-            tiny = td_sq < _SMALLEST_NORMAL
-            if tiny.any():
-                u = td[tiny] / c
-                gamma2_m1[tiny] = u * u / ((1.0 - u) * (1.0 + u))
-            log_gamma = 0.5 * np.log1p(gamma2_m1)
-            if model.kind is ModelKind.RAPIDITY:
-                terms = c * c * log_gamma
+            c2_gamma_m1 = scaled * (td / (1.0 + root))
+            if model.kind is ModelKind.PROPER_VELOCITY:
+                terms = c2_gamma_m1
             else:
-                terms = c * c * gamma_m1 + gamma2_m1 - log_gamma
+                terms = c2_gamma_m1 + gamma2_m1 - 0.5 * np.log1p(gamma2_m1)
     total = terms.sum(axis=-1)
     return float(total) if td.ndim == 1 else total
 
@@ -266,7 +228,8 @@ def fit_decay_rate(times, values) -> DecayFit:
     window far from t = 0 keeps its digits.  Elementwise sums call no
     LAPACK routine, whose first call would leave about 1 MB of BLAS
     workspace resident for the rest of the process.  Requires at least
-    three samples, strictly positive values, and non-degenerate times.
+    three samples, strictly positive values, and distinct times whose
+    squared deviations from their mean do not all underflow to 0.
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     v = np.asarray(values, dtype=float).reshape(-1)
@@ -274,12 +237,17 @@ def fit_decay_rate(times, values) -> DecayFit:
         raise DegenerateFitError("fit needs matching times/values with >= 3 samples")
     if np.ptp(t) == 0.0:
         raise DegenerateFitError("fit needs at least two distinct times")
+    t_mean = t.mean()
+    t_dev = t - t_mean
+    t_spread = (t_dev * t_dev).sum()
+    if t_spread == 0.0:
+        raise DegenerateFitError("fit needs times whose squared deviations do not underflow")
     if not np.all(v > 0.0):
         raise DegenerateFitError("fit needs strictly positive values")
     logs = np.log(v)
-    t_mean, log_mean = t.mean(), logs.mean()
-    t_dev, log_dev = t - t_mean, logs - log_mean
-    slope = (t_dev * log_dev).sum() / (t_dev * t_dev).sum()
+    log_mean = logs.mean()
+    log_dev = logs - log_mean
+    slope = (t_dev * log_dev).sum() / t_spread
     intercept = log_mean - slope * t_mean
     resid = log_dev - slope * t_dev
     # the residuals of the exact fit sum to 0; their float mean is the

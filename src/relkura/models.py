@@ -43,18 +43,18 @@ changing a float:
 
 Numerical notes baked into this module:
 
-* ``gamma`` is evaluated as ``1/sqrt((1 - w/c) * (1 + w/c))``.  The
-  factored difference avoids the catastrophic cancellation of
-  ``1 - (w/c)**2`` as |w| approaches c, and makes gamma (hence F) exactly
-  even/odd in floating point.
+* The forward response F and its slope F' take one form at every bound,
+  in u = |w|/c, d = (c - |w|)/c and s = 1 - u**2 = d * (1 + u)
+  (``_span_ratio``).  c - |w| is exact next to the bound, so s keeps its
+  relative digits up to the last float below c, and no power of c is
+  formed: F and F' are within a few ulps, or read 0 or inf where the
+  value under- or overflows, for every bound from 1e-300 to 1e300.  The
+  one gap is the full kind's F at a subnormal speed under a bound below
+  1, where w/c is rounded to the subnormal grid before the second 1/c.
+* The Newton solve keeps its unscaled forms, with ``gamma`` as
+  ``1/sqrt((1 - w/c) * (1 + w/c))``, which is exactly even.
 * The proper-velocity inverse is ``c*y/hypot(y, c)``, which cannot
   overflow for any finite drive.
-* The slopes are taken in u = w/c where an unscaled power of c would
-  overflow (huge bounds), and they and the full response are taken in u
-  where a power of the span (c - w) * (c + w) could underflow (tiny
-  bounds), so they stay accurate, or read 0 or inf where the value
-  does, for every bound from 1e-300 to 1e300.  The Newton solve keeps
-  its unscaled forms.
 * All evaluators accept scalars or numpy arrays, return the same shape,
   and are pure functions of immutable state.
 """
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,21 +157,17 @@ def _prepared_bounds(c: float) -> tuple:
     return tuple(np.array(v) for v in (c, c_cubed, c * c, np.nextafter(c, 0.0)))
 
 
-# span = (c - w) * (c + w) is at least about c*c*eps for |w| < c.  Where a
-# power of that span (or c*c itself) can fall below the smallest normal
-# float, the unscaled forms lose digits, or divide by 0, so the forward
-# response and the slopes are taken in u = w/c there.
-_SPAN_FLOOR_PER_C_SQ = sys.float_info.epsilon
-_SMALLEST_NORMAL = sys.float_info.min
-# the power of the span each unscaled slope divides by (the full kind's
-# also divides by span**1.5)
-_SLOPE_SPAN_POWER = {ModelKind.RAPIDITY: 1.0, ModelKind.PROPER_VELOCITY: 1.5,
-                     ModelKind.RELATIVISTIC: 2.0}
+def _span_ratio(w: np.ndarray, c) -> tuple:
+    """u = |w|/c, d = (c - |w|)/c and s = 1 - u**2 = d * (1 + u) of speeds below c.
 
-
-def _span_underflows(c_sq, power: float) -> bool:
-    """Whether span**power can fall below the normal floats for some |w| < c."""
-    return bool((c_sq * _SPAN_FLOOR_PER_C_SQ) ** power < _SMALLEST_NORMAL)
+    c - |w| is exact where |w| >= c/2 (Sterbenz), so s keeps its relative
+    digits up to the last float below c, and no power of c is formed: a
+    form built on u, d and s over- or underflows only where its value does.
+    """
+    speed = np.abs(w)
+    u = speed / c
+    d = (c - speed) / c
+    return u, d, d * (_ONE + u)
 
 
 def _lorentz(w: np.ndarray, c) -> np.ndarray:
@@ -189,37 +184,6 @@ def _full_momentum(w: np.ndarray, c, c_sq) -> np.ndarray:
 def _full_momentum_slope(w: np.ndarray, c, c_sq, c_cubed) -> np.ndarray:
     span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
     return c_cubed / span**1.5 + (c_sq + w * w) / (span * span)
-
-
-def _scaled_full_momentum(w: np.ndarray, c) -> np.ndarray:
-    """The full response w*g + (u*g)*(g/c), u = w/c, for a tiny bound.
-
-    No power of c is formed, so the result overflows only where the
-    response does.
-    """
-    g = _lorentz(w, c)
-    with np.errstate(over="ignore"):
-        return w * g + (w / c) * g * (g / c)
-
-
-def _scaled_momentum_slope(kind: ModelKind, w: np.ndarray, c) -> np.ndarray:
-    """F'(w) in u = w/c, for a bound where the unscaled slope over- or underflows.
-
-    With s = (1 - u) * (1 + u) the slope is 1/s (rapidity), s**-1.5
-    (proper velocity) and s**-1.5 + (1 + u**2) / (c**2 s**2) (full kind),
-    whose last term is taken divided by c twice: it underflows harmlessly
-    for a huge bound and, for a tiny one, overflows only where the slope
-    does.
-    """
-    u = w / c
-    s = (_ONE - u) * (_ONE + u)
-    if kind is ModelKind.RAPIDITY:
-        return _ONE / s
-    slope = s**-1.5
-    if kind is ModelKind.RELATIVISTIC:
-        with np.errstate(over="ignore"):
-            slope = slope + (_ONE + u * u) / (s * s) / c / c
-    return slope
 
 
 def _solve_full(target: np.ndarray, c, c_cubed, c_sq, cap) -> np.ndarray:
@@ -362,31 +326,34 @@ class FrequencyResponse:
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             return w + 0.0
-        c, _, c_sq, _ = self._bounds
+        c = self._bounds[0]
+        u, d, s = _span_ratio(w, c)
         if kind is ModelKind.RAPIDITY:
-            return c * np.arctanh(w / c)
+            # c atanh(u) = w (log1p(x)/x) / d with x = 2u/d: a subnormal u costs no digits
+            x = (u + u) / d
+            ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > _ZERO)
+            return w * (ratio / d)
+        g = _ONE / np.sqrt(s)
         if kind is ModelKind.PROPER_VELOCITY:
-            return w * _lorentz(w, c)
-        if _span_underflows(c_sq, 1.0):  # gamma / c_sq loses digits or overflows
-            return _scaled_full_momentum(w, c)
-        return _full_momentum(w, c, c_sq)
+            return w * g
+        # divided by c twice, the gamma/c**2 term overflows only where F does
+        with np.errstate(over="ignore"):
+            return w * g + (w / c) * g * (g / c)
 
     def _momentum_slope_unchecked(self, w: np.ndarray) -> np.ndarray:
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             return np.ones_like(w)
-        c, c_cubed, c_sq, _ = self._bounds
-        if np.isinf(c_sq if kind is ModelKind.RAPIDITY else c_cubed) or _span_underflows(
-                c_sq, _SLOPE_SPAN_POWER[kind]):
-            return _scaled_momentum_slope(kind, w, c)
-        span = (c - w) * (c + w)  # c**2 - w**2 without cancellation near |w| ~ c
+        c = self._bounds[0]
+        u, _, s = _span_ratio(w, c)
         if kind is ModelKind.RAPIDITY:
-            return c_sq / span
+            return _ONE / s
+        slope = s**-1.5
         if kind is ModelKind.PROPER_VELOCITY:
-            return c_cubed / span**1.5
-        # span * span overflows above c ~ 1.2e77, where its term is below an ulp
+            return slope
+        # divided by c twice, the last term overflows only where the slope does
         with np.errstate(over="ignore"):
-            return _full_momentum_slope(w, c, c_sq, c_cubed)
+            return slope + (_ONE + u * u) / (s * s) / c / c
 
     # ------------------------------------------------------------------
     # inverse response G and its derivative

@@ -565,3 +565,15 @@ def test_a_malformed_config_exits_2_naming_its_key(case):
         assert err.count("\n") == 1 and "Traceback" not in err
         assert stdout.getvalue() == ""
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_a_config_path_holding_a_newline_gives_one_error_line(tmp_path):
+    # a missing --config path is named by its repr, so the error stays one line
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--scenario", "simulate", "--config", str(tmp_path / "a\nb")])
+    err = stderr.getvalue()
+    assert code == 2
+    assert err.startswith("config error: config: no such file: '"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert stdout.getvalue() == ""

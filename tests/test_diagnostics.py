@@ -201,9 +201,9 @@ def _energy_reference_small_ratio(kind: str, w: float, c: float):
 @pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
 @pytest.mark.parametrize("c", [1.3e154, 1e155, 1e200, 1e300])
 def test_energy_for_huge_bounds_matches_mpmath(make, c):
-    # unscaled, root * (c + root) overflows above c ~ 9.5e153 (the terms with
-    # gamma - 1 read 0) and c * c above 1.34e154 (NaN); above 6.7e153 the
-    # terms are taken scaled
+    # unscaled, root * (c + root) would overflow above c ~ 9.5e153 (the terms
+    # with gamma - 1 would read 0) and c * c above 1.34e154 (NaN); the terms
+    # are taken in u = w / c and form neither
     model = make(c)
     speeds = np.array([0.5, -3.0, 1e-150, 1e100, -1e150])
     assert np.array_equal(energy(model, np.stack([speeds, speeds])), [energy(model, speeds)] * 2)
@@ -219,10 +219,10 @@ def test_energy_for_huge_bounds_matches_mpmath(make, c):
 @pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
 @pytest.mark.parametrize("c", [1e-60, 1e-100, 1e-160, 1e-200, 1e-300])
 def test_energy_for_tiny_bounds_matches_mpmath(make, c):
-    # unscaled, span = (c - w) * (c + w) underflows below c ~ 1.49e-154 (NaN
-    # from 0 / 0); below 1e-146 the terms are taken scaled.  The full kind's
-    # energy is O(1) in w / c; the other two are O(c**2) and underflow to 0
-    # below c ~ 1e-162
+    # unscaled, span = (c - w) * (c + w) would underflow below c ~ 1.49e-154
+    # (NaN from 0 / 0); the terms are taken in u = w / c and form no span.
+    # The full kind's energy is O(1) in w / c; the other two are O(c**2) and
+    # underflow to 0 below c ~ 1e-162
     model = make(c)
     speeds = c * np.array([0.5, -0.99, 1e-8, 1e-60])
     assert np.array_equal(energy(model, np.stack([speeds, speeds])), [energy(model, speeds)] * 2)
@@ -386,6 +386,11 @@ def test_fit_decay_rate_degenerate_inputs():
         fit_decay_rate([1.0, 1.0, 1.0], [1.0, 0.5, 0.2])  # no time spread
     with pytest.raises(DegenerateFitError):
         fit_decay_rate([0.0, 1.0, 2.0], [1.0, 0.0, 0.5])  # log needs positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFitError):
+            # distinct times whose squared deviations underflow to 0
+            fit_decay_rate([0.0, 1e-170, 2e-170], [1.0, 0.5, 0.25])
 
 
 # ----------------------------------------------------------------------

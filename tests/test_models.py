@@ -23,6 +23,7 @@ from relkura import (
     relativistic,
 )
 from relkura import models
+from relkura.diagnostics import energy
 from relkura.errors import ConvergenceError, DomainError
 from relkura.models import (
     ADMISSIBILITY_ODDNESS_TOL,
@@ -30,6 +31,7 @@ from relkura.models import (
     stack_rows,
 )
 from reference_inverse import ReferenceInverse, reference_invert_full
+from test_diagnostics import _energy_reference_small_ratio
 
 # (w, c) -> (full, proper-velocity, rapidity), 50-digit values
 MOMENTUM_REFERENCE = {
@@ -225,9 +227,10 @@ def _momentum_slope_reference(kind: str, w: float, c: float):
         return s ** mpmath.mpf(-1.5) + (1 + u * u) / (mpmath.mpf(c) ** 2 * s * s)
 
 
-@pytest.mark.parametrize("c", [1e103, 1e150, 1e200, 1e300])
+@pytest.mark.parametrize("c", [1e95, 1e103, 1e150, 1e200, 1e300])
 def test_slopes_for_huge_bounds_match_mpmath(c):
-    # c**3 overflows above c ~ 5.6e102 and c * c above ~ 1.34e154
+    # c**4 overflows above c ~ 1.16e77, c**3 above ~ 5.6e102 and c * c
+    # above ~ 1.34e154; the slopes form no power of c
     for model in bounded_triple(c):
         for w in (0.5, -2.0, 0.5 * c, -0.99 * c):
             got = model.momentum_slope(w)
@@ -267,9 +270,10 @@ def _assert_matches_or_leaves_the_floats(got: float, want) -> None:
 
 @pytest.mark.parametrize("c", [1e-100, 1e-160, 1e-200, 1e-300])
 def test_slopes_for_tiny_bounds_match_mpmath(c):
-    # next to the bound the full kind's span**2 can underflow below
-    # c ~ 8.2e-70, the proper-velocity span**1.5 below ~1.9e-95 and the span
-    # itself below ~1e-146; there the slopes and the full response take u
+    # next to the bound the full kind's span**2 = ((c - w) * (c + w))**2 can
+    # underflow below c ~ 8.2e-70, the span**1.5 below ~1.9e-95 and the span
+    # itself below ~1e-146; the slopes and the responses take u = w / c and
+    # form no span
     for model in bounded_triple(c):
         for w in (0.5 * c, -0.99 * c, 1e-8 * c):
             _assert_matches_or_leaves_the_floats(
@@ -285,6 +289,50 @@ def test_slopes_for_tiny_bounds_match_mpmath(c):
         assert full.min_velocity_slope(-abs(y), 0.0) == got
         if c < 1e-154:
             assert got == 0.0  # F' overflows, and 1/F' is below 1e-300
+
+
+def _assert_within_rounding(got: float, want) -> None:
+    """got within 1e-14 relative of want, or 2**-1074 absolute where want is subnormal.
+
+    Where want overflows the floats, got must be the infinity of its sign.
+    """
+    if abs(want) > sys.float_info.max:
+        assert got == math.copysign(math.inf, want)
+    elif abs(want) < sys.float_info.min:
+        assert abs(mpmath.mpf(got) - want) <= 2.0**-1074, (got, want)
+    else:
+        assert abs(mpmath.mpf(got) - want) <= 1e-14 * abs(want), (got, want)
+
+
+@st.composite
+def _bound_and_speed(draw):
+    # c log-uniform in [1e-300, 1e300]; |w| log-uniform in u = |w| / c down
+    # to below the normal floats or, half the time, in 1 - u down to the
+    # last float below c
+    c = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if draw(st.booleans()):
+        w = 10.0 ** (math.log10(c) + draw(st.floats(-330.0, 0.0)))
+    else:
+        w = c * (1.0 - 10.0 ** draw(st.floats(-17.0, 0.0)))
+    return c, min(w, math.nextafter(c, 0.0)) * draw(st.sampled_from([1.0, -1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, derandomize=True, database=None, max_examples=500)
+@given(c_w=_bound_and_speed())
+@example(c_w=(3.3e171, (1.0 - 3e-16) * 3.3e171))
+@example(c_w=(5.2e-27, math.nextafter(5.2e-27, 0.0)))
+@example(c_w=(1.5e-231, -math.nextafter(1.5e-231, 0.0)))
+@example(c_w=(1e95, 0.5))
+@example(c_w=(1e300, 1e-20))
+@example(c_w=(1e150, math.nextafter(1e150, 0.0)))
+def test_forward_maps_and_energy_match_high_precision_at_every_bound(c_w):
+    c, w = c_w
+    for model in bounded_triple(c):
+        kind = model.kind.value
+        _assert_within_rounding(model.momentum(w), _momentum_reference(kind, w, c))
+        _assert_within_rounding(model.momentum_slope(w), _momentum_slope_reference(kind, w, c))
+        _assert_within_rounding(energy(model, [w]), _energy_reference_small_ratio(kind, w, c))
 
 
 @st.composite
