@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from relkura import SystemConfig, relativistic, simulate
-from relkura.diagnostics import compute_diagnostics
+from relkura.diagnostics import compute_diagnostics, write_diagnostics_csv
 from relkura.experiments import make_rng
 
 SEED = 42
@@ -36,7 +36,7 @@ def main():
     )
     traj = simulate(config, theta0)
     series = compute_diagnostics(config, traj)
-    series.write_csv(outdir / "diagnostics.csv")
+    write_diagnostics_csv(series, outdir / "diagnostics.csv")
 
     print(f"seed {SEED}, n = {N}, identical oscillators, c = 1, kappa = 1\n")
     print("t".rjust(6) + "diameter".rjust(12) + "R".rjust(12)

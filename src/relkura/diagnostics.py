@@ -86,12 +86,17 @@ class DecayFit:
     rms_residual: float
 
 
+def _phases(theta, caller: str) -> np.ndarray:
+    """``theta`` as floats; ConfigError("theta") unless it holds >= 1 phase, all finite."""
+    th = np.asarray(theta, dtype=float)
+    if th.size == 0 or not np.all(np.isfinite(th)):
+        raise ConfigError("theta", f"{caller} needs at least one phase, every phase finite")
+    return th
+
+
 def phase_diameter(theta) -> float:
     """max(theta) - min(theta); phases are unwrapped so this can exceed 2*pi."""
-    th = np.asarray(theta, dtype=float)
-    if th.size == 0:
-        raise ConfigError("theta", "phase_diameter needs at least one phase")
-    return float(np.ptp(th))
+    return float(np.ptp(_phases(theta, "phase_diameter")))
 
 
 def _order_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +111,7 @@ def _order_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def order_parameter(theta) -> OrderParameter:
-    th = np.asarray(theta, dtype=float)
-    if th.size == 0:
-        raise ConfigError("theta", "order_parameter needs at least one phase")
-    r, phi = _order_rows(th.reshape(-1))
+    r, phi = _order_rows(_phases(theta, "order_parameter").reshape(-1))
     return OrderParameter(float(r), None if np.isnan(phi) else float(phi))
 
 
@@ -156,10 +158,8 @@ def potential(theta, kappa: float, omega):
     potential is the pair term alone.  Unless sum(omega) = 0 the linear
     term makes the potential meaningful only up to drift.
     """
-    th = np.asarray(theta, dtype=float)
+    th = _phases(theta, "potential")
     om = np.asarray(omega, dtype=float)
-    if th.size == 0:
-        raise ConfigError("theta", "potential needs at least one phase")
     if om.shape != th.shape[-1:]:
         raise ConfigError("omega", "potential needs an omega of the phases' last-axis length")
     return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
@@ -171,16 +171,15 @@ def energy(model: FrequencyResponse, theta_dot):
     ``theta_dot`` is one configuration (n,), giving a float, or a stack
     (..., n), giving one value per row; each row is summed as a
     configuration alone is, so the values do not depend on the stacking.
-    Raises UnsupportedModelError for the classical kind and DomainError
-    when any |theta_dot| of the input reaches the velocity bound.
+    Raises UnsupportedModelError for the classical kind and, as
+    ``momentum`` does, DomainError unless every |theta_dot| is finite and
+    below the velocity bound.
     """
     if model.kind is ModelKind.CLASSICAL:
         raise UnsupportedModelError("the classical kind has no bounded-velocity energy")
     td = np.atleast_1d(np.asarray(theta_dot, dtype=float))
-    c = model.velocity_bound
-    if not np.all(np.isfinite(td)) or np.any(np.abs(td) >= c):
-        raise DomainError(f"velocities must satisfy |theta_dot| < {c}")
-    u, _, s = _span_ratio(td, c)
+    model._require_subluminal(td)
+    u, _, s = _span_ratio(td, model.velocity_bound)
     root = np.sqrt(s)
     scaled = td / root
     gamma2_m1 = u * u / s
@@ -205,15 +204,16 @@ def predicted_rate(config: SystemConfig, initial_diameter: float) -> float:
 
     kappa * sin(D0)/D0 * min of the inverse-response slope over the drive
     range [nu - kappa, nu + kappa], valid when the initial diameter D0 is
-    inside (0, pi).  Requires all natural frequencies equal.
+    inside (0, pi).  The slope is even and falls with |drive|, so the
+    minimum is its value at |nu| + kappa.  Requires all natural
+    frequencies equal.
     """
     om = config.omega
     if float(np.ptp(om)) != 0.0:
         raise DomainError("predicted_rate requires identical natural frequencies")
     if not (0.0 < initial_diameter < math.pi):
         raise DomainError("predicted_rate requires 0 < initial_diameter < pi")
-    nu = float(om[0])
-    floor = config.model.min_velocity_slope(nu - config.kappa, nu + config.kappa)
+    floor = config.model.velocity_slope(abs(float(om[0])) + config.kappa)
     return config.kappa * (math.sin(initial_diameter) / initial_diameter) * floor
 
 
@@ -225,36 +225,44 @@ def fit_decay_rate(times, values) -> DecayFit:
     intercept = mean l - slope * mean t, with l = log(values).  The
     residuals l - (slope * t + intercept) are taken centred too, as
     (l - mean l) - slope * (t - mean t) less their float mean, so a
-    window far from t = 0 keeps its digits.  Elementwise sums call no
-    LAPACK routine, whose first call would leave about 1 MB of BLAS
-    workspace resident for the rest of the process.  Requires at least
-    three samples, strictly positive values, and distinct times whose
-    squared deviations from their mean do not all underflow to 0.
+    window far from t = 0 keeps its digits.  The times enter scaled by
+    the power of two 2**-k that brings max |t| into [0.5, 1), and the
+    slope leaves scaled back by 2**k.  The scaling is exact, so a fit
+    whose unscaled sums are normal keeps its floats, and no sum over- or
+    underflows for any finite times; only a rate beyond the largest
+    float comes back inf.  Elementwise sums call no LAPACK routine, whose
+    first call would leave about 1 MB of BLAS workspace resident for the
+    rest of the process.  Requires at least three samples, finite times
+    and values, strictly positive values and two distinct times.
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     v = np.asarray(values, dtype=float).reshape(-1)
     if t.shape != v.shape or t.size < 3:
         raise DegenerateFitError("fit needs matching times/values with >= 3 samples")
-    if np.ptp(t) == 0.0:
-        raise DegenerateFitError("fit needs at least two distinct times")
-    t_mean = t.mean()
-    t_dev = t - t_mean
-    t_spread = (t_dev * t_dev).sum()
-    if t_spread == 0.0:
-        raise DegenerateFitError("fit needs times whose squared deviations do not underflow")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise DegenerateFitError("fit needs finite times and values")
     if not np.all(v > 0.0):
         raise DegenerateFitError("fit needs strictly positive values")
+    k = int(np.frexp(np.max(np.abs(t)))[1])
+    u = np.ldexp(t, -k)
+    if np.ptp(u) == 0.0:
+        raise DegenerateFitError("fit needs at least two distinct times")
+    u_mean = u.mean()
+    u_dev = u - u_mean
     logs = np.log(v)
     log_mean = logs.mean()
     log_dev = logs - log_mean
-    slope = (t_dev * log_dev).sum() / t_spread
-    intercept = log_mean - slope * t_mean
-    resid = log_dev - slope * t_dev
+    # the slope per unit of scaled time: scaled_slope * u is slope * t, the 2**k cancelling
+    scaled_slope = (u_dev * log_dev).sum() / (u_dev * u_dev).sum()
+    intercept = log_mean - scaled_slope * u_mean
+    resid = log_dev - scaled_slope * u_dev
     # the residuals of the exact fit sum to 0; their float mean is the
     # rounding of the two means, which would be all of the rms of an exact line
     resid -= resid.mean()
     rms = float(np.sqrt(np.mean(resid * resid)))
-    return DecayFit(rate=float(-slope), intercept=float(intercept), rms_residual=rms)
+    with np.errstate(over="ignore"):
+        rate = -float(np.ldexp(scaled_slope, -k))
+    return DecayFit(rate=rate, intercept=float(intercept), rms_residual=rms)
 
 
 def theta_star(kappa: float, omega_diameter: float) -> float:
@@ -286,9 +294,6 @@ class DiagnosticsSeries:
     potential: np.ndarray
     energy: np.ndarray
     omega_diameter: float
-
-    def write_csv(self, path) -> None:
-        write_diagnostics_csv(self, path)
 
 
 def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> DiagnosticsSeries:

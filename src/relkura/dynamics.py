@@ -160,9 +160,6 @@ class Trajectory:
     theta_dots: np.ndarray
     partial: bool = False
 
-    def write_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
-
 
 @dataclass(frozen=True)
 class MomentumTrajectory:
@@ -183,9 +180,6 @@ class MomentumTrajectory:
     residuals: np.ndarray
     induced_omega: np.ndarray
     partial: bool = False
-
-    def write_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
 
 
 # Largest ensemble whose all-to-all sums are taken pairwise.  Below about
@@ -435,14 +429,6 @@ def _momentum_coupling(config, theta, v):
                                         - w * (c * c.sum() + s * s.sum()))
 
 
-def _check_initial_velocities(config: SystemConfig, thetadot0) -> np.ndarray:
-    td = _finite_vector("thetadot0", thetadot0, config.n)
-    bound = config.model.velocity_bound
-    if np.any(np.abs(td) >= bound):
-        raise DomainError(f"initial velocities must satisfy |thetadot| < {bound}")
-    return td
-
-
 def _both_forms_rates(config: SystemConfig, nu: np.ndarray):
     """Derivative of the stacked state y = (theta_m, p, theta_f), shape (3, n).
 
@@ -473,7 +459,8 @@ def simulate_both_forms(config: SystemConfig, theta0,
     The natural frequencies nu_i = F(thetadot_i(0)) - coupling_i(0) are
     induced from the initial data (``config.omega`` is not used) and
     recorded on the momentum result as ``induced_omega``, with its
-    per-sample conservation residuals; the first-order result
+    per-sample conservation residuals; ``momentum`` rejects initial
+    velocities outside the model's bound.  The first-order result
     runs ``config`` with omega = nu from theta0.  Both forms integrate as
     one (3, n) state on the config's grid, and each gets the floats a run
     of it alone gives: the first-order half equals ``simulate``.  If the
@@ -481,8 +468,7 @@ def simulate_both_forms(config: SystemConfig, theta0,
     recorded so far attached, as the pair ``partial_trajectories``.
     """
     th = _finite_vector("theta0", theta0, config.n)
-    td = _check_initial_velocities(config, thetadot0)
-    p = config.model.momentum(td)
+    p = config.model.momentum(_finite_vector("thetadot0", thetadot0, config.n))
     nu = p - coupling(config, th)
     times, states, derivs, err = _integrate(config, np.stack((th, p, th)),
                                             _both_forms_rates(config, nu))

@@ -59,6 +59,7 @@ from .dynamics import (
     simulate,
     simulate_batch,
     simulate_both_forms,
+    write_trajectory_csv,
 )
 from .errors import ConfigError, DegenerateFitError
 from .models import (
@@ -277,7 +278,7 @@ def _emit(out_dir, label: str, traj, diagnostics: bool = True) -> list[str]:
         return []
     out = _directory(out_dir)
     names = [f"trajectory_{label}.csv"]
-    traj.write_csv(out / names[0])
+    write_trajectory_csv(traj, out / names[0])
     if diagnostics:
         names.append(f"diagnostics_{label}.csv")
         write_diagnostics_csv(compute_diagnostics(traj.config, traj), out / names[1])

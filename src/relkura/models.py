@@ -128,6 +128,14 @@ def _prepare(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _prepare_drive(drive) -> tuple[np.ndarray, bool]:
+    """``_prepare`` of a drive; DomainError unless every entry is finite."""
+    y, scalar = _prepare(drive)
+    if np.count_nonzero(np.isfinite(y)) != y.size:
+        raise DomainError("drive must be finite")
+    return y, scalar
+
+
 def _finish(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
@@ -369,9 +377,7 @@ class FrequencyResponse:
         full-response solve exhausts its iteration budget (not observed in
         practice).
         """
-        y, scalar = _prepare(drive)
-        if np.count_nonzero(np.isfinite(y)) != y.size:
-            raise DomainError("drive must be finite")
+        y, scalar = _prepare_drive(drive)
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             out = y + 0.0
@@ -404,9 +410,7 @@ class FrequencyResponse:
         full relativistic kind (whose slope at rest is 1 + 1/c**2).  Rows
         of the last axis are systems, as for ``velocity``.
         """
-        y, scalar = _prepare(drive)
-        if np.count_nonzero(np.isfinite(y)) != y.size:
-            raise DomainError("drive must be finite")
+        y, scalar = _prepare_drive(drive)
         kind = self.kind
         if kind is ModelKind.CLASSICAL:
             out = np.ones_like(y)
@@ -434,22 +438,6 @@ class FrequencyResponse:
             return y.copy()
         w = _solve_full(np.abs(y).reshape(-1, y.shape[-1] if y.ndim else 1), *self._bounds)
         return np.sign(y) * w.reshape(y.shape)
-
-    # ------------------------------------------------------------------
-    # interval minimum of the inverse slope
-    # ------------------------------------------------------------------
-
-    def min_velocity_slope(self, lo: float, hi: float) -> float:
-        """Minimum of ``velocity_slope`` over the drive interval [lo, hi].
-
-        The slope is even and unimodal with its maximum at zero, so the
-        minimum sits at the endpoint of larger magnitude; that endpoint
-        evaluation is the implementation.
-        """
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise DomainError("min_velocity_slope needs a finite interval with lo <= hi")
-        endpoint = lo if abs(lo) >= abs(hi) else hi
-        return self.velocity_slope(endpoint)
 
     # ------------------------------------------------------------------
     # structural checks

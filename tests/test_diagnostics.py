@@ -51,6 +51,9 @@ ENERGY_RAP_06_C1 = 0.22314355131420976
 ENERGY_FULL_12_C2 = 1.3393564486857902
 
 PREDICTED_RATE_D2_C1 = 0.14508921556143863  # kappa=1, nu=0, D0=2, full kind
+# the full kind's (c = 1) minimum inverse slope over a drive interval
+SLOPE_FLOOR_RIGHT_REFERENCE = 0.43825867057590470  # [-0.3, 0.5]
+SLOPE_FLOOR_LEFT_REFERENCE = 0.36718131973192245   # [-0.8, 0.2]
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +86,17 @@ def test_order_parameter_rejects_no_phases():
     with pytest.raises(ValueError) as info:
         order_parameter([])
     assert info.value.field == "theta"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_observables_reject_non_finite_phases(bad):
+    # the one phase rule: a nan or infinite phase would make each observable nan
+    for call in (lambda: phase_diameter([bad, 1.0]), lambda: order_parameter([bad]),
+                 lambda: potential([bad], 1.0, [0.0]),
+                 lambda: potential(np.array([[0.0, 1.0], [bad, 0.0]]), 1.0, np.zeros(2))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.value.field == "theta"
 
 
 def test_order_parameter_spot_value():
@@ -322,6 +336,26 @@ def test_predicted_rate_for_huge_bounds_is_the_classical_rate():
         assert predicted_rate(cfg, 1.3) == pytest.approx(2.0 * math.sin(1.3) / 1.3, rel=1e-10)
 
 
+def _slope_floor(model, nu, kappa):
+    """predicted_rate's slope floor over the drives [nu - kappa, nu + kappa]."""
+    cfg = SystemConfig(3, kappa, np.full(3, nu), model, 0.01, 1.0)
+    return predicted_rate(cfg, 1.0) / (kappa * math.sin(1.0))
+
+
+def test_predicted_rate_slope_floor_reference_values():
+    model = relativistic(1.0)
+    assert _slope_floor(model, 0.1, 0.4) == pytest.approx(SLOPE_FLOOR_RIGHT_REFERENCE, rel=1e-12)
+    assert _slope_floor(model, -0.3, 0.5) == pytest.approx(SLOPE_FLOOR_LEFT_REFERENCE, rel=1e-12)
+
+
+def test_predicted_rate_slope_floor_is_the_dense_minimum():
+    # the wider endpoint against the minimum over a dense grid of the interval [-1.2, 0.4]
+    for model in (relativistic(1.0), proper_velocity(1.0), rapidity(1.0), classical()):
+        value = _slope_floor(model, -0.4, 0.8)
+        dense = float(np.min(model.velocity_slope(np.linspace(-1.2, 0.4, 2001))))
+        assert dense >= value * (1.0 - 1e-9)
+
+
 def test_predicted_rate_requires_homogeneous_and_half_circle():
     hetero = SystemConfig(2, 1.0, np.array([0.1, -0.1]), classical(), 0.01, 1.0)
     with pytest.raises(DomainError):
@@ -388,9 +422,28 @@ def test_fit_decay_rate_degenerate_inputs():
         fit_decay_rate([0.0, 1.0, 2.0], [1.0, 0.0, 0.5])  # log needs positive
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateFitError):
-            # distinct times whose squared deviations underflow to 0
-            fit_decay_rate([0.0, 1e-170, 2e-170], [1.0, 0.5, 0.25])
+        for times, values in (([0.0, 1.0, math.inf], [1.0, 0.5, 0.25]),
+                              ([-math.inf, 1.0, 2.0], [1.0, 0.5, 0.25]),
+                              ([0.0, math.nan, 2.0], [1.0, 0.5, 0.25]),
+                              ([0.0, 1.0, 2.0], [1.0, math.inf, 0.25]),
+                              ([0.0, 1.0, 2.0], [1.0, math.nan, 0.25])):
+            with pytest.raises(DegenerateFitError):
+                fit_decay_rate(times, values)  # non-finite time or value
+
+
+@pytest.mark.parametrize("times, values, rate", [
+    ([0.0, 1e160, 2e160], [1.0, 0.5, 0.25], math.log(2.0) / 1e160),
+    ([0.0, 1e-170, 2e-170], [1.0, 0.5, 0.25], math.log(2.0) * 1e170),
+    ([-1e308, 0.0, 1e308], [1e300, 1.0, 1e-300], math.log(1e300) / 1e308),
+], ids=["1e160", "1e-170", "1e308"])
+def test_fit_decay_rate_takes_any_finite_time_spread(times, values, rate):
+    # sum((t - mean t)**2) overflows at 1e160 and underflows at 1e-170, and
+    # the times' range overflows at 1e308; the fit scales the times by 2**-k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_decay_rate(times, values)
+    assert abs(fit.rate - rate) <= 1e-15 * rate
+    assert fit.rms_residual <= 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +554,7 @@ def test_diagnostics_series_write_method(tmp_path):
         omega_diameter=0.0,
     )
     path = tmp_path / "series.csv"
-    series.write_csv(path)
+    write_diagnostics_csv(series, path)
     body = path.read_text().splitlines()
     assert len(body) == 3
     assert "nan" in body[1]

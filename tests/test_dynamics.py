@@ -790,7 +790,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=0.5, record_every=1)
     traj = simulate(cfg, np.array(PAIR_THETA0))
     path = tmp_path / "traj.csv"
-    traj.write_csv(path)
+    write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,theta_1,theta_2,thetadot_1,thetadot_2"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -836,7 +836,7 @@ def test_trajectory_csv_of_a_batch_view_equals_savetxt(tmp_path):
                for model in (relativistic(1.0), rapidity(2.0))]
     traj = simulate_batch(configs, np.array(PAIR_THETA0))[1]
     assert not traj.thetas.flags.c_contiguous
-    traj.write_csv(tmp_path / "got.csv")
+    write_trajectory_csv(traj, tmp_path / "got.csv")
     want = _savetxt_bytes(tmp_path / "want.csv", [traj.times, traj.thetas, traj.theta_dots],
                           "t,theta_1,theta_2,thetadot_1,thetadot_2")
     assert (tmp_path / "got.csv").read_bytes() == want

@@ -56,8 +56,6 @@ VELOCITY_SLOPE_FULL_REFERENCE = 0.15073032561360575
 VELOCITY_SLOPE_PV_REFERENCE = 0.089442719099991588
 VELOCITY_SLOPE_RAP_REFERENCE = 0.070650824853164466
 
-MIN_SLOPE_RIGHT_REFERENCE = 0.43825867057590470  # full, c=1, [-0.3, 0.5]
-MIN_SLOPE_LEFT_REFERENCE = 0.36718131973192245   # full, c=1, [-0.8, 0.2]
 
 ALL_BOUNDED = (relativistic, proper_velocity, rapidity)
 
@@ -242,7 +240,7 @@ def test_slopes_for_huge_bounds_match_mpmath(c):
         want = 1 / _momentum_slope_reference("relativistic", w, c)
         got = full.velocity_slope(y)
         assert abs(mpmath.mpf(got) - want) <= 1e-10 * want, y
-        assert full.min_velocity_slope(-abs(y), 0.5) == got
+        assert full.velocity_slope(-abs(y)) == got  # even, as predicted_rate assumes
 
 
 def _momentum_reference(kind: str, w: float, c: float):
@@ -286,7 +284,7 @@ def test_slopes_for_tiny_bounds_match_mpmath(c):
         got = full.velocity_slope(y)
         # 1/F'(G(y)): the slope is exact, G carries the solve's small-bound error
         assert got == 1.0 / full.momentum_slope(full.velocity(y))
-        assert full.min_velocity_slope(-abs(y), 0.0) == got
+        assert full.velocity_slope(-abs(y)) == got  # even, as predicted_rate assumes
         if c < 1e-154:
             assert got == 0.0  # F' overflows, and 1/F' is below 1e-300
 
@@ -560,35 +558,6 @@ def test_velocity_slope_matches_inverse_function_derivative():
         w = model.velocity(y)
         product = model.velocity_slope(y) * model.momentum_slope(w)
         assert np.max(np.abs(product - 1.0)) < 1e-10
-
-
-# ----------------------------------------------------------------------
-# interval slope minimum
-# ----------------------------------------------------------------------
-
-
-def test_min_velocity_slope_reference_values():
-    model = relativistic(1.0)
-    assert model.min_velocity_slope(-0.3, 0.5) == pytest.approx(
-        MIN_SLOPE_RIGHT_REFERENCE, rel=1e-12)
-    assert model.min_velocity_slope(-0.8, 0.2) == pytest.approx(
-        MIN_SLOPE_LEFT_REFERENCE, rel=1e-12)
-
-
-def test_min_velocity_slope_dense_check_agrees():
-    # the endpoint rule against the minimum over a dense grid of the interval
-    for factory in ALL_BOUNDED + (classical,):
-        model = factory(1.0) if factory is not classical else classical()
-        value = model.min_velocity_slope(-1.2, 0.4)
-        dense = float(np.min(model.velocity_slope(np.linspace(-1.2, 0.4, 2001))))
-        assert dense >= value * (1.0 - 1e-9)
-
-
-def test_min_velocity_slope_rejects_bad_interval():
-    with pytest.raises(DomainError):
-        relativistic(1.0).min_velocity_slope(1.0, -1.0)
-    with pytest.raises(DomainError):
-        relativistic(1.0).min_velocity_slope(0.0, math.inf)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Every public name has a user besides its own tests, and every private
-constant has one owner.
+"""Every public name has a user besides its own tests, every private
+constant has one owner, and every job has one entry point.
 
 A name in ``relkura.__all__`` counts as used when it appears as a Python
 name in the library or a demo, other than where it is defined or
 imported, or when the benchmark's layer trace looks it up by name.  A
 second implementation of a concept that only its unit tests reach fails
 here.  A private UPPER_CASE constant (a numeric threshold, say) is read
-only by the module that defines it, so one rule never lives in two.
+only by the module that defines it, so one rule never lives in two.  A
+public method whose body only hands ``self`` to a public function is a
+second entry point to that function and fails here too.
 """
 
 import ast
@@ -89,3 +91,39 @@ def test_no_module_reads_another_modules_private_constant():
     borrowed = {path.name: names for path in sorted((ROOT / "src" / "relkura").glob("*.py"))
                 if (names := _borrowed_private_constants(path))}
     assert borrowed == {}
+
+
+def _forwarding_methods(path: Path) -> list[str]:
+    """Public methods of public classes whose body only passes ``self`` on.
+
+    A forwarder's body, past its docstring, is one call, returned or not,
+    of a public function the module defines or imports, with ``self``
+    among its arguments: a second entry point to the function it calls.
+    """
+    tree = ast.parse(path.read_text())
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions |= {alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                continue
+            body = method.body[1:] if ast.get_docstring(method) is not None else method.body
+            if len(body) != 1 or not isinstance(body[0], (ast.Expr, ast.Return)):
+                continue
+            call = body[0].value
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in functions and not call.func.id.startswith("_")
+                    and any(isinstance(arg, ast.Name) and arg.id == "self"
+                            for arg in [*call.args, *(kw.value for kw in call.keywords)])):
+                found.append(f"{cls.name}.{method.name}")
+    return found
+
+
+def test_no_public_method_only_forwards_to_a_public_function():
+    forwarders = {path.name: names for path in sorted((ROOT / "src" / "relkura").glob("*.py"))
+                  if (names := _forwarding_methods(path))}
+    assert forwarders == {}
