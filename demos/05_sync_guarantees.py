@@ -13,6 +13,8 @@ Run:  python demos/05_sync_guarantees.py [outdir]
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from relkura import relativistic
 from relkura.experiments import run_sync_predicates
 
@@ -47,13 +49,13 @@ def main():
 
     homogeneous = run_sync_predicates(
         seed=SEED, model=model, n=10, kappa=1.0, t_final=50.0, dt=0.01,
-        freq_interval=(0.0, 0.0), out_dir=outdir / "homogeneous",
+        omega=np.zeros(10), out_dir=outdir / "homogeneous",
     )
     show(homogeneous, f"identical oscillators (seed {SEED}, c = {C})")
 
     heterogeneous = run_sync_predicates(
         seed=SEED, model=model, n=10, kappa=1.0, t_final=50.0, dt=0.01,
-        freq_interval=(-0.15, 0.15), out_dir=outdir / "heterogeneous",
+        out_dir=outdir / "heterogeneous",
     )
     show(heterogeneous, f"spread frequencies (seed {SEED}, c = {C})")
 

@@ -3,7 +3,7 @@
 The package is organized as a small numpy library:
 
 * :mod:`relkura.models` -- the drive-response family (forward map,
-  inverse, slopes, admissibility checks).
+  inverse, slopes).
 * :mod:`relkura.dynamics` -- fixed-step RK4 integration in first-order
   form (one system or a batch as one state) and momentum form (both
   forms of one system as one state).

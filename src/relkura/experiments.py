@@ -15,9 +15,10 @@ There is one runner per CLI scenario (``run_simulate``,
 ``run_sync_predicates``, ``run_rcs_crosscheck``, ``run_admissibility``),
 and its signature is the only place that scenario's defaults are
 written.  Drawn natural frequencies come from ``FREQ_INTERVAL``;
-``sample_protocol_ensemble`` and ``run_sync_predicates`` also take
-another ``freq_interval``, and the other runners draw from the constant
-alone (``run_rate_vs_c``'s homogeneous mode draws zeros).  Given
+``sample_protocol_ensemble`` also takes another ``freq_interval``, and
+the runners draw from the constant alone (``run_rate_vs_c``'s
+homogeneous mode draws zeros; ``run_simulate`` and
+``run_sync_predicates`` take given frequencies as ``omega``).  Given
 ``out_dir``, a runner writes its CSVs through ``_emit`` and its report
 through ``_report``; the diagnostics series it writes are taken, and
 written, a block of recorded rows at a time.
@@ -63,9 +64,8 @@ from .dynamics import (
 )
 from .errors import ConfigError, DegenerateFitError
 from .models import (
-    ADMISSIBILITY_ODDNESS_TOL,
-    ADMISSIBILITY_ROUNDTRIP_TOL,
     FrequencyResponse,
+    ModelKind,
     classical,
     proper_velocity,
     rapidity,
@@ -114,8 +114,13 @@ RCS_THETA_TOLERANCE = 1e-6
 RCS_RESIDUAL_TOLERANCE = 1e-8
 # Common natural frequency of the limit scan's identical regime.
 LIMIT_IDENTICAL_VALUE = 0.2
-# Grid size of the admissibility scenario's structural checks.
+# Admissibility: the grid size, the bound on the oddness residual
+# relative to max(1, |F(w)|) and the bound on the G(F(w)) = w round-trip
+# residual relative to max(1, |w|), so that large bounds are held to
+# their floats' precision.
 ADMISSIBILITY_SAMPLES = 1001
+ADMISSIBILITY_ODDNESS_TOL = 1e-12
+ADMISSIBILITY_ROUNDTRIP_TOL = 1e-10
 
 
 def make_rng(seed: int):
@@ -149,13 +154,17 @@ def sample_protocol_ensemble(
     frequencies and None when the spread is not below kappa and no lock
     angle exists.  Phases are then drawn from [-(pi - theta*)/2,
     (pi - theta*)/2], with theta* taken as 0 where it is None.  Returns
-    (theta0, omega, theta_star).  A bad seed, ``n`` or ``omega`` raises
-    ConfigError before anything is drawn.
+    (theta0, omega, theta_star).  A bad seed, ``n``, ``freq_interval``
+    (reversed, NaN or not finite) or ``omega`` raises ConfigError before
+    anything is drawn.
     """
     gen = make_rng(seed)
     _check_count("n", n)
+    low, high = (float(v) for v in freq_interval)
+    if not 0.0 <= high - low < math.inf:  # also rejects NaN and infinite ends
+        raise ConfigError("freq_interval", "must be a finite (low, high) with low <= high")
     if omega is None:
-        omega = gen.uniform(freq_interval[0], freq_interval[1], n)
+        omega = gen.uniform(low, high, n)
         if center_frequencies:
             omega = omega - omega.mean()
     else:
@@ -667,7 +676,6 @@ def run_sync_predicates(
     t_final: float = 50.0,
     record_every: int = 1,
     omega=None,
-    freq_interval: tuple[float, float] = FREQ_INTERVAL,
     out_dir=None,
 ) -> ExperimentReport:
     """Check the synchronization guarantees on one seeded run.
@@ -684,8 +692,7 @@ def run_sync_predicates(
     and that the terminal frequency diameter is numerically zero.
     """
     theta0, omega, tstar = sample_protocol_ensemble(
-        seed, n=n, kappa=kappa, freq_interval=freq_interval, center_frequencies=True,
-        omega=omega,
+        seed, n=n, kappa=kappa, center_frequencies=True, omega=omega,
     )
     spread = float(np.ptp(omega))
     homogeneous = spread == 0.0
@@ -816,27 +823,37 @@ def run_rcs_crosscheck(
 def run_admissibility(seed: int, model: FrequencyResponse, out_dir=None) -> ExperimentReport:
     """Check that a response is admissible, one predicate per structural property.
 
-    Runs ``model.check_admissibility`` on ADMISSIBILITY_SAMPLES points and
-    reports oddness and the inverse round trip against the bounds that
-    method applies, plus strict monotonicity.  Nothing is sampled at
-    random; ``seed`` is only recorded, once it passes the sampler's rule.
+    Samples F on ADMISSIBILITY_SAMPLES velocities spaced evenly over
+    [-0.999 c, 0.999 c] for a bounded kind and [-1e3, 1e3] for the
+    classical one, mirrored from a half grid so that the set is exactly
+    symmetric in floating point (linspace alone does not guarantee that).
+    Measures the oddness residual max |F(-w) + F(w)| / max(1, |F(w)|),
+    strict monotonicity of F along the grid, and the round-trip residual
+    max |G(F(w)) - w| / max(1, |w|), and decides the residuals against
+    ADMISSIBILITY_ODDNESS_TOL and ADMISSIBILITY_ROUNDTRIP_TOL.  Nothing is
+    sampled at random; ``seed`` is only recorded, once it passes the
+    sampler's rule.
     """
     make_rng(seed)  # draws nothing, but rejects a seed no sampled scenario takes
-    check = model.check_admissibility(samples=ADMISSIBILITY_SAMPLES)
+    edge = 1e3 if model.kind is ModelKind.CLASSICAL else 0.999 * model.c
+    half = np.linspace(0.0, edge, (ADMISSIBILITY_SAMPLES + 2) // 2)
+    grid = np.concatenate([-half[:0:-1], half])
+    fw = model.momentum(grid)
+    odd = float(np.max(np.abs(fw + fw[::-1]) / np.maximum(1.0, np.abs(fw))))
+    increasing = bool(np.all(np.diff(fw) > 0.0))
+    roundtrip = float(np.max(np.abs(model.velocity(fw) - grid) / np.maximum(1.0, np.abs(grid))))
 
-    odd, roundtrip = check.oddness_residual, check.roundtrip_residual
     predicates = [
         _claim("oddness", f"relative residual <= {ADMISSIBILITY_ODDNESS_TOL:g}", odd,
                ADMISSIBILITY_ODDNESS_TOL - odd),
-        PredicateOutcome("strictly-increasing", True, check.strictly_increasing,
-                         check.strictly_increasing),
+        PredicateOutcome("strictly-increasing", True, increasing, increasing),
         _claim("inverse-round-trip", f"relative residual <= {ADMISSIBILITY_ROUNDTRIP_TOL:g}",
                roundtrip, ADMISSIBILITY_ROUNDTRIP_TOL - roundtrip),
     ]
     results = {
-        "oddness_residual": check.oddness_residual,
-        "strictly_increasing": check.strictly_increasing,
-        "roundtrip_residual": check.roundtrip_residual,
+        "oddness_residual": odd,
+        "strictly_increasing": increasing,
+        "roundtrip_residual": roundtrip,
     }
-    config = {"model": model.kind.value, "c": model.c, "samples": check.samples}
+    config = {"model": model.kind.value, "c": model.c, "samples": grid.size}
     return _report(out_dir, "admissibility", seed, config, results, predicates)

@@ -72,7 +72,6 @@ from .errors import ConfigError, ConvergenceError, DomainError
 __all__ = [
     "ModelKind",
     "FrequencyResponse",
-    "AdmissibilityReport",
     "classical",
     "relativistic",
     "proper_velocity",
@@ -89,12 +88,6 @@ INVERSION_TOL = 1e-12
 INVERSION_GAP_FRACTION = 1e-6
 INVERSION_MAX_ITER = 200
 
-# Bounds of check_admissibility: the oddness residual relative to
-# max(1, |F(w)|) and the G(F(w)) = w round-trip residual relative to
-# max(1, |w|), so that large bounds are held to their floats' precision.
-ADMISSIBILITY_ODDNESS_TOL = 1e-12
-ADMISSIBILITY_ROUNDTRIP_TOL = 1e-10
-
 
 class ModelKind(enum.Enum):
     """Response-function selector.  Values are the config-file spellings."""
@@ -103,24 +96,6 @@ class ModelKind(enum.Enum):
     RELATIVISTIC = "relativistic"
     PROPER_VELOCITY = "proper-velocity"
     RAPIDITY = "rapidity"
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of structural sampling checks on a response function.
-
-    ``oddness_residual`` is max |F(-w) + F(w)| / max(1, |F(w)|) over the
-    grid; ``roundtrip_residual`` is max |G(F(w)) - w| / max(1, |w|).  The
-    scenario ``run_admissibility`` decides them against
-    ADMISSIBILITY_*_TOL.
-    """
-
-    kind: str
-    c: float | None
-    samples: int
-    oddness_residual: float
-    strictly_increasing: bool
-    roundtrip_residual: float
 
 
 def _prepare(x) -> tuple[np.ndarray, bool]:
@@ -438,42 +413,6 @@ class FrequencyResponse:
             return y.copy()
         w = _solve_full(np.abs(y).reshape(-1, y.shape[-1] if y.ndim else 1), *self._bounds)
         return np.sign(y) * w.reshape(y.shape)
-
-    # ------------------------------------------------------------------
-    # structural checks
-    # ------------------------------------------------------------------
-
-    def check_admissibility(self, samples: int = 101) -> AdmissibilityReport:
-        """Sample the structural properties that make this response a valid model.
-
-        Measures oddness (relative residual, admissible up to
-        ADMISSIBILITY_ODDNESS_TOL), strict monotonicity of F, and the
-        G(F(w)) = w round trip (residual relative to max(1, |w|), admissible
-        up to ADMISSIBILITY_ROUNDTRIP_TOL) on a symmetric grid: +/- 0.999 *
-        velocity_bound for bounded kinds, +/- 1e3 for the classical kind.
-        Never raises on failure; ``run_admissibility`` gives the verdict.
-        """
-        if samples < 3:
-            raise ConfigError("samples", "admissibility check needs samples >= 3")
-        edge = 1e3 if self.kind is ModelKind.CLASSICAL else 0.999 * self.c
-        # Mirror a half grid so the sample set is exactly symmetric in
-        # floating point; linspace alone does not guarantee that.
-        half = np.linspace(0.0, edge, (int(samples) + 2) // 2)
-        grid = np.concatenate([-half[:0:-1], half])
-        fw = self.momentum(grid)
-        scale = np.maximum(1.0, np.abs(fw))
-        oddness = float(np.max(np.abs(fw + fw[::-1]) / scale))
-        increasing = bool(np.all(np.diff(fw) > 0.0))
-        roundtrip = float(np.max(np.abs(self.velocity(fw) - grid)
-                                 / np.maximum(1.0, np.abs(grid))))
-        return AdmissibilityReport(
-            kind=self.kind.value,
-            c=self.c,
-            samples=grid.size,
-            oddness_residual=oddness,
-            strictly_increasing=increasing,
-            roundtrip_residual=roundtrip,
-        )
 
 
 def classical() -> FrequencyResponse:

@@ -14,9 +14,11 @@ import pytest
 
 from relkura import (
     RNG_ALGORITHM,
+    FrequencyResponse,
     classical,
     dynamics,
     make_rng,
+    proper_velocity,
     rapidity,
     relativistic,
     run_admissibility,
@@ -30,7 +32,11 @@ from relkura import (
 )
 from relkura.cli import SCENARIOS, _runners
 from relkura.errors import ConfigError, DomainError
-from relkura.experiments import _max_abs_pairwise_sine
+from relkura.experiments import (
+    ADMISSIBILITY_ODDNESS_TOL,
+    ADMISSIBILITY_ROUNDTRIP_TOL,
+    _max_abs_pairwise_sine,
+)
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +115,11 @@ def test_sample_protocol_ensemble_given_omega_and_no_lock_angle():
     (lambda: run_simulate(0, classical(), n=0), "n"),
     # admissibility draws nothing, but used to run and record seed -1
     (lambda: run_admissibility(-1, relativistic(1.0)), "seed"),
-], ids=["sample-n0", "sample-n-2", "simulate-n0", "admissibility-seed-1"])
+    # a reversed or NaN interval used to raise ConfigError("high") from the stream
+    (lambda: sample_protocol_ensemble(0, freq_interval=(0.2, 0.1)), "freq_interval"),
+    (lambda: sample_protocol_ensemble(0, freq_interval=(0.0, math.nan)), "freq_interval"),
+], ids=["sample-n0", "sample-n-2", "simulate-n0", "admissibility-seed-1",
+        "sample-reversed-interval", "sample-nan-interval"])
 def test_runners_reject_a_size_below_one_and_a_negative_seed(call, field):
     with pytest.raises(ConfigError) as excinfo:
         call()
@@ -380,6 +390,55 @@ def test_rcs_crosscheck_forms_agree():
     assert res["max_phase_deviation"] < 1e-10
     assert res["max_conservation_residual"] < 1e-10
     assert res["induced_frequency_recovery"] < 1e-14
+
+
+# ----------------------------------------------------------------------
+# admissibility
+# ----------------------------------------------------------------------
+
+BOUNDED = (relativistic, proper_velocity, rapidity)
+
+
+def _roundtrip(report):
+    return next(p for p in report.predicates if p.name == "inverse-round-trip")
+
+
+def test_admissibility_passes_for_every_kind():
+    for model in (classical(),) + tuple(f(1.0) for f in BOUNDED):
+        report = run_admissibility(0, model)
+        assert report.passed, report
+        assert [p.name for p in report.predicates] == [
+            "oddness", "strictly-increasing", "inverse-round-trip"]
+        assert report.config["samples"] == 1001
+        assert report.results["oddness_residual"] <= ADMISSIBILITY_ODDNESS_TOL, report
+        assert report.results["strictly_increasing"], report
+        assert report.results["roundtrip_residual"] <= ADMISSIBILITY_ROUNDTRIP_TOL, report
+
+
+def test_admissibility_round_trip_is_relative_to_max_1_w(monkeypatch):
+    # one ulp of |w| ~ 1e7 is 1.9e-9, beyond any absolute 1e-10
+    for factory in BOUNDED:
+        for c in (1e7, 1e300):
+            report = run_admissibility(0, factory(c))
+            assert report.results["roundtrip_residual"] <= ADMISSIBILITY_ROUNDTRIP_TOL, report
+            assert _roundtrip(report).passed, report
+    exact = FrequencyResponse.velocity
+    monkeypatch.setattr(FrequencyResponse, "velocity",
+                        lambda self, y: exact(self, y) * (1.0 + 1e-9))
+    for factory in BOUNDED:
+        for c in (1.0, 1e7, 1e300):
+            report = run_admissibility(0, factory(c))
+            assert report.results["roundtrip_residual"] > ADMISSIBILITY_ROUNDTRIP_TOL, report
+            assert not _roundtrip(report).passed, report
+
+
+def test_admissibility_passes_at_a_bound_below_one():
+    report = run_admissibility(0, relativistic(0.5))
+    assert report.passed, report
+    assert report.results["oddness_residual"] <= ADMISSIBILITY_ODDNESS_TOL
+    assert report.results["strictly_increasing"]
+    assert report.results["roundtrip_residual"] <= ADMISSIBILITY_ROUNDTRIP_TOL
+    assert report.config == {"model": "relativistic", "c": 0.5, "samples": 1001}
 
 
 # ----------------------------------------------------------------------

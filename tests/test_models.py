@@ -25,11 +25,7 @@ from relkura import (
 from relkura import models
 from relkura.diagnostics import energy
 from relkura.errors import ConvergenceError, DomainError
-from relkura.models import (
-    ADMISSIBILITY_ODDNESS_TOL,
-    ADMISSIBILITY_ROUNDTRIP_TOL,
-    stack_rows,
-)
+from relkura.models import stack_rows
 from reference_inverse import ReferenceInverse, reference_invert_full
 from test_diagnostics import _energy_reference_small_ratio
 
@@ -561,7 +557,7 @@ def test_velocity_slope_matches_inverse_function_derivative():
 
 
 # ----------------------------------------------------------------------
-# construction and admissibility
+# construction
 # ----------------------------------------------------------------------
 
 
@@ -596,45 +592,6 @@ def test_from_name_round_trips_every_kind():
 def test_from_name_rejects_unknown_kind():
     with pytest.raises(DomainError, match="unknown model kind"):
         FrequencyResponse.from_name("galilean", 1.0)
-
-
-def test_check_admissibility_passes_for_every_kind():
-    for model in (classical(),) + tuple(f(1.0) for f in ALL_BOUNDED):
-        report = model.check_admissibility(samples=101)
-        assert report.samples == 101
-        assert report.oddness_residual <= ADMISSIBILITY_ODDNESS_TOL, report
-        assert report.strictly_increasing, report
-        assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL, report
-
-
-def test_check_admissibility_round_trip_is_relative_to_max_1_w(monkeypatch):
-    # one ulp of |w| ~ 1e7 is 1.9e-9, beyond any absolute 1e-10
-    for factory in ALL_BOUNDED:
-        for c in (1e7, 1e300):
-            report = factory(c).check_admissibility(samples=101)
-            assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL, report
-    exact = FrequencyResponse.velocity
-    monkeypatch.setattr(FrequencyResponse, "velocity",
-                        lambda self, y: exact(self, y) * (1.0 + 1e-9))
-    for factory in ALL_BOUNDED:
-        for c in (1.0, 1e7, 1e300):
-            report = factory(c).check_admissibility(samples=101)
-            assert report.roundtrip_residual > ADMISSIBILITY_ROUNDTRIP_TOL, report
-
-
-def test_check_admissibility_large_grid_small_c():
-    report = relativistic(0.5).check_admissibility(samples=1001)
-    assert report.oddness_residual <= ADMISSIBILITY_ODDNESS_TOL
-    assert report.strictly_increasing
-    assert report.roundtrip_residual <= ADMISSIBILITY_ROUNDTRIP_TOL
-    assert report.samples == 1001
-    assert report.kind == "relativistic"
-    assert report.c == 0.5
-
-
-def test_check_admissibility_rejects_tiny_grids():
-    with pytest.raises(DomainError):
-        classical().check_admissibility(samples=2)
 
 
 def test_scalar_in_scalar_out_array_in_array_out():

@@ -5,10 +5,11 @@ A name in ``relkura.__all__`` counts as used when it appears as a Python
 name in the library or a demo, other than where it is defined or
 imported, or when the benchmark's layer trace looks it up by name.  A
 second implementation of a concept that only its unit tests reach fails
-here.  A private UPPER_CASE constant (a numeric threshold, say) is read
-only by the module that defines it, so one rule never lives in two.  A
-public method whose body only hands ``self`` to a public function is a
-second entry point to that function and fails here too.
+here.  An UPPER_CASE constant (a numeric threshold, say), public or
+private, is read only by the library module that defines it, so one rule
+never lives in two.  A public method whose body only hands ``self`` to a
+public function is a second entry point to that function and fails here
+too.
 """
 
 import ast
@@ -63,11 +64,29 @@ def test_every_public_name_has_a_user():
     assert unused == []
 
 
+LIBRARY = sorted((ROOT / "src" / "relkura").glob("*.py"))
 _PRIVATE_CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
+_PUBLIC_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
-def _borrowed_private_constants(path: Path) -> list[str]:
-    """Private UPPER_CASE names one library module takes from another.
+def _public_constants() -> set[str]:
+    """Public UPPER_CASE names that some library module assigns at its top level.
+
+    An enum member or other class attribute (``ModelKind.CLASSICAL``) is
+    no module's constant.
+    """
+    names = set()
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names |= {name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and _PUBLIC_CONSTANT.fullmatch(name.id)}
+    return names
+
+
+def _borrowed_constants(path: Path, is_constant) -> list[str]:
+    """Constants (names ``is_constant`` accepts) one library module takes from another.
 
     Counts the names of a package-relative ``from ... import`` and the
     attributes read off a name it imports (``models._FOO``).
@@ -77,20 +96,27 @@ def _borrowed_private_constants(path: Path) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             for alias in node.names:
-                if _PRIVATE_CONSTANT.fullmatch(alias.name):
+                if is_constant(alias.name):
                     borrowed.append(alias.name)
                 imported.add(alias.asname or alias.name)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in imported and _PRIVATE_CONSTANT.fullmatch(node.attr)):
+                and node.value.id in imported and is_constant(node.attr)):
             borrowed.append(f"{node.value.id}.{node.attr}")
     return borrowed
 
 
+def _constant_borrowers(is_constant) -> dict[str, list[str]]:
+    return {path.name: names for path in LIBRARY
+            if (names := _borrowed_constants(path, is_constant))}
+
+
 def test_no_module_reads_another_modules_private_constant():
-    borrowed = {path.name: names for path in sorted((ROOT / "src" / "relkura").glob("*.py"))
-                if (names := _borrowed_private_constants(path))}
-    assert borrowed == {}
+    assert _constant_borrowers(_PRIVATE_CONSTANT.fullmatch) == {}
+
+
+def test_no_module_reads_another_modules_public_constant():
+    assert _constant_borrowers(_public_constants().__contains__) == {}
 
 
 def _forwarding_methods(path: Path) -> list[str]:
@@ -124,6 +150,5 @@ def _forwarding_methods(path: Path) -> list[str]:
 
 
 def test_no_public_method_only_forwards_to_a_public_function():
-    forwarders = {path.name: names for path in sorted((ROOT / "src" / "relkura").glob("*.py"))
-                  if (names := _forwarding_methods(path))}
+    forwarders = {path.name: names for path in LIBRARY if (names := _forwarding_methods(path))}
     assert forwarders == {}
