@@ -283,7 +283,6 @@ class DiagnosticsSeries:
 
     ``order_phi`` holds nan where the order parameter magnitude is
     numerically zero; ``energy`` is all-nan for the classical kind.
-    ``omega_diameter`` is D(omega) of the generating config.
     """
 
     times: np.ndarray
@@ -293,7 +292,6 @@ class DiagnosticsSeries:
     order_phi: np.ndarray
     potential: np.ndarray
     energy: np.ndarray
-    omega_diameter: float
 
 
 def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> DiagnosticsSeries:
@@ -321,7 +319,6 @@ def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> Diagnos
         order_phi=phi,
         potential=potential(th, config.kappa, config.omega),
         energy=en,
-        omega_diameter=float(np.ptp(config.omega)),
     )
 
 

@@ -43,15 +43,12 @@ Conventions that matter for downstream analysis:
   carries the velocities evaluated at it, and NaN where they were not.
   ``simulate`` and ``simulate_momentum`` return one item of those
   integrators' results, so their errors carry the same attribute.
-* The all-to-all sums cost O(n) above ``PAIRWISE_MAX_N`` oscillators:
-  Kuramoto's order-parameter identity rewrites sum_j sin(theta_j - theta_i)
-  as cos(theta_i) * S - sin(theta_i) * C with S, C the sums of sin and cos
-  over the ensemble, and the momentum form's cosine-weighted coupling
-  splits the same way, so no n x n array is built.  At and below the
-  threshold, which covers the paper's n = 10, the explicit pairwise forms
-  are kept: they are faster there, and the decay fits at that size reach a
-  1e-12 diameter floor where the identity's different rounding would move
-  the fitted rates by ~1e-7 relative.
+* The momentum form's cosine-weighted coupling costs O(n) at every n: it
+  splits cos(theta_j - theta_i) into products of per-phase sines and
+  cosines, so no n x n array is built.  The first-order sine sums do the
+  same through Kuramoto's order-parameter identity, except at and below
+  16 oscillators, the paper's n = 10 included, where recorded references
+  pin their pairwise rounding.
 * Memory: one block of ``_BLOCK_FLOATS`` floats (32 KiB) bounds every
   row-wise pass.  The pairwise sine sums over many rows (the momentum
   residuals over the M recorded states) take the rows in blocks and write
@@ -182,11 +179,10 @@ class MomentumTrajectory:
     partial: bool = False
 
 
-# Largest ensemble whose all-to-all sums are taken pairwise.  Below about
-# n = 16-24 the pairwise call is a few microseconds faster than the O(n)
-# identity, and at the paper's n = 10 the identity's different rounding
-# moves the decay fits, which reach a 1e-12 diameter floor, by ~1e-7
-# relative.  Must stay >= 10 so paper-size runs keep the pairwise rounding.
+# Largest ensemble whose first-order sine sums are taken pairwise: the O(n)
+# identity is about as fast at n = 10, but moves paper-size fits (rms
+# residuals by up to 9.4e-6 relative) past the recorded references' 1e-9
+# pin.  Must stay >= 10 so paper-size runs keep the pairwise rounding.
 PAIRWISE_MAX_N = 16
 
 # Floats in one block of a row-wise pass: the pairwise sine sums over many
@@ -238,9 +234,8 @@ def _sine_sums(theta: np.ndarray) -> np.ndarray:
 def coupling(config: SystemConfig, theta: np.ndarray) -> np.ndarray:
     """All-to-all sine coupling (kappa/n) * sum_j sin(theta_j - theta_i).
 
-    O(n) above ``PAIRWISE_MAX_N`` through the order-parameter identity;
-    pairwise at and below it, where that is faster and its rounding is the
-    one the paper-size decay fits rest on.
+    O(n) through the order-parameter identity, and pairwise at paper size,
+    whose rounding the recorded references pin (see ``_sine_sums``).
     """
     th = np.asarray(theta, dtype=float)
     return (config.kappa / config.n) * _sine_sums(th)
@@ -411,18 +406,13 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
 def _momentum_coupling(config, theta, v):
     """(kappa/n) * sum_j cos(theta_j - theta_i) * (v_j - v_i) for (n,) rows.
 
-    Pairwise at and below ``PAIRWISE_MAX_N``, as the sine sums are.  Above
-    it the cosine of a difference splits into c_i * c_j + s_i * s_j, with
-    s, c the sine and cosine of x = theta - theta_0, so the sum is
-    c_i * (c . w) + s_i * (s . w) - w_i * (c_i * C + s_i * S) in O(n), with
+    O(n) at every n: the cosine of a difference splits into
+    c_i * c_j + s_i * s_j, with s, c the sine and cosine of
+    x = theta - theta_0, so the sum is
+    c_i * (c . w) + s_i * (s . w) - w_i * (c_i * C + s_i * S), with
     w = v - v_0 and S, C the sums of s and c: large unwrapped phases cost
     no digits, and equal velocities give exact zeros.
     """
-    n = theta.shape[0]
-    if n <= PAIRWISE_MAX_N:
-        diff = theta[None, :] - theta[:, None]  # [i, j] = theta_j - theta_i
-        rel = v[None, :] - v[:, None]           # [i, j] = v_j - v_i
-        return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
     shifted, w = theta - theta[0], v - v[0]
     s, c = np.sin(shifted), np.cos(shifted)
     return (config.kappa / config.n) * (c * (c @ w) + s * (s @ w)

@@ -323,17 +323,25 @@ def _fit_asdict(fit) -> dict:
     return {"rate": fit.rate, "intercept": fit.intercept, "rms_residual": fit.rms_residual}
 
 
+def _c_label(c: float) -> str:
+    """The text naming a velocity bound in file, table and claim names."""
+    return f"{c:g}"
+
+
 def _velocity_bounds(c_values) -> tuple[float, ...]:
     c_values = tuple(float(c) for c in c_values)
     # 0 < c_1 < c_2 < ... < inf, which NaN fails too
     if not c_values or not all(a < b for a, b in itertools.pairwise((0.0, *c_values, math.inf))):
         raise ConfigError("c_values", "must be non-empty, finite, positive and strictly ascending")
+    # bounds that share a label would share their files and claim names
+    if len({_c_label(c) for c in c_values}) < len(c_values):
+        raise ConfigError("c_values", "must differ in their first 6 significant digits")
     return c_values
 
 
 def _label(model: FrequencyResponse) -> str:
     """File and table label of a kind: its name, with its bound if it has one."""
-    return model.kind.value if model.c is None else f"{model.kind.value}_c{model.c:g}"
+    return model.kind.value if model.c is None else f"{model.kind.value}_c{_c_label(model.c)}"
 
 
 def _config_echo(model: FrequencyResponse, n, kappa, dt, t_final, record_every, **extra) -> dict:
@@ -402,7 +410,8 @@ def run_four_model_comparison(
     Frequencies and phases follow the reference protocol.  The comparison
     fits the frequency diameter (exponential in both the homogeneous and
     phase-locking regimes) after dropping the sorting transient, records
-    phase snapshots at t = 0, 1, 2, 3, and asserts the full relativistic
+    phase snapshots at the rows nearest t = 0, 1, 2, 3 (each row once, at
+    its recorded time), and asserts the full relativistic
     kind decays slowest.  Without a lock angle (frequency spread not below
     kappa) the diameters need not decay: the fitted rates are still
     reported, flagged ``decay_rates_meaningful: false``, and nothing is
@@ -413,7 +422,10 @@ def run_four_model_comparison(
     configs = [SystemConfig(n, kappa, omega, m, dt, t_final, record_every) for m in models]
     trajs = simulate_batch(configs, theta0)
 
-    snapshot_times = [t for t in (0.0, 1.0, 2.0, 3.0) if t <= t_final]
+    # one grid for all kinds; on a coarse one two targets can share a row
+    times = trajs[0].times
+    snap = list(dict.fromkeys(int(np.argmin(np.abs(times - t)))
+                              for t in (0.0, 1.0, 2.0, 3.0) if t <= t_final))
     rates, terminal, snapshots, files = {}, {}, {}, []
     for config, traj in zip(configs, trajs):
         label = config.model.kind.value
@@ -422,8 +434,7 @@ def run_four_model_comparison(
         mask = (fd > COMPARE_FIT_FLOOR) & (fd < COMPARE_FIT_CEILING) & (traj.times >= start)
         rates[label] = _fit_asdict(_fit_window(traj.times, fd, mask))
         terminal[label] = float(np.ptp(traj.thetas[-1]))
-        idx = [int(np.argmin(np.abs(traj.times - t))) for t in snapshot_times]
-        snapshots[label] = traj.thetas[idx].tolist()
+        snapshots[label] = traj.thetas[snap].tolist()
         files += _emit(out_dir, label, traj)
 
     predicates = []
@@ -451,7 +462,7 @@ def run_four_model_comparison(
             "skip_fraction": COMPARE_FIT_SKIP,
         },
         "terminal_phase_diameter": terminal,
-        "snapshot_times": snapshot_times,
+        "snapshot_times": times[snap].tolist(),
         "snapshots": snapshots,
     })
     config = _config_echo(relativistic(c), n, kappa, dt, t_final, record_every,
@@ -625,7 +636,7 @@ def run_limit_scaling(
         for low, high in zip(rows, rows[1:]):
             if not math.isclose(high["c"], 2.0 * low["c"], rel_tol=1e-12):
                 continue
-            name = f"{regime}-scaling-c{low['c']:g}-to-c{high['c']:g}"
+            name = f"{regime}-scaling-c{_c_label(low['c'])}-to-c{_c_label(high['c'])}"
             observed = {"s_c": low["sup_l1"], "s_2c": high["sup_l1"]}
             if high["sup_l1"] == 0.0:
                 # no ratio: equal flows (nothing to scale) or a gap that
@@ -653,7 +664,7 @@ def run_limit_scaling(
                     continue
                 growth = last / first - 1.0
                 predicates.append(_claim(
-                    f"zero-bounded-c{row['c']:g}",
+                    f"zero-bounded-c{_c_label(row['c'])}",
                     "c^2 * sup l1 grows < 5% between first and last checkpoint",
                     {"first": first, "last": last, "growth": growth}, float(0.05 - growth),
                     strict=True,

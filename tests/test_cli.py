@@ -223,6 +223,12 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
     path.write_text('{"scenario": "rate-vs-c", "c_list": [1.0, 1e999]}')
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "c_list" in capsys.readouterr().err
+    # bounds that share a file label used to overwrite each other's files
+    path = tmp_path / "one_label.json"
+    path.write_text('{"scenario": "rate-vs-c", "c_list": [1.0000001, 1.0000002], '
+                    '"homogeneous": false, "t_final": 1.0}')
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "c_list" in capsys.readouterr().err
 
 
 def test_main_exit_2_on_an_unusable_output_directory(tmp_path, capsys, monkeypatch):

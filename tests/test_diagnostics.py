@@ -465,7 +465,6 @@ def test_compute_diagnostics_matches_pointwise_observables(small_run):
     assert np.array_equal(series.times, traj.times)
     # one potential per recorded row
     assert np.array_equal(series.potential, potential(traj.thetas, cfg.kappa, cfg.omega))
-    assert series.omega_diameter == pytest.approx(np.ptp(cfg.omega), rel=1e-15)
     for k in range(traj.times.size):
         th = traj.thetas[k]
         assert series.phase_diameter[k] == phase_diameter(th)
@@ -551,7 +550,6 @@ def test_diagnostics_series_write_method(tmp_path):
         order_phi=np.array([0.0, 0.0]),
         potential=np.array([1.0, 0.8]),
         energy=np.array([math.nan, math.nan]),
-        omega_diameter=0.0,
     )
     path = tmp_path / "series.csv"
     write_diagnostics_csv(series, path)

@@ -156,6 +156,15 @@ def test_four_model_comparison_shares_initial_data():
         assert snaps[kind][0] == first
 
 
+def test_four_model_comparison_reports_each_snapshot_row_once_at_its_recorded_time():
+    # recorded every 1.5 time units, the rows nearest t = 1 and t = 2 are
+    # both the row at t = 1.5
+    report = run_four_model_comparison(5, t_final=6.0, dt=0.01, record_every=150)
+    assert report.results["snapshot_times"] == [0.0, 1.5, 3.0]
+    for snaps in report.results["snapshots"].values():
+        assert len(snaps) == 3
+
+
 # ----------------------------------------------------------------------
 # rate vs c
 # ----------------------------------------------------------------------
@@ -215,6 +224,10 @@ def test_rate_vs_c_rejects_unsorted_c():
     # an empty list used to end in an IndexError
     with pytest.raises(DomainError):
         run_rate_vs_c(0, c_values=())
+    # distinct bounds with one label used to write one trajectory file twice
+    with pytest.raises(ConfigError) as info:
+        run_rate_vs_c(7, c_values=(1.0000001, 1.0000002), t_final=6.0)
+    assert info.value.field == "c_values"
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +302,10 @@ def test_limit_scaling_validates_inputs():
             run_limit_scaling(11, c_values=c_values)
     with pytest.raises(DomainError):  # used to end in an IndexError
         run_limit_scaling(0, c_values=())
+    # distinct bounds with one label used to share files and claim names
+    with pytest.raises(ConfigError) as info:
+        run_limit_scaling(11, c_values=(5.0, 5.000001, 10.0), t_final=2.0, regimes=("zero",))
+    assert info.value.field == "c_values"
     with pytest.raises(DomainError):
         run_limit_scaling(11, regimes=("warp",))
     # an empty or repeated regime list used to run nothing or a regime twice

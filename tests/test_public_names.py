@@ -9,7 +9,8 @@ here.  An UPPER_CASE constant (a numeric threshold, say), public or
 private, is read only by the library module that defines it, so one rule
 never lives in two.  A public method whose body only hands ``self`` to a
 public function is a second entry point to that function and fails here
-too.
+too.  The benchmark's layer tracer must find, wrap and restore every
+binding it names, so a library change cannot break a traced run unseen.
 """
 
 import ast
@@ -49,19 +50,40 @@ def _used_names(path: Path) -> set[str]:
     return used
 
 
-def _traced_names() -> set[str]:
+def _layertrace():
     spec = importlib.util.spec_from_file_location(
         "layertrace", ROOT / "perfbench" / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
-    return {attr for _, attr in layertrace.FUNCTIONS}
+    return layertrace
 
 
 def test_every_public_name_has_a_user():
     files = sorted((ROOT / "src" / "relkura").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    used = set().union(*(_used_names(path) for path in files)) | _traced_names()
+    traced = {attr for _, attr in _layertrace().FUNCTIONS}
+    used = set().union(*(_used_names(path) for path in files)) | traced
     unused = sorted(set(relkura.__all__) - used)
     assert unused == []
+
+
+def test_benchmark_tracer_wraps_every_binding_it_names_and_restores_them():
+    # the benchmark's traced runs patch these bindings from outside the
+    # library: a deleted one makes install raise, a missed one shows here
+    layertrace = _layertrace()
+    modules = {m: importlib.import_module(f"relkura.{m}") for m in layertrace.MODULES}
+    targets = [*modules.values(),
+               *(getattr(modules[mod], cls) for mod, cls, _ in layertrace.METHODS)]
+    before = [dict(vars(target)) for target in targets]
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        patched = tracer.patched_bindings()
+    finally:
+        tracer.uninstall()
+    assert {f"relkura.{mod}.{attr}" for mod, attr in layertrace.FUNCTIONS} <= patched
+    assert {f"{cls}.{attr}" for _, cls, attr in layertrace.METHODS} <= patched
+    for target, bindings in zip(targets, before):
+        assert all(vars(target)[key] is value for key, value in bindings.items()), target
 
 
 LIBRARY = sorted((ROOT / "src" / "relkura").glob("*.py"))
