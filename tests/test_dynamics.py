@@ -588,6 +588,21 @@ def _one_shot_momentum_coupling(config, theta, v):
     return (config.kappa / config.n) * (np.cos(diff) * rel).sum(axis=1)
 
 
+# the sizes that took the pairwise sums before the O(n) ones served every
+# n.  Phases on a 2**-30 grid within 1e3 of zero have exact differences,
+# so both forms take cosines of the same arguments and only the sums
+# round: the O(n) form keeps within 1e-14 * kappa of the pairwise one.
+@pytest.mark.parametrize("n", [1, 2, 10, 16])
+def test_momentum_coupling_equals_one_shot_pairwise_sums(n):
+    gen = np.random.default_rng(n)
+    cfg = SystemConfig(n, 1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    theta = np.ldexp(np.round(np.ldexp(gen.uniform(-1e3, 1e3, n), 30)), -30)
+    v = gen.uniform(-0.99, 0.99, n)
+    assert np.array_equal((theta - theta[0]) + theta[0], theta)
+    reference = _one_shot_momentum_coupling(cfg, theta, v)
+    assert np.max(np.abs(_momentum_coupling(cfg, theta, v) - reference)) <= 1e-14 * cfg.kappa
+
+
 # n = 256, where n * n was one block, and 257 and 700, which were split
 # into row blocks: over these phases, spread across 2e3, the O(n) sums
 # keep within 1e-14 * kappa of the one-shot pairwise sums.  Such wide
