@@ -37,12 +37,7 @@ Conventions that matter for downstream analysis:
   (or ``velocity`` of the momenta) at the recorded states bit for bit,
   and no evaluation follows the integration.
 * A model failure at any evaluation, the final one included, propagates
-  with the samples recorded so far attached to the error as
-  ``partial_trajectories``: one trajectory per batched system, or the
-  (momentum, first-order) pair of the two forms.  A recorded state
-  carries the velocities evaluated at it, and NaN where they were not.
-  ``simulate`` and ``simulate_momentum`` return one item of those
-  integrators' results, so their errors carry the same attribute.
+  as it was raised: a run returns complete trajectories or none.
 * The momentum form's cosine-weighted coupling costs O(n) at every n: it
   splits cos(theta_j - theta_i) into products of per-phase sines and
   cosines, so no n x n array is built.  The first-order sine sums do the
@@ -79,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError
 from .models import FrequencyResponse, stack_rows
 
 __all__ = [
@@ -146,16 +141,13 @@ class Trajectory:
     """Recorded first-order run: times (M,), phases and velocities (M, n).
 
     Each row of ``theta_dots`` is the velocity the integrator computed at
-    that row's phases.  ``partial`` is set when integration aborted; the
-    arrays then hold the samples recorded before the failure, with NaN
-    velocities at a state the integrator did not evaluate.
+    that row's phases.
     """
 
     config: SystemConfig
     times: np.ndarray
     thetas: np.ndarray
     theta_dots: np.ndarray
-    partial: bool = False
 
 
 @dataclass(frozen=True)
@@ -166,7 +158,6 @@ class MomentumTrajectory:
     conservation defect of the induced frequencies; ``induced_omega`` the
     frequencies recovered from the initial data.  ``theta_dots`` holds
     the velocities the integrator computed from the recorded momenta.
-    ``partial`` is set when integration aborted, as on ``Trajectory``.
     """
 
     config: SystemConfig
@@ -176,7 +167,6 @@ class MomentumTrajectory:
     theta_dots: np.ndarray
     residuals: np.ndarray
     induced_omega: np.ndarray
-    partial: bool = False
 
 
 # Largest ensemble whose first-order sine sums are taken pairwise: the O(n)
@@ -279,14 +269,11 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     Records the initial state, every ``record_every``-th step before the
     end, and the final state, each with its rates: the first stage k1 of
     the step that starts from it, and one more evaluation at the final
-    state.  Returns (times, states, derivs, err): the recorded times (M,),
-    the recorded states and their rates stacked along a new first axis,
-    and the DomainError or ConvergenceError that aborted the run (None if
-    it reached t_final).  After a failure the arrays hold the states
-    recorded before it, each with its rates if they were evaluated and
-    NaN rates if not.  Raises MemoryError, before any step, for more
-    steps than numpy's index range holds or more recorded rows than numpy
-    can allocate.
+    state.  Returns (times, states, derivs): the recorded times (M,), and
+    the recorded states and their rates stacked along a new first axis.
+    A failure of ``rates`` propagates.  Raises MemoryError, before any
+    step, for more steps than numpy's index range holds or more recorded
+    rows than numpy can allocate.
     """
     n_full, rem = _step_plan(config.dt, config.t_final)
     n_steps = n_full + (rem > 0.0)
@@ -296,25 +283,20 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     try:
         times = np.empty(rows)
         states = np.empty(times.shape + y0.shape)
-        derivs = np.full(states.shape, np.nan)
+        derivs = np.empty(states.shape)
     except ValueError as exc:  # a size beyond numpy's index range
         raise MemoryError(f"{rows:.3g} recorded rows") from exc
-    row, record_at, y, err = 0, 0, y0, None
-    try:
-        for step in range(n_steps):
-            if step == record_at:
-                times[row], states[row] = step * config.dt, y
-                row, record_at = row + 1, record_at + k
-                k1 = derivs[row - 1] = rates(y)
-            else:
-                k1 = rates(y)
-            y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
-        times[row], states[row] = config.t_final, y
-        row += 1
-        derivs[row - 1] = rates(y)
-    except (DomainError, ConvergenceError) as caught:
-        err = caught
-    return times[:row], states[:row], derivs[:row], err
+    row, record_at, y = 0, 0, y0
+    for step in range(n_steps):
+        if step == record_at:
+            times[row], states[row] = step * config.dt, y
+            k1 = derivs[row] = rates(y)
+            row, record_at = row + 1, record_at + k
+        else:
+            k1 = rates(y)
+        y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
+    times[row], states[row], derivs[row] = config.t_final, y, rates(y)
+    return times, states, derivs
 
 
 def _grid(config: SystemConfig) -> tuple:
@@ -367,10 +349,8 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     with the rows of a run stacked (``models.stack_rows``); each row is one system to that call,
     so it gets the floats a run of its config alone gives.  The recorded
     states stay in one (M, B, n) array and each trajectory's ``thetas``
-    is a view into it.  If the model evaluation fails mid-run the batch
-    stops there and the error propagates with the samples recorded so far
-    attached, one partial trajectory per system, as
-    ``partial_trajectories``.
+    is a view into it.  A model failure mid-run propagates and no
+    trajectory is returned.
     """
     configs = list(configs)
     if not configs:
@@ -378,13 +358,9 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     if any(_grid(config) != _grid(configs[0]) for config in configs):
         raise ConfigError("configs", "batched configs must share n, dt, t_final and record_every")
     th = _batch_phases(configs, theta0)
-    times, states, derivs, err = _integrate(configs[0], th, _batch_rates(configs))
-    trajs = [Trajectory(config, times, states[:, b], derivs[:, b], partial=err is not None)
-             for b, config in enumerate(configs)]
-    if err is not None:
-        err.partial_trajectories = trajs
-        raise err
-    return trajs
+    times, states, derivs = _integrate(configs[0], th, _batch_rates(configs))
+    return [Trajectory(config, times, states[:, b], derivs[:, b])
+            for b, config in enumerate(configs)]
 
 
 def simulate(config: SystemConfig, theta0) -> Trajectory:
@@ -392,8 +368,7 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
 
     A batch of one, on the path of every batch (``simulate_batch``).
     Records every ``record_every``-th step plus the initial and final
-    states; a mid-run model failure carries the samples recorded so far
-    as ``partial_trajectories``.
+    states; a mid-run model failure propagates.
     """
     return simulate_batch([config], _finite_vector("theta0", theta0, config.n))[0]
 
@@ -453,24 +428,18 @@ def simulate_both_forms(config: SystemConfig, theta0,
     velocities outside the model's bound.  The first-order result
     runs ``config`` with omega = nu from theta0.  Both forms integrate as
     one (3, n) state on the config's grid, and each gets the floats a run
-    of it alone gives: the first-order half equals ``simulate``.  If the
-    model evaluation fails mid-run the error propagates with the samples
-    recorded so far attached, as the pair ``partial_trajectories``.
+    of it alone gives: the first-order half equals ``simulate``.  A model
+    failure mid-run propagates and neither result is returned.
     """
     th = _finite_vector("theta0", theta0, config.n)
     p = config.model.momentum(_finite_vector("thetadot0", thetadot0, config.n))
     nu = p - coupling(config, th)
-    times, states, derivs, err = _integrate(config, np.stack((th, p, th)),
-                                            _both_forms_rates(config, nu))
+    times, states, derivs = _integrate(config, np.stack((th, p, th)),
+                                       _both_forms_rates(config, nu))
     thetas, momenta = states[:, 0], states[:, 1]
     residuals = momenta - (config.kappa / config.n) * _sine_sums(thetas) - nu
-    momentum = MomentumTrajectory(config, times, thetas, momenta, derivs[:, 0],
-                                  residuals, nu, partial=err is not None)
-    first = Trajectory(dataclasses.replace(config, omega=nu), times, states[:, 2],
-                       derivs[:, 2], partial=err is not None)
-    if err is not None:
-        err.partial_trajectories = (momentum, first)
-        raise err
+    momentum = MomentumTrajectory(config, times, thetas, momenta, derivs[:, 0], residuals, nu)
+    first = Trajectory(dataclasses.replace(config, omega=nu), times, states[:, 2], derivs[:, 2])
     return momentum, first
 
 
@@ -480,8 +449,7 @@ def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajec
     The momentum half of ``simulate_both_forms``: ``config.omega`` is not
     used by the flow, the natural frequencies are induced from the initial
     data and recorded on the result, together with the per-sample
-    conservation residuals.  A mid-run model failure carries both forms'
-    samples recorded so far as ``partial_trajectories``.
+    conservation residuals.  A mid-run model failure propagates.
     """
     return simulate_both_forms(config, theta0, thetadot0)[0]
 

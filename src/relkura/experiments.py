@@ -155,8 +155,8 @@ def sample_protocol_ensemble(
     angle exists.  Phases are then drawn from [-(pi - theta*)/2,
     (pi - theta*)/2], with theta* taken as 0 where it is None.  Returns
     (theta0, omega, theta_star).  A bad seed, ``n``, ``freq_interval``
-    (reversed, NaN or not finite) or ``omega`` raises ConfigError before
-    anything is drawn.
+    (reversed, NaN or not finite) or ``omega`` (not n finite entries, or
+    a spread that overflows) raises ConfigError before anything is drawn.
     """
     gen = make_rng(seed)
     _check_count("n", n)
@@ -169,7 +169,10 @@ def sample_protocol_ensemble(
             omega = omega - omega.mean()
     else:
         omega = _finite_vector("omega", omega, n)
-    spread = float(np.ptp(omega))
+    # np.ptp's float, without its overflow warning
+    spread = float(omega.max()) - float(omega.min())
+    if spread == math.inf:
+        raise ConfigError("omega", "must have a finite spread max - min")
     tstar = theta_star(kappa, spread) if spread < kappa else None
     halfwidth = 0.5 * (math.pi - (tstar or 0.0))
     theta0 = gen.uniform(-halfwidth, halfwidth, n)
@@ -323,9 +326,15 @@ def _fit_asdict(fit) -> dict:
     return {"rate": fit.rate, "intercept": fit.intercept, "rms_residual": fit.rms_residual}
 
 
-def _c_label(c: float) -> str:
-    """The text naming a velocity bound in file, table and claim names."""
-    return f"{c:g}"
+def _number_label(value: float) -> str:
+    """The text naming a velocity bound or a checkpoint time in file, table and claim names."""
+    return f"{value:g}"
+
+
+def _check_distinct_labels(field: str, values: tuple[float, ...]) -> None:
+    """ConfigError(field) if two values share a label: their files, keys or claims would merge."""
+    if len({_number_label(v) for v in values}) < len(values):
+        raise ConfigError(field, "must differ in their first 6 significant digits")
 
 
 def _velocity_bounds(c_values) -> tuple[float, ...]:
@@ -333,15 +342,13 @@ def _velocity_bounds(c_values) -> tuple[float, ...]:
     # 0 < c_1 < c_2 < ... < inf, which NaN fails too
     if not c_values or not all(a < b for a, b in itertools.pairwise((0.0, *c_values, math.inf))):
         raise ConfigError("c_values", "must be non-empty, finite, positive and strictly ascending")
-    # bounds that share a label would share their files and claim names
-    if len({_c_label(c) for c in c_values}) < len(c_values):
-        raise ConfigError("c_values", "must differ in their first 6 significant digits")
+    _check_distinct_labels("c_values", c_values)
     return c_values
 
 
 def _label(model: FrequencyResponse) -> str:
     """File and table label of a kind: its name, with its bound if it has one."""
-    return model.kind.value if model.c is None else f"{model.kind.value}_c{_c_label(model.c)}"
+    return model.kind.value if model.c is None else f"{model.kind.value}_c{_number_label(model.c)}"
 
 
 def _config_echo(model: FrequencyResponse, n, kappa, dt, t_final, record_every, **extra) -> dict:
@@ -592,7 +599,7 @@ def run_limit_scaling(
     so under ``bounded``.  The heterogeneous and identical-frequency
     regimes carry no boundedness assertion (their discrepancy drifts).
     ``regimes`` must name at least one regime and none twice, and every
-    checkpoint must lie in [0, ``t_final``].
+    checkpoint must lie in [0, ``t_final``], no two sharing a ``%g`` label.
     """
     c_values = _velocity_bounds(c_values)
     known = {"heterogeneous", "identical", "zero"}
@@ -601,6 +608,7 @@ def run_limit_scaling(
     checkpoints = tuple(float(t) for t in checkpoint_times)
     if not all(0.0 <= t <= t_final for t in checkpoints):  # also rejects NaN
         raise ConfigError("checkpoint_times", "must be finite and in [0, t_final]")
+    _check_distinct_labels("checkpoint_times", checkpoints)
     theta0, omega_het, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     frequency_choices = {
         "heterogeneous": omega_het,
@@ -621,7 +629,7 @@ def run_limit_scaling(
         rows = []
         for c, traj in zip(c_values, rest):
             gap = np.abs(traj.thetas - reference.thetas).sum(axis=1)
-            sups = {f"{cp:g}": float(np.max(gap[traj.times <= cp + 1e-12]))
+            sups = {_number_label(cp): float(np.max(gap[traj.times <= cp + 1e-12]))
                     for cp in checkpoints}
             sup = float(np.max(gap))
             rows.append({
@@ -636,7 +644,7 @@ def run_limit_scaling(
         for low, high in zip(rows, rows[1:]):
             if not math.isclose(high["c"], 2.0 * low["c"], rel_tol=1e-12):
                 continue
-            name = f"{regime}-scaling-c{_c_label(low['c'])}-to-c{_c_label(high['c'])}"
+            name = f"{regime}-scaling-c{_number_label(low['c'])}-to-c{_number_label(high['c'])}"
             observed = {"s_c": low["sup_l1"], "s_2c": high["sup_l1"]}
             if high["sup_l1"] == 0.0:
                 # no ratio: equal flows (nothing to scale) or a gap that
@@ -664,7 +672,7 @@ def run_limit_scaling(
                     continue
                 growth = last / first - 1.0
                 predicates.append(_claim(
-                    f"zero-bounded-c{_c_label(row['c'])}",
+                    f"zero-bounded-c{_number_label(row['c'])}",
                     "c^2 * sup l1 grows < 5% between first and last checkpoint",
                     {"first": first, "last": last, "growth": growth}, float(0.05 - growth),
                     strict=True,

@@ -229,6 +229,18 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
                     '"homogeneous": false, "t_final": 1.0}')
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "c_list" in capsys.readouterr().err
+    # checkpoints that share a label used to merge into one table key
+    path = tmp_path / "one_checkpoint_label.json"
+    path.write_text('{"scenario": "limit", "c_list": [5.0, 10.0], "t_final": 2.0, "n": 4, '
+                    '"regimes": ["zero"], "checkpoints": [1.0000001, 1.0000002]}')
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: checkpoints: ")
+    # a spread that overflows used to write "omega_diameter": Infinity, no JSON
+    path = tmp_path / "overflowing_spread.json"
+    path.write_text('{"scenario": "simulate", "model": "rapidity", "c": 1.0, "n": 2, '
+                    '"omega": [1e308, -1e308], "t_final": 0.1}')
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: omega: ")
 
 
 def test_main_exit_2_on_an_unusable_output_directory(tmp_path, capsys, monkeypatch):
@@ -270,6 +282,22 @@ def test_main_exit_3_on_a_run_too_large_to_allocate(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("run too large to allocate: ")
         assert captured.err.count("\n") == 1
+
+
+def test_main_exit_3_on_a_numerical_failure_mid_run(tmp_path, capsys):
+    # the state overflows part-way and the model rejects the drive it gives;
+    # the overflow warns first, so numpy's warnings are silenced
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "scenario": "sync-check", "model": "rapidity", "c": 1e300, "n": 3,
+        "omega": [1e300, 0.0, -1e300], "dt": 1e10, "t_final": 1e11,
+    }))
+    with np.errstate(all="ignore"):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: drive must be finite\n"
 
 
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):

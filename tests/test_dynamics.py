@@ -146,7 +146,6 @@ def test_simulate_lands_exactly_on_t_final():
         # interior stamps are bitwise step * dt, closing stamp exactly t_final
         assert np.array_equal(traj.times[:-1], 0.3 * np.arange(4))
         assert traj.thetas.shape == traj.theta_dots.shape == (5, 2)
-        assert not traj.partial
 
 
 def test_simulate_record_every_keeps_first_and_last():
@@ -310,74 +309,42 @@ def _fail_velocity_after(monkeypatch, calls_before_failure):
     return calls
 
 
-def _assert_rows_of_the_whole_run(part, whole, rows, evaluated):
-    """part holds whole's first rows; the first ``evaluated`` carry its velocities."""
-    assert part.partial
-    assert np.array_equal(part.times, whole.times[:rows])
-    assert np.array_equal(part.thetas, whole.thetas[:rows])
-    assert np.array_equal(part.theta_dots[:evaluated], whole.theta_dots[:evaluated])
-    # a recorded state the integrator never evaluated has NaN velocities
-    assert np.all(np.isnan(part.theta_dots[evaluated:]))
-
-
-def test_simulate_attaches_partial_trajectory_on_failure(monkeypatch):
-    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
-    whole = simulate(cfg, np.array(PAIR_THETA0))
-    # call 29 is the first stage of step 8, so its start state is recorded
-    # but its velocities are not
-    _fail_velocity_after(monkeypatch, 28)
-    with pytest.raises(DomainError) as excinfo:
-        simulate(cfg, np.array(PAIR_THETA0))
-    (partial,) = excinfo.value.partial_trajectories
-    assert partial.thetas.shape == (8, 2)
-    _assert_rows_of_the_whole_run(partial, whole, rows=8, evaluated=7)
-
-
-def test_simulate_momentum_attaches_partial_trajectory_on_failure(monkeypatch):
-    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
-    theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
-    whole = simulate_both_forms(cfg, theta0, thetadot0)
-    # call 31 is the third stage of step 8, whose start state has velocities
-    calls = _fail_velocity_after(monkeypatch, 30)
-    with pytest.raises(DomainError) as excinfo:
-        simulate_momentum(cfg, theta0, thetadot0)
-    partial = excinfo.value.partial_trajectories[0]
-    assert partial.momenta.shape == (8, 2)
-    # residuals need no model call
-    assert np.all(np.isfinite(partial.residuals))
-    _assert_rows_of_the_whole_run(partial, whole[0], rows=8, evaluated=8)
-
-    # the fused run attaches both forms' samples up to the failure
-    calls["n"] = 0
-    with pytest.raises(DomainError) as excinfo:
-        simulate_both_forms(cfg, theta0, thetadot0)
-    partials = excinfo.value.partial_trajectories
-    assert np.array_equal(partials[0].momenta, whole[0].momenta[:8])
-    assert np.array_equal(partials[0].residuals, whole[0].residuals[:8])
-    assert np.array_equal(partials[1].config.omega, whole[1].config.omega)
-    for part, full in zip(partials, whole):
-        _assert_rows_of_the_whole_run(part, full, rows=8, evaluated=8)
-
-
-def test_failure_at_the_final_state_attaches_every_row(monkeypatch):
-    # The final state is evaluated once, after the last step; a failure
-    # there propagates like any other, with every state recorded and all
-    # rows but the last carrying their velocities.
+def test_model_failure_propagates_from_every_entry_point(monkeypatch):
+    # 10 steps of 4 stages, then the final state: call 29 is the first stage
+    # of the eighth step, call 31 its third and call 41 the final state.
+    # The batch's rows are of one kind, so they share each stage's call.
     cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
+    batch = [cfg, pair_config(relativistic(2.0), dt=0.1, t_final=1.0, record_every=1)]
     theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
-    whole = simulate(cfg, theta0)
-    whole_forms = simulate_both_forms(cfg, theta0, thetadot0)
-    # 10 steps of 4 stages, then the final state
-    calls = _fail_velocity_after(monkeypatch, 40)
-    with pytest.raises(DomainError) as excinfo:
-        simulate(cfg, theta0)
-    (partial,) = excinfo.value.partial_trajectories
-    _assert_rows_of_the_whole_run(partial, whole, rows=11, evaluated=10)
-    calls["n"] = 0
-    with pytest.raises(DomainError) as excinfo:
-        simulate_momentum(cfg, theta0, thetadot0)
-    for part, full in zip(excinfo.value.partial_trajectories, whole_forms):
-        _assert_rows_of_the_whole_run(part, full, rows=11, evaluated=10)
+    runs = {
+        "simulate": lambda: simulate(cfg, theta0),
+        "simulate_batch": lambda: simulate_batch(batch, theta0),
+        "simulate_both_forms": lambda: simulate_both_forms(cfg, theta0, thetadot0),
+        "simulate_momentum": lambda: simulate_momentum(cfg, theta0, thetadot0),
+    }
+    for calls_before_failure in (28, 30, 40):
+        with monkeypatch.context() as patch:
+            calls = _fail_velocity_after(patch, calls_before_failure)
+            for name, run in runs.items():
+                calls["n"] = 0
+                with pytest.raises(DomainError, match="synthetic mid-run failure"):
+                    run()
+                # the first failure ends the run
+                assert calls["n"] == calls_before_failure + 1, (name, calls_before_failure)
+
+
+def test_a_state_that_overflows_mid_run_raises_domain_error():
+    # ten steps of 1e10 at frequencies of +-1e300: the state overflows and the
+    # model rejects the drive it gives; the overflow warns first, so numpy's
+    # warnings are silenced
+    omega = np.array([1e300, 0.0, -1e300])
+    cfg = SystemConfig(3, 1.0, omega, rapidity(1e300), 1e10, 1e11)
+    theta0, _, _ = sample_protocol_ensemble(0, n=3, omega=omega)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match="drive must be finite"):
+            simulate_batch([cfg], theta0)
+        with pytest.raises(DomainError, match="drive must be finite"):
+            simulate_both_forms(cfg, theta0, cfg.model.velocity(omega))
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +359,6 @@ def _assert_batch_equals_serial(configs, theta0):
     for config, row_theta0, traj in zip(configs, rows_theta0, batch):
         alone = simulate(config, row_theta0)
         assert traj.config is config
-        assert not traj.partial
         # the same floats, not merely close ones
         assert np.array_equal(traj.times, alone.times)
         assert np.array_equal(traj.thetas, alone.thetas)
@@ -423,22 +389,6 @@ def test_simulate_batch_matches_serial_runs_of_the_rate_sweep(seed):
     models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
     configs = [SystemConfig(n, 1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
     _assert_batch_equals_serial(configs, gen.uniform(-1.5, 1.5, n))
-
-
-def test_simulate_batch_attaches_partial_trajectories_on_failure(monkeypatch):
-    configs = [pair_config(model, dt=0.1, t_final=5.0, record_every=1)
-               for model in (relativistic(1.0), relativistic(2.0), classical())]
-    theta0 = np.array(PAIR_THETA0)
-    full = simulate_batch(configs, theta0)
-    # two velocity calls per stage, one per kind: call 33 is the first
-    # stage of step 5, whose start state is recorded without velocities
-    _fail_velocity_after(monkeypatch, 32)
-    with pytest.raises(DomainError) as excinfo:
-        simulate_batch(configs, theta0)
-    partials = excinfo.value.partial_trajectories
-    assert [p.config for p in partials] == configs
-    for partial, whole in zip(partials, full):
-        _assert_rows_of_the_whole_run(partial, whole, rows=5, evaluated=4)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -705,8 +655,7 @@ def _momentum_form_alone(config, theta0, thetadot0):
         v = config.model.velocity(y[1])
         return np.stack((v, _momentum_coupling(config, y[0], v)))
 
-    times, states, derivs, err = dynamics._integrate(config, np.stack((theta0, p0)), rates)
-    assert err is None
+    times, states, derivs = dynamics._integrate(config, np.stack((theta0, p0)), rates)
     thetas, momenta = states[:, 0], states[:, 1]
     return {"times": times, "thetas": thetas, "momenta": momenta,
             "theta_dots": derivs[:, 0],
@@ -734,7 +683,6 @@ def test_both_forms_match_each_form_run_alone(n, model, dt, t_final, record_ever
     theta0 = gen.uniform(-1.2, 1.2, n)
     thetadot0 = gen.uniform(-0.3, 0.3, n)
     momentum, first = simulate_both_forms(cfg, theta0, thetadot0)
-    assert not (momentum.partial or first.partial)
     assert np.array_equal(first.config.omega, momentum.induced_omega)
     # the same floats as each form integrated on its own, not merely close ones
     alone = simulate(first.config, theta0)

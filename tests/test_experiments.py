@@ -118,8 +118,11 @@ def test_sample_protocol_ensemble_given_omega_and_no_lock_angle():
     # a reversed or NaN interval used to raise ConfigError("high") from the stream
     (lambda: sample_protocol_ensemble(0, freq_interval=(0.2, 0.1)), "freq_interval"),
     (lambda: sample_protocol_ensemble(0, freq_interval=(0.0, math.nan)), "freq_interval"),
+    # a spread that overflows used to warn in np.ptp and report an infinite
+    # omega_diameter, which JSON cannot hold
+    (lambda: sample_protocol_ensemble(0, n=2, omega=[1e308, -1e308]), "omega"),
 ], ids=["sample-n0", "sample-n-2", "simulate-n0", "admissibility-seed-1",
-        "sample-reversed-interval", "sample-nan-interval"])
+        "sample-reversed-interval", "sample-nan-interval", "sample-overflowing-omega-spread"])
 def test_runners_reject_a_size_below_one_and_a_negative_seed(call, field):
     with pytest.raises(ConfigError) as excinfo:
         call()
@@ -322,6 +325,13 @@ def test_limit_scaling_validates_inputs():
         with pytest.raises(DomainError):
             run_limit_scaling(3, c_values=(5.0,), t_final=2.0, n=4, regimes=("zero",),
                               checkpoint_times=checkpoints)
+    # checkpoints that share a label used to merge into one table key, and
+    # the bounded claims went with the second checkpoint
+    for checkpoints in ((1.0000001, 1.0000002), (1.0, 1.0)):
+        with pytest.raises(ConfigError) as info:
+            run_limit_scaling(3, c_values=(5.0, 10.0), t_final=2.0, n=4, regimes=("zero",),
+                              checkpoint_times=checkpoints)
+        assert info.value.field == "checkpoint_times"
 
 
 # ----------------------------------------------------------------------
