@@ -309,28 +309,40 @@ def _fail_velocity_after(monkeypatch, calls_before_failure):
     return calls
 
 
-def test_model_failure_propagates_from_every_entry_point(monkeypatch):
-    # 10 steps of 4 stages, then the final state: call 29 is the first stage
-    # of the eighth step, call 31 its third and call 41 the final state.
-    # The batch's rows are of one kind, so they share each stage's call.
-    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
-    batch = [cfg, pair_config(relativistic(2.0), dt=0.1, t_final=1.0, record_every=1)]
+def _assert_failure_propagates(calls, run, calls_before_failure):
+    """run raises the model's DomainError, and its first failing call ends it."""
+    calls["n"] = 0
+    with pytest.raises(DomainError, match="synthetic mid-run failure"):
+        run()
+    assert calls["n"] == calls_before_failure + 1
+
+
+def test_simulate_propagates_a_model_failure(monkeypatch):
+    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
+    # call 29 is the first stage of step 8
+    calls = _fail_velocity_after(monkeypatch, 28)
+    _assert_failure_propagates(calls, lambda: simulate(cfg, np.array(PAIR_THETA0)), 28)
+
+
+def test_simulate_momentum_propagates_a_model_failure(monkeypatch):
+    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=5.0, record_every=1)
     theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
-    runs = {
-        "simulate": lambda: simulate(cfg, theta0),
-        "simulate_batch": lambda: simulate_batch(batch, theta0),
-        "simulate_both_forms": lambda: simulate_both_forms(cfg, theta0, thetadot0),
-        "simulate_momentum": lambda: simulate_momentum(cfg, theta0, thetadot0),
-    }
-    for calls_before_failure in (28, 30, 40):
-        with monkeypatch.context() as patch:
-            calls = _fail_velocity_after(patch, calls_before_failure)
-            for name, run in runs.items():
-                calls["n"] = 0
-                with pytest.raises(DomainError, match="synthetic mid-run failure"):
-                    run()
-                # the first failure ends the run
-                assert calls["n"] == calls_before_failure + 1, (name, calls_before_failure)
+    # call 31 is the third stage of step 8
+    calls = _fail_velocity_after(monkeypatch, 30)
+    _assert_failure_propagates(calls, lambda: simulate_momentum(cfg, theta0, thetadot0), 30)
+    # the fused run evaluates the model as often as the momentum form alone
+    _assert_failure_propagates(calls, lambda: simulate_both_forms(cfg, theta0, thetadot0), 30)
+
+
+def test_failure_at_the_final_state_propagates(monkeypatch):
+    # The final state is evaluated once, after the last step; a failure
+    # there propagates like any other.
+    cfg = pair_config(relativistic(1.0), dt=0.1, t_final=1.0, record_every=1)
+    theta0, thetadot0 = np.array(PAIR_THETA0), np.array([0.2, -0.1])
+    # 10 steps of 4 stages, then the final state
+    calls = _fail_velocity_after(monkeypatch, 40)
+    _assert_failure_propagates(calls, lambda: simulate(cfg, theta0), 40)
+    _assert_failure_propagates(calls, lambda: simulate_momentum(cfg, theta0, thetadot0), 40)
 
 
 def test_a_state_that_overflows_mid_run_raises_domain_error():
@@ -403,6 +415,16 @@ def test_simulate_batch_rejects_configs_on_different_grids(field, value):
     with pytest.raises(ValueError, match="share n, dt, t_final and record_every") as info:
         simulate_batch([SystemConfig(**base), SystemConfig(**other)], np.array(PAIR_THETA0))
     assert info.value.field == "configs"
+
+
+def test_simulate_batch_propagates_a_model_failure(monkeypatch):
+    configs = [pair_config(model, dt=0.1, t_final=5.0, record_every=1)
+               for model in (relativistic(1.0), relativistic(2.0), classical())]
+    theta0 = np.array(PAIR_THETA0)
+    # two velocity calls per stage, one per kind: call 33 is the first
+    # stage of step 5
+    calls = _fail_velocity_after(monkeypatch, 32)
+    _assert_failure_propagates(calls, lambda: simulate_batch(configs, theta0), 32)
 
 
 def test_simulate_batch_validates_its_inputs():
