@@ -20,18 +20,19 @@ one rule (``_order_rows``), which also owns the ``R_UNDEFINED_BELOW``
 cut.
 
 The energy observable is the integral of w * F'(w) from 0 to |w_i| per
-oscillator, summed; each bounded kind has it in closed form:
-c**2 * (gamma - 1) (proper-velocity), c**2 * ln(gamma) (rapidity) and
-c**2 * (gamma - 1) + (gamma**2 - 1) - ln(gamma) (full relativistic).
-They are taken at every bound in the u = |w|/c and s = 1 - u**2 of
+oscillator, summed, for every kind; each has it in closed form: w**2 / 2
+(classical, F' = 1), c**2 * (gamma - 1) (proper-velocity), c**2 *
+ln(gamma) (rapidity) and c**2 * (gamma - 1) + (gamma**2 - 1) - ln(gamma)
+(full relativistic).  Each bounded kind's energy tends to the classical
+one as c grows, the gap falling as 1/c**2.  The bounded terms are taken
+at every bound in the u = |w|/c and s = 1 - u**2 of
 ``models._span_ratio``, with root = sqrt(s): c**2 * (gamma - 1) =
 (w / root) * (w / (1 + root)), gamma**2 - 1 = g = u**2 / s and
 c**2 * ln(gamma) = (w / root) * ((w / root) * log1p(g) / g) / 2 (the
 ratio is 1 where g underflows to 0).  No factor c * c is formed and
 nothing cancels, so each term is within a few ulps, or over- or
 underflows only where its value does, for every bound from 1e-300 to
-1e300.  The classical kind has no finite velocity bound and no such
-energy.
+1e300.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemConfig, Trajectory, _row_blocks, _write_csv
-from .errors import ConfigError, DegenerateFitError, DomainError, UnsupportedModelError
+from .errors import ConfigError, DegenerateFitError, DomainError
 from .models import FrequencyResponse, ModelKind, _span_ratio
 
 __all__ = [
@@ -165,37 +166,40 @@ def potential(theta, kappa: float, omega):
     return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
 
 
+def _energy_terms(model: FrequencyResponse, td: np.ndarray) -> np.ndarray:
+    """The integral of w * F'(w) from 0 to |w| for each velocity of ``td``."""
+    if model.kind is ModelKind.CLASSICAL:
+        # halved first: (w / 2) * w overflows only where w**2 / 2 does
+        return (0.5 * td) * td
+    u, _, s = _span_ratio(td, model.velocity_bound)
+    root = np.sqrt(s)
+    scaled = td / root
+    gamma2_m1 = u * u / s
+    if model.kind is ModelKind.RAPIDITY:
+        log1p_ratio = np.divide(np.log1p(gamma2_m1), gamma2_m1,
+                                out=np.ones_like(gamma2_m1), where=gamma2_m1 > 0.0)
+        # scaled * scaled overflows next to bounds above ~3e146, where the energy is finite
+        return 0.5 * scaled * (scaled * log1p_ratio)
+    c2_gamma_m1 = scaled * (td / (1.0 + root))
+    if model.kind is ModelKind.PROPER_VELOCITY:
+        return c2_gamma_m1
+    return c2_gamma_m1 + gamma2_m1 - 0.5 * np.log1p(gamma2_m1)
+
+
 def energy(model: FrequencyResponse, theta_dot):
     """Total kinetic-type energy of the velocities, along the last axis.
 
     ``theta_dot`` is one configuration (n,), giving a float, or a stack
     (..., n), giving one value per row; each row is summed as a
     configuration alone is, so the values do not depend on the stacking.
-    Raises UnsupportedModelError for the classical kind and, as
-    ``momentum`` does, DomainError unless every |theta_dot| is finite and
-    below the velocity bound.
+    For the classical kind it is sum(w**2) / 2.  Raises DomainError, as
+    ``momentum`` does, unless every |theta_dot| is finite and below the
+    velocity bound; an energy beyond the largest float is inf.
     """
-    if model.kind is ModelKind.CLASSICAL:
-        raise UnsupportedModelError("the classical kind has no bounded-velocity energy")
     td = np.atleast_1d(np.asarray(theta_dot, dtype=float))
     model._require_subluminal(td)
-    u, _, s = _span_ratio(td, model.velocity_bound)
-    root = np.sqrt(s)
-    scaled = td / root
-    gamma2_m1 = u * u / s
     with np.errstate(over="ignore"):
-        if model.kind is ModelKind.RAPIDITY:
-            log1p_ratio = np.divide(np.log1p(gamma2_m1), gamma2_m1,
-                                    out=np.ones_like(gamma2_m1), where=gamma2_m1 > 0.0)
-            # scaled * scaled overflows next to bounds above ~3e146, where the energy is finite
-            terms = 0.5 * scaled * (scaled * log1p_ratio)
-        else:
-            c2_gamma_m1 = scaled * (td / (1.0 + root))
-            if model.kind is ModelKind.PROPER_VELOCITY:
-                terms = c2_gamma_m1
-            else:
-                terms = c2_gamma_m1 + gamma2_m1 - 0.5 * np.log1p(gamma2_m1)
-    total = terms.sum(axis=-1)
+        total = _energy_terms(model, td).sum(axis=-1)
     return float(total) if td.ndim == 1 else total
 
 
@@ -282,7 +286,7 @@ class DiagnosticsSeries:
     """Observables along one recorded trajectory.
 
     ``order_phi`` holds nan where the order parameter magnitude is
-    numerically zero; ``energy`` is all-nan for the classical kind.
+    numerically zero.
     """
 
     times: np.ndarray
@@ -305,12 +309,10 @@ def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> Diagnos
     th = trajectory.thetas
     vd = trajectory.theta_dots
     m, n = th.shape
-    r, phi, en = np.empty(m), np.empty(m), np.full(m, np.nan)
-    bounded = config.model.kind is not ModelKind.CLASSICAL
+    r, phi, en = np.empty(m), np.empty(m), np.empty(m)
     for rows in _row_blocks(m, n):
         r[rows], phi[rows] = _order_rows(th[rows])
-        if bounded:
-            en[rows] = energy(config.model, vd[rows])
+        en[rows] = energy(config.model, vd[rows])
     return DiagnosticsSeries(
         times=trajectory.times,
         phase_diameter=np.ptp(th, axis=1),

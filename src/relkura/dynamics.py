@@ -271,7 +271,9 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     the step that starts from it, and one more evaluation at the final
     state.  Returns (times, states, derivs): the recorded times (M,), and
     the recorded states and their rates stacked along a new first axis.
-    A failure of ``rates`` propagates.  Raises MemoryError, before any
+    A failure of ``rates`` propagates; numpy's overflow and invalid-value
+    warnings are silenced, so an inf or NaN state reaches ``rates``, whose
+    drive check raises DomainError.  Raises MemoryError, before any
     step, for more steps than numpy's index range holds or more recorded
     rows than numpy can allocate.
     """
@@ -287,15 +289,16 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     except ValueError as exc:  # a size beyond numpy's index range
         raise MemoryError(f"{rows:.3g} recorded rows") from exc
     row, record_at, y = 0, 0, y0
-    for step in range(n_steps):
-        if step == record_at:
-            times[row], states[row] = step * config.dt, y
-            k1 = derivs[row] = rates(y)
-            row, record_at = row + 1, record_at + k
-        else:
-            k1 = rates(y)
-        y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
-    times[row], states[row], derivs[row] = config.t_final, y, rates(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            if step == record_at:
+                times[row], states[row] = step * config.dt, y
+                k1 = derivs[row] = rates(y)
+                row, record_at = row + 1, record_at + k
+            else:
+                k1 = rates(y)
+            y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
+        times[row], states[row], derivs[row] = config.t_final, y, rates(y)
     return times, states, derivs
 
 

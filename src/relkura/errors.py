@@ -6,7 +6,6 @@ __all__ = [
     "RelkuraError",
     "DomainError",
     "ConvergenceError",
-    "UnsupportedModelError",
     "DegenerateFitError",
     "ConfigError",
 ]
@@ -27,10 +26,6 @@ class DomainError(RelkuraError):
 
 class ConvergenceError(RelkuraError):
     """An iterative solve exhausted its budget without meeting tolerance."""
-
-
-class UnsupportedModelError(RelkuraError):
-    """The requested quantity is not defined for this model kind."""
 
 
 class DegenerateFitError(RelkuraError):

@@ -660,12 +660,11 @@ def run_limit_scaling(
             predicates.append(_claim(name, "s(c)/s(2c) in [3, 5]", {**observed, "ratio": ratio},
                                      float(min(ratio - 3.0, 5.0 - ratio))))
         if regime == "zero" and len(checkpoints) >= 2:
+            # every row holds every checkpoint, under its distinct label
+            early, late = _number_label(min(checkpoints)), _number_label(max(checkpoints))
             for row in rows:
-                stamps = sorted(row["checkpoints"], key=float)
-                if len(stamps) < 2:
-                    continue
-                first = row["checkpoints"][stamps[0]]["c2_sup_l1"]
-                last = row["checkpoints"][stamps[-1]]["c2_sup_l1"]
+                first = row["checkpoints"][early]["c2_sup_l1"]
+                last = row["checkpoints"][late]["c2_sup_l1"]
                 if first == 0.0:
                     # no growth relative to 0 (a checkpoint at t = 0, or flows that coincide)
                     row["bounded"] = "skipped: c^2 * sup l1 = 0 at the first checkpoint"

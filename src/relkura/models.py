@@ -240,8 +240,9 @@ class FrequencyResponse:
     kind:
         Which response function to use.
     c:
-        Velocity bound for the three bounded kinds; ignored by
-        ``classical``.  Must be finite and positive wherever it is given.
+        Velocity bound for the three bounded kinds.  Must be finite and
+        positive wherever it is given; the classical kind, which has no
+        bound, checks a given one and stores None.
     """
 
     kind: ModelKind
@@ -250,10 +251,11 @@ class FrequencyResponse:
     def __post_init__(self):
         if self.c is None and self.kind is ModelKind.CLASSICAL:
             return
-        # a c given to the classical kind is checked too, though it is ignored
+        # a c given to the classical kind is checked too, then dropped
         if self.c is None or not math.isfinite(self.c) or self.c <= 0.0:
             raise ConfigError("c", f"must be finite and > 0 (model kind {self.kind.value!r})")
         if self.kind is ModelKind.CLASSICAL:
+            object.__setattr__(self, "c", None)
             return
         c = float(self.c)
         object.__setattr__(self, "c", c)
@@ -261,17 +263,13 @@ class FrequencyResponse:
 
     @classmethod
     def from_name(cls, name: str, c: float | None = None) -> "FrequencyResponse":
-        """Build a response from its serialized kind string.
-
-        A given ``c`` is checked for every kind; the classical one drops it.
-        """
+        """Build a response from its serialized kind string and ``c``."""
         try:
             kind = ModelKind(name)
         except ValueError:
             valid = ", ".join(k.value for k in ModelKind)
             raise ConfigError("model", f"unknown model kind {name!r} (expected one of: {valid})")
-        response = cls(kind, c)
-        return cls(kind) if kind is ModelKind.CLASSICAL else response
+        return cls(kind, c)
 
     @property
     def velocity_bound(self) -> float:
@@ -439,17 +437,17 @@ def stack_rows(responses) -> FrequencyResponse:
     """One response that maps a (B, m) array of drives row by row.
 
     Row b follows ``responses[b]``, which must all share one kind.  Every
-    response solves each row as its own system, so classical responses
-    (which have no bound) and ones that share a bound come back as the
-    first.  For distinct bounds the stacked ``c`` and prepared bounds are
-    (B, 1) columns of the rows' own, so ``velocity`` gives every row the
-    floats a call on its own response gives.  Only ``velocity`` is meant
-    to be called on the stacked response.
+    response solves each row as its own system, so responses that share
+    a bound (every classical one has None) come back as the first.  For
+    distinct bounds the stacked ``c`` and prepared bounds are (B, 1)
+    columns of the rows' own, so ``velocity`` gives every row the floats
+    a call on its own response gives.  Only ``velocity`` is meant to be
+    called on the stacked response.
     """
     first = responses[0]
     if any(r.kind is not first.kind for r in responses):
         raise ConfigError("responses", "stacked responses must share one kind")
-    if first.kind is ModelKind.CLASSICAL or all(r.c == first.c for r in responses):
+    if all(r.c == first.c for r in responses):
         return first
     stacked = object.__new__(FrequencyResponse)
     object.__setattr__(stacked, "kind", first.kind)

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -286,13 +287,32 @@ def test_main_exit_3_on_a_run_too_large_to_allocate(tmp_path, capsys):
 
 def test_main_exit_3_on_a_numerical_failure_mid_run(tmp_path, capsys):
     # the state overflows part-way and the model rejects the drive it gives;
-    # the overflow warns first, so numpy's warnings are silenced
+    # numpy's warnings are silenced here, so only the exit and the message
+    # are checked (the next test runs with them on)
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({
         "scenario": "sync-check", "model": "rapidity", "c": 1e300, "n": 3,
         "omega": [1e300, 0.0, -1e300], "dt": 1e10, "t_final": 1e11,
     }))
     with np.errstate(all="ignore"):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: drive must be finite\n"
+
+
+def test_main_exit_3_on_a_state_that_overflows_warns_nothing(tmp_path, capsys):
+    # the same run with numpy's warnings left on, under which a
+    # RuntimeWarning is an error: the overflow must not warn on its way
+    # to the model's rejection of the drive
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "scenario": "sync-check", "model": "rapidity", "c": 1e300, "n": 3,
+        "omega": [1e300, 0.0, -1e300], "dt": 1e10, "t_final": 1e11,
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     captured = capsys.readouterr()

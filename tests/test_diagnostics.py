@@ -34,7 +34,7 @@ from relkura import (
 )
 from relkura.diagnostics import _shifted_phasors
 from relkura.dynamics import Trajectory
-from relkura.errors import DegenerateFitError, DomainError, UnsupportedModelError
+from relkura.errors import DegenerateFitError, DomainError
 
 # 50-digit references
 SPOT_THETA = np.array([0.3, -1.1, 2.0])
@@ -251,13 +251,44 @@ def test_energy_for_tiny_bounds_matches_mpmath(make, c):
     assert energy(model, 0.0) == 0.0
 
 
-def test_energy_rejects_classical_and_superluminal():
-    with pytest.raises(UnsupportedModelError):
-        energy(classical(), [0.5])
+def test_energy_rejects_non_finite_and_superluminal():
+    with pytest.raises(DomainError):
+        energy(classical(), [0.5, math.inf])
     with pytest.raises(DomainError):
         energy(relativistic(1.0), [1.0])
     with pytest.raises(DomainError):
         energy(relativistic(1.0), [0.5, math.nan])
+
+
+def test_classical_energy_is_half_the_sum_of_squares():
+    speeds = np.array([0.5, -1.25, 3e-200, 1.5e154, -1.0e154, 0.0])
+    assert energy(classical(), speeds) == ((0.5 * speeds) * speeds).sum()
+    # 2**512 squared is 2**1024, past the largest float; its energy 2**1023 is not
+    assert energy(classical(), [2.0**512]) == 2.0**1023
+    assert energy(classical(), [2.0**512, -(2.0**512)]) == math.inf
+    stack = np.random.default_rng(5).normal(size=(2, 3, 7)) * 10.0
+    assert np.array_equal(energy(classical(), stack), ((0.5 * stack) * stack).sum(axis=-1))
+
+
+@pytest.mark.parametrize("make", [relativistic, proper_velocity, rapidity])
+def test_bounded_energy_approaches_the_classical_one_as_one_over_c_squared(make):
+    speeds = np.random.default_rng(3).uniform(-1.0, 1.0, 10)
+    want = energy(classical(), speeds)
+    gaps = [abs(energy(make(c), speeds) - want) / want for c in (10.0, 20.0, 40.0, 80.0)]
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+
+
+def test_classical_energy_of_identical_oscillators_never_increases():
+    # the Kuramoto Lyapunov statement: with every phase difference inside
+    # (-pi/2, pi/2) the velocities contract, and sum(w**2) / 2 with them
+    rng = np.random.default_rng(42)
+    theta0 = rng.uniform(-0.2 * math.pi, 0.2 * math.pi, 10)
+    assert phase_diameter(theta0) < 0.5 * math.pi
+    cfg = SystemConfig(10, 1.0, np.zeros(10), classical(), 0.01, 20.0, 1)
+    energies = energy(cfg.model, simulate(cfg, theta0).theta_dots)
+    assert np.max(np.diff(energies)) < 1e-9
+    assert energies[-1] < 1e-3 * energies[0]
 
 
 def _velocity_stack(c, rows, n, seed):
@@ -520,12 +551,14 @@ def test_compute_diagnostics_order_and_potential_equal_whole_array_formulas():
     assert np.array_equal(potential(np.stack([th, th]), cfg.kappa, cfg.omega), np.stack([whole, whole]))
 
 
-def test_compute_diagnostics_classical_energy_is_nan():
-    cfg = SystemConfig(2, 1.0, np.zeros(2), classical(), 0.1, 1.0, 1)
-    traj = simulate(cfg, np.array([0.3, -0.3]))
+def test_compute_diagnostics_classical_energy_equals_energy_row_by_row():
+    # 10 oscillators make 409 rows per block, so 1000 rows take three blocks
+    cfg = SystemConfig(10, 1.0, np.linspace(-0.2, 0.2, 10), classical(), 0.01, 9.99, 1)
+    traj = simulate(cfg, np.linspace(-1.0, 1.0, 10))
     series = compute_diagnostics(cfg, traj)
-    assert np.all(np.isnan(series.energy))
-    assert np.all(np.isfinite(series.phase_diameter))
+    want = np.array([energy(cfg.model, row) for row in traj.theta_dots])
+    assert np.all(want > 0.0)
+    assert np.array_equal(series.energy, want)
 
 
 def test_diagnostics_csv_round_trip(tmp_path, small_run):

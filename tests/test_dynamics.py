@@ -347,8 +347,8 @@ def test_failure_at_the_final_state_propagates(monkeypatch):
 
 def test_a_state_that_overflows_mid_run_raises_domain_error():
     # ten steps of 1e10 at frequencies of +-1e300: the state overflows and the
-    # model rejects the drive it gives; the overflow warns first, so numpy's
-    # warnings are silenced
+    # model rejects the drive it gives; numpy's warnings are silenced here, so
+    # only the error is checked (test_cli checks that the run warns nothing)
     omega = np.array([1e300, 0.0, -1e300])
     cfg = SystemConfig(3, 1.0, omega, rapidity(1e300), 1e10, 1e11)
     theta0, _, _ = sample_protocol_ensemble(0, n=3, omega=omega)
@@ -821,7 +821,7 @@ def test_trajectory_csv_of_a_batch_view_equals_savetxt(tmp_path):
 
 @pytest.mark.parametrize("rows", [1, 146, 147, 585, 586, 4001])
 def test_diagnostics_csv_bytes_equal_savetxt(tmp_path, rows):
-    # 585 rows of 7 floats fill one block; the classical kind's energy is nan
+    # 585 rows of 7 floats fill one block; Python's `%` formats the all-nan column
     rng = np.random.default_rng(rows)
     columns = [rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
                for _ in range(6)] + [np.full(rows, math.nan)]

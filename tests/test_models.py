@@ -25,6 +25,7 @@ from relkura import (
 from relkura import models
 from relkura.diagnostics import energy
 from relkura.errors import ConvergenceError, DomainError
+from relkura.experiments import _label
 from relkura.models import stack_rows
 from reference_inverse import ReferenceInverse, reference_invert_full
 from test_diagnostics import _energy_reference_small_ratio
@@ -576,6 +577,15 @@ def test_classical_ignores_c():
     assert model.velocity_bound == math.inf
 
 
+def test_classical_checks_a_given_c_and_drops_it():
+    model = FrequencyResponse(ModelKind.CLASSICAL, 2.0)
+    assert model.c is None
+    assert model == classical()
+    assert _label(model) == "classical"
+    with pytest.raises(DomainError):
+        FrequencyResponse(ModelKind.CLASSICAL, -1.0)
+
+
 def test_velocity_bound_is_c_for_bounded_kinds():
     assert relativistic(2.5).velocity_bound == 2.5
     assert proper_velocity(0.5).velocity_bound == 0.5
@@ -650,7 +660,7 @@ def test_closed_forms_take_a_bound_whose_cube_overflows():
 def test_stack_rows_passes_single_and_classical_responses_through():
     single = relativistic(2.0)
     assert stack_rows([single]) is single
-    both = [classical(), classical()]
+    both = [classical(), FrequencyResponse(ModelKind.CLASSICAL, 2.0)]
     assert stack_rows(both) is both[0]
     shared = [relativistic(2.0), relativistic(2.0)]
     assert stack_rows(shared) is shared[0]

@@ -11,6 +11,7 @@ never lives in two.  A public method whose body only hands ``self`` to a
 public function is a second entry point to that function and fails here
 too.  The benchmark's layer tracer must find, wrap and restore every
 binding it names, so a library change cannot break a traced run unseen.
+Every error type but the base class is raised somewhere in the library.
 """
 
 import ast
@@ -21,6 +22,7 @@ import tokenize
 from pathlib import Path
 
 import relkura
+from relkura import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,3 +176,22 @@ def _forwarding_methods(path: Path) -> list[str]:
 def test_no_public_method_only_forwards_to_a_public_function():
     forwarders = {path.name: names for path in LIBRARY if (names := _forwarding_methods(path))}
     assert forwarders == {}
+
+
+def _raised_names(path: Path) -> set[str]:
+    """Names of the exception types a module's ``raise`` statements raise."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised_by_the_library():
+    # a type that nothing raises is a contract no caller can meet
+    raised = set().union(*(_raised_names(path) for path in LIBRARY))
+    assert sorted(set(errors.__all__) - {"RelkuraError"} - raised) == []
