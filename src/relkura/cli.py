@@ -12,8 +12,10 @@ before any integration, and its ConfigError is exit 2 as well.  Every
 scenario writes ``report.json`` (plus trajectory and diagnostics CSVs)
 into the output directory and prints one line per checked predicate.
 Exit codes: 0 all predicates passed, 1 at least one failed, 2
-configuration error, 3 numerical failure or a run too large to
-allocate.  Flag values override config-file values.
+configuration error, 3 numerical failure (a domain violation,
+non-convergence, or a decay fit with fewer than three samples in its
+window) or a run too large to allocate.  Flag values override
+config-file values.
 """
 
 from __future__ import annotations

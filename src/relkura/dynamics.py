@@ -52,11 +52,13 @@ Conventions that matter for downstream analysis:
   do not depend on the blocking.  The largest arrays of a run are its
   results: the recorded states and their rates, M rows each.
 * Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
-  the bytes ``np.savetxt`` writes at ``%.16e``, formatting one block of
-  at most ``_BLOCK_FLOATS`` floats at a time without stacking the table
-  or joining the header whole.  A row wider than a block, a trajectory
-  row (2n + 1 floats) from n = 2048, is formatted in chunks of one
-  block, so the writer's temporaries do not grow with n.
+  the bytes ``np.savetxt`` writes at ``%.16e`` without stacking the table
+  or joining the header whole: each ``_row_blocks`` block of rows is
+  gathered once and formatted in column chunks of at most
+  ``_BLOCK_FLOATS`` floats.  Only a row wider than a block, a trajectory
+  row (2n + 1 floats) from n = 2048, has more than one chunk, so the
+  formatting temporaries do not grow with n; the one gathered row does
+  (160 KB at n = 10^4).
   The digits come from an error-bounded double-double scaling in numpy
   arithmetic (``_format_rows``), and Python's ``%`` formats every value
   that the bound cannot settle; the ASCII bytes go to the file as they
@@ -477,16 +479,13 @@ def _write_csv(path, names, columns) -> None:
     bytes of ``np.savetxt(path, np.column_stack(columns), delimiter=",",
     header=",".join(names), comments="", fmt="%.16e")``, but neither the
     table nor the header is built whole: the names are joined a block at
-    a time, and each ``_row_blocks`` block of ``_BLOCK_FLOATS`` is
-    gathered from slices of the columns and formatted by
-    ``_format_rows``.  A row wider than one block is gathered and
-    formatted in chunks of one block, with the newline after its last.
+    a time, and each ``_row_blocks`` block of rows is gathered once from
+    the columns and formatted by ``_format_rows`` in column chunks of
+    ``_BLOCK_FLOATS``, with the newline after the last.  Only a row wider
+    than a block has more than one chunk.
     """
     cols = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
-    edges = list(itertools.accumulate((col.shape[1] for col in cols), initial=0))
-    width = edges[-1]
-    chunks = [(start, min(start + _BLOCK_FLOATS, width))
-              for start in range(0, width, _BLOCK_FLOATS)]
+    width = sum(col.shape[1] for col in cols)
     names = iter(names)
     with open(path, "wb") as fh:
         fh.write(",".join(itertools.islice(names, _BLOCK_FLOATS)).encode())
@@ -494,11 +493,10 @@ def _write_csv(path, names, columns) -> None:
             fh.write(b"," + batch.encode())
         fh.write(b"\n")
         for rows in _row_blocks(cols[0].shape[0], width):
-            for start, stop in chunks:
-                block = np.concatenate([col[rows, max(start - lo, 0):stop - lo]
-                                        for col, lo, hi in zip(cols, edges, edges[1:])
-                                        if lo < stop and start < hi], axis=1, dtype=float)
-                fh.write(_format_rows(block, newline=stop == width))
+            block = np.concatenate([col[rows] for col in cols], axis=1, dtype=float)
+            for start in range(0, width, _BLOCK_FLOATS):
+                stop = start + _BLOCK_FLOATS
+                fh.write(_format_rows(block[:, start:stop], newline=stop >= width))
 
 
 def _split(x):
@@ -527,24 +525,12 @@ def _pow10_tables():
     return (pows, *_split(pows), np.array(rems))
 
 
-def _ascii_words():
-    """Little-endian words of four ASCII bytes, built in int16 arithmetic.
-
-    Returns the words of ``"%04d" % k`` for k < 10^4, and of
-    ``"e%+03d" % E`` at index E + 99 for |E| <= 99.
-    """
-    k = np.arange(10_000, dtype=np.int16)
-    digits = sum((48 + k // 10 ** (3 - i) % 10).astype("<u4") << (8 * i) for i in range(4))
-    e = np.arange(-99, 100, dtype=np.int16)
-    exponents = (ord("e") + (np.where(e < 0, ord("-"), ord("+")).astype("<u4") << 8)
-                 + ((48 + abs(e) // 10).astype("<u4") << 16)
-                 + ((48 + abs(e) % 10).astype("<u4") << 24))
-    return digits, exponents
-
-
 _POW10_MIN, _POW10_MAX = -99, 115
 _POW10, _POW10_HI, _POW10_LO, _POW10_REM = _pow10_tables()
-_DIGIT_WORDS, _EXPONENT_WORDS = _ascii_words()
+# Little-endian words of four ASCII bytes: "%04d" % k at index k < 10^4,
+# and "e%+03d" % E at index E + 99 for |E| <= 99.
+_DIGIT_WORDS = np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode(), "<u4")
+_EXPONENT_WORDS = np.frombuffer(("e%+03d" * 199 % tuple(range(-99, 100))).encode(), "<u4")
 # A value's 28-byte slot: [pad, sign, lead digit, "."], four words of
 # digits, the exponent word, [pad, pad, pad, separator].  Spaces pad, and
 # "%27.16e" right-aligns any float's text (at most 24 characters) in the

@@ -53,6 +53,7 @@ from .diagnostics import (
 )
 from .dynamics import (
     SystemConfig,
+    Trajectory,
     _check_count,
     _finite_vector,
     _row_blocks,
@@ -213,6 +214,13 @@ class PredicateOutcome:
 
 @dataclass
 class ExperimentReport:
+    """One run's outcome, stored JSON-plain.
+
+    Every value the runners put in ``config`` and ``results`` is already
+    None, bool, int, float, str, a list of these or a dict with str keys,
+    so ``to_dict`` is ``dataclasses.asdict`` and converts nothing.
+    """
+
     scenario: str
     seed: int
     rng: str
@@ -226,26 +234,13 @@ class ExperimentReport:
         return all(p.passed for p in self.predicates)
 
     def to_dict(self) -> dict:
-        return _plain(dataclasses.asdict(self))
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps can emit them."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def _claim(name: str, expected: str, observed, margin: float, strict: bool = False,
@@ -281,17 +276,19 @@ def _directory(out_dir) -> Path:
     return out
 
 
-def _emit(out_dir, label: str, traj, diagnostics: bool = True) -> list[str]:
-    """Write one run's trajectory CSV and, by default, its diagnostics CSV.
+def _emit(out_dir, label: str, traj) -> list[str]:
+    """Write one run's trajectory CSV and, for a first-order ``Trajectory``, its diagnostics CSV.
 
-    Returns the filenames written (none without an output directory).
+    A ``MomentumTrajectory`` gets no diagnostics: its config does not
+    carry its natural frequencies.  Returns the filenames written (none
+    without an output directory).
     """
     if out_dir is None:
         return []
     out = _directory(out_dir)
     names = [f"trajectory_{label}.csv"]
     write_trajectory_csv(traj, out / names[0])
-    if diagnostics:
+    if isinstance(traj, Trajectory):
         names.append(f"diagnostics_{label}.csv")
         write_diagnostics_csv(compute_diagnostics(traj.config, traj), out / names[1])
     return names
@@ -320,10 +317,6 @@ def _fit_window(times, values, mask):
     if int(mask.sum()) < 3:
         raise DegenerateFitError("fit window holds fewer than 3 samples")
     return fit_decay_rate(times[mask], values[mask])
-
-
-def _fit_asdict(fit) -> dict:
-    return {"rate": fit.rate, "intercept": fit.intercept, "rms_residual": fit.rms_residual}
 
 
 def _number_label(value: float) -> str:
@@ -439,7 +432,7 @@ def run_four_model_comparison(
         fd = np.ptp(traj.theta_dots, axis=1)
         start = traj.times[0] + COMPARE_FIT_SKIP * (traj.times[-1] - traj.times[0])
         mask = (fd > COMPARE_FIT_FLOOR) & (fd < COMPARE_FIT_CEILING) & (traj.times >= start)
-        rates[label] = _fit_asdict(_fit_window(traj.times, fd, mask))
+        rates[label] = dataclasses.asdict(_fit_window(traj.times, fd, mask))
         terminal[label] = float(np.ptp(traj.thetas[-1]))
         snapshots[label] = traj.thetas[snap].tolist()
         files += _emit(out_dir, label, traj)
@@ -519,12 +512,12 @@ def run_rate_vs_c(
         if homogeneous:
             ceiling = min(RATE_FIT_CEILING, 0.9 * d0)
             mask = (pd > RATE_FIT_FLOOR) & (pd < ceiling)
-            row["fit"] = _fit_asdict(_fit_window(traj.times, pd, mask))
+            row["fit"] = dataclasses.asdict(_fit_window(traj.times, pd, mask))
         else:
             cut = traj.times <= traj.times[0] + 0.2 * (traj.times[-1] - traj.times[0])
             mask = cut & (fd > COMPARE_FIT_FLOOR)
             try:
-                row["transient_fit"] = _fit_asdict(_fit_window(traj.times, fd, mask))
+                row["transient_fit"] = dataclasses.asdict(_fit_window(traj.times, fd, mask))
             except DegenerateFitError:
                 row["transient_fit"] = None
             row["transient_fit_qualitative"] = True
@@ -828,7 +821,7 @@ def run_rcs_crosscheck(
                violation_time=float(momentum_traj.times[res_idx])),
     ]
     files = (_emit(out_dir, "first_order", first_traj)
-             + _emit(out_dir, "momentum", momentum_traj, diagnostics=False))
+             + _emit(out_dir, "momentum", momentum_traj))
     results = {
         "max_phase_deviation": deviation,
         "max_conservation_residual": residual,

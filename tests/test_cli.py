@@ -7,10 +7,12 @@ modules a run loads starts a fresh one.
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -207,6 +209,37 @@ def test_parse_config_vector_fields(tmp_path):
     assert cfg.theta0 == [0.2, -0.2]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+GRID_KEYS = ("t_final", "dt", "record_every")
+
+
+def test_readme_scenario_defaults_match_the_runner_signatures():
+    # the README restates the defaults that only the runner signatures set:
+    # its scenario table (t_final / dt / record_every) and its c_list sentence
+    text = README.read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` +\| `(run_\w+)` +\|[^|\n]*\| ([^|\n]*?) +\|$",
+                      text, re.MULTILINE)
+    assert [scenario for scenario, _, _ in rows] == list(cli.SCENARIOS)
+    runners = cli._runners()
+    for scenario, runner, grid in rows:
+        assert runners[scenario].__name__ == runner
+        params = inspect.signature(runners[scenario]).parameters
+        if grid == "none (no time grid)":
+            assert not set(GRID_KEYS) & set(params), scenario
+        else:
+            want = tuple(float(v) for v in grid.split(" / "))
+            assert tuple(params[key].default for key in GRID_KEYS) == want, scenario
+    sentence = re.search(r"`c_list` defaults to `(\[.*?\])` for `rate-vs-c` and "
+                         r"`(\[.*?\])` for `limit`, and `homogeneous` to `(true|false)`",
+                         " ".join(text.split()))
+    assert sentence is not None
+    rate = inspect.signature(runners["rate-vs-c"]).parameters
+    limit = inspect.signature(runners["limit"]).parameters
+    assert list(rate["c_values"].default) == json.loads(sentence[1])
+    assert list(limit["c_values"].default) == json.loads(sentence[2])
+    assert rate["homogeneous"].default is json.loads(sentence[3])
+
+
 # ----------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------
@@ -318,6 +351,22 @@ def test_main_exit_3_on_a_state_that_overflows_warns_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: drive must be finite\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "compare", "--t-final", "0.5"],
+    ["--scenario", "rate-vs-c", "--n", "1"],
+], ids=["compare-short", "rate-vs-c-one-oscillator"])
+def test_main_exit_3_on_a_decay_fit_window_of_fewer_than_three_samples(tmp_path, capsys,
+                                                                       flags):
+    # in half a time unit compare's frequency diameters never fall below
+    # the fit window's ceiling, and a lone oscillator's phase diameter is 0
+    # throughout, below rate-vs-c's floor
+    code = main([*flags, "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: fit window holds fewer than 3 samples\n"
 
 
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):

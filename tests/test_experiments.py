@@ -509,6 +509,43 @@ def test_same_seed_reproduces_report():
     assert first.to_dict() == second.to_dict()
 
 
+# A short run of every scenario, with its files written; the sync-check run
+# fails its claims.
+PLAIN_RUNS = {
+    "simulate": dict(seed=3, model=rapidity(2.0), n=3, t_final=0.5),
+    "compare": dict(seed=5, n=3, t_final=2.0, dt=0.02),
+    "rate-vs-c": dict(seed=7, n=3, c_values=(1.0, 5.0), t_final=20.0, dt=0.05),
+    "limit": dict(seed=11, n=3, c_values=(5.0, 10.0), t_final=1.0, checkpoint_times=(1.0, 0.5)),
+    "sync-check": dict(seed=2, model=classical(), kappa=0.05, t_final=1.0),
+    "rcs-check": dict(seed=13, n=3, t_final=0.2),
+    "admissibility": dict(seed=0, model=proper_velocity(1.0)),
+}
+
+
+def _json_leaves(obj):
+    """Every dict key and every value that is neither a dict nor a list, depth first."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            yield key
+            yield from _json_leaves(value)
+    elif type(obj) is list:
+        for value in obj:
+            yield from _json_leaves(value)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_report_is_plain_json(tmp_path, scenario):
+    # reports are written as the runners build them, with nothing converted:
+    # a tuple or a numpy scalar anywhere in one must show here
+    report = _runners()[scenario](**PLAIN_RUNS[scenario], out_dir=tmp_path)
+    payload = report.to_dict()
+    assert json.loads(report.to_json()) == payload
+    for leaf in _json_leaves(payload):
+        assert type(leaf) in (type(None), bool, int, float, str), (scenario, leaf)
+
+
 # ----------------------------------------------------------------------
 # predicate margins
 # ----------------------------------------------------------------------
