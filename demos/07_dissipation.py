@@ -31,7 +31,7 @@ def main():
 
     theta0 = make_rng(SEED).uniform(-0.45 * math.pi, 0.45 * math.pi, N)
     config = SystemConfig(
-        n=N, kappa=1.0, omega=np.zeros(N), model=relativistic(1.0),
+        kappa=1.0, omega=np.zeros(N), model=relativistic(1.0),
         dt=0.01, t_final=20.0, record_every=1,
     )
     traj = simulate(config, theta0)

@@ -31,7 +31,7 @@ def main():
         sample_protocol_ensemble(seed, n=N, kappa=KAPPA, freq_interval=(0.0, 0.0))[0]
         for seed in SEEDS
     ])
-    configs = [SystemConfig(N, KAPPA, omega, model, dt=0.01, t_final=40.0) for _ in SEEDS]
+    configs = [SystemConfig(KAPPA, omega, model, dt=0.01, t_final=40.0) for _ in SEEDS]
 
     start = time.perf_counter()
     trajs = simulate_batch(configs, theta0)

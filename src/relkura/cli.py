@@ -102,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relkura",
         description="Coupled phase-oscillator scenarios for the bounded-velocity model family.",
+        exit_on_error=False,
     )
     parser.add_argument("--scenario", choices=SCENARIOS, default=None)
     parser.add_argument("--model", default=None,
@@ -121,16 +122,18 @@ def parse_config(argv) -> RunConfig:
     """Parse flags plus optional --config JSON into a typed RunConfig.
 
     Raises ConfigError (naming the offending field) on an unknown flag or
-    key, a value of the wrong JSON type, or a key the scenario does not
-    read; the CLI maps that to exit code 2.  The values themselves are
-    checked by the library, before any integration, when ``main`` runs
-    the config.
+    key, a flag or value of the wrong JSON type, or a key the scenario
+    does not read; the CLI maps that to exit code 2.  The values
+    themselves are checked by the library, before any integration, when
+    ``main`` runs the config.  ``--help`` prints the usage and raises
+    SystemExit(0); a flag abbreviation that matches several flags is
+    argparse's own usage error, SystemExit(2).
     """
     parser = _build_parser()
     try:
         namespace, extras = parser.parse_known_args(list(argv))
-    except SystemExit:
-        raise ConfigError("argv", "unparseable command line")
+    except argparse.ArgumentError as err:
+        raise ConfigError(err.argument_name.lstrip("-").replace("-", "_"), err.message) from None
     if extras:
         raise ConfigError(extras[0], "unknown flag")
 
@@ -225,7 +228,7 @@ def _make_output_directory(out: str) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one scenario; returns the process exit code."""
+    """Run one scenario; returns the exit code, save argparse's own exits (``parse_config``)."""
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -97,12 +97,11 @@ __all__ = [
 class SystemConfig:
     """Immutable description of one oscillator system and its time grid.
 
-    ``omega`` holds the natural frequencies (length ``n``); ``record_every``
-    keeps every k-th step in the trajectory (the initial and final states
-    are always kept).
+    ``omega`` holds the natural frequencies, one per oscillator, so ``n``
+    is its length; ``record_every`` keeps every k-th step in the
+    trajectory (the initial and final states are always kept).
     """
 
-    n: int
     kappa: float
     omega: np.ndarray
     model: FrequencyResponse
@@ -111,9 +110,8 @@ class SystemConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        _check_count("n", self.n)
         _check_count("record_every", self.record_every)
-        om = _finite_vector("omega", self.omega, self.n)
+        om = _finite_vector("omega", self.omega)
         om.setflags(write=False)
         object.__setattr__(self, "omega", om)
         if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
@@ -123,6 +121,11 @@ class SystemConfig:
         if not (self.t_final >= self.dt and math.isfinite(self.t_final)):
             raise ConfigError("t_final", "must be finite and >= dt")
 
+    @property
+    def n(self) -> int:
+        """The number of oscillators, ``omega.size``."""
+        return self.omega.size
+
 
 def _check_count(name: str, value) -> None:
     """Raise ConfigError(name) unless ``value`` is an integer >= 1 (a bool is none)."""
@@ -130,12 +133,17 @@ def _check_count(name: str, value) -> None:
         raise ConfigError(name, "must be an integer >= 1")
 
 
-def _finite_vector(name: str, values, n: int) -> np.ndarray:
-    """``values`` as a flat float array; ConfigError(name) unless it holds n finite entries."""
-    arr = np.array(values, dtype=float).reshape(-1)
-    if arr.shape != (n,) or not np.all(np.isfinite(arr)):
-        raise ConfigError(name, f"must hold exactly n={n} finite entries")
-    return arr
+def _finite_vector(name: str, values, n: int | None = None) -> np.ndarray:
+    """``values`` as a float vector; ConfigError(name) unless it is one of n finite entries.
+
+    Without ``n``, any number of entries from one up; a scalar is one.
+    """
+    arr = np.array(values, dtype=float)
+    sized = arr.size >= 1 if n is None else arr.size == n
+    if arr.ndim > 1 or not sized or not np.all(np.isfinite(arr)):
+        count = "at least one" if n is None else f"exactly n={n}"
+        raise ConfigError(name, f"must be a vector of {count} finite entries")
+    return arr.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -156,10 +164,10 @@ class Trajectory:
 class MomentumTrajectory:
     """Recorded momentum-form run.
 
-    ``residuals`` holds p_i(t) - coupling_i(t) - nu_i per sample, the
-    conservation defect of the induced frequencies; ``induced_omega`` the
-    frequencies recovered from the initial data.  ``theta_dots`` holds
-    the velocities the integrator computed from the recorded momenta.
+    ``config.omega`` holds the frequencies nu induced from the initial
+    data, and ``residuals`` p_i(t) - coupling_i(t) - nu_i per sample, the
+    conservation defect of those frequencies.  ``theta_dots`` holds the
+    velocities the integrator computed from the recorded momenta.
     """
 
     config: SystemConfig
@@ -168,7 +176,6 @@ class MomentumTrajectory:
     momenta: np.ndarray
     theta_dots: np.ndarray
     residuals: np.ndarray
-    induced_omega: np.ndarray
 
 
 # Largest ensemble whose first-order sine sums are taken pairwise: the O(n)
@@ -304,10 +311,6 @@ def _integrate(config: SystemConfig, y0: np.ndarray, rates):
     return times, states, derivs
 
 
-def _grid(config: SystemConfig) -> tuple:
-    return config.n, config.dt, config.t_final, config.record_every
-
-
 def _batch_phases(configs: list[SystemConfig], theta0) -> np.ndarray:
     """theta0 as a (B, n) array: one shared (n,) row or one row per config."""
     th, shape = np.array(theta0, dtype=float), (len(configs), configs[0].n)
@@ -360,7 +363,7 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     configs = list(configs)
     if not configs:
         raise ConfigError("configs", "simulate_batch needs at least one config")
-    if any(_grid(config) != _grid(configs[0]) for config in configs):
+    if len({(config.n, config.dt, config.t_final, config.record_every) for config in configs}) > 1:
         raise ConfigError("configs", "batched configs must share n, dt, t_final and record_every")
     th = _batch_phases(configs, theta0)
     times, states, derivs = _integrate(configs[0], th, _batch_rates(configs))
@@ -375,7 +378,7 @@ def simulate(config: SystemConfig, theta0) -> Trajectory:
     Records every ``record_every``-th step plus the initial and final
     states; a mid-run model failure propagates.
     """
-    return simulate_batch([config], _finite_vector("theta0", theta0, config.n))[0]
+    return simulate_batch([config], theta0)[0]
 
 
 # ----------------------------------------------------------------------
@@ -399,16 +402,16 @@ def _momentum_coupling(config, theta, v):
                                         - w * (c * c.sum() + s * s.sum()))
 
 
-def _both_forms_rates(config: SystemConfig, nu: np.ndarray):
+def _both_forms_rates(config: SystemConfig):
     """Derivative of the stacked state y = (theta_m, p, theta_f), shape (3, n).
 
     One velocity call inverts the momenta p and the first-order drives
-    nu + coupling(theta_f) as two rows, each its own system to the call.
+    omega + coupling(theta_f) as two rows, each its own system to the call.
     """
-    scale = config.kappa / config.n
+    nu, scale = config.omega, config.kappa / config.n
 
     def rates(y):
-        drives = np.empty((2, config.n))
+        drives = np.empty((2, nu.size))
         drives[0] = y[1]
         drives[1] = nu + scale * _sine_sums(y[2])
         v = config.model.velocity(drives)
@@ -427,33 +430,31 @@ def simulate_both_forms(config: SystemConfig, theta0,
     """Integrate the momentum and first-order forms of one system together.
 
     The natural frequencies nu_i = F(thetadot_i(0)) - coupling_i(0) are
-    induced from the initial data (``config.omega`` is not used) and
-    recorded on the momentum result as ``induced_omega``, with its
-    per-sample conservation residuals; ``momentum`` rejects initial
-    velocities outside the model's bound.  The first-order result
-    runs ``config`` with omega = nu from theta0.  Both forms integrate as
-    one (3, n) state on the config's grid, and each gets the floats a run
-    of it alone gives: the first-order half equals ``simulate``.  A model
-    failure mid-run propagates and neither result is returned.
+    induced from the initial data, whose velocities ``momentum`` rejects
+    outside the model's bound; ``config.omega`` is not used.  Both results
+    carry the system that ran, ``config`` with omega = nu, and the
+    momentum result its per-sample conservation residuals.  The forms
+    integrate as one (3, n) state on the config's grid, and each gets the
+    floats a run of it alone gives: the first-order half equals
+    ``simulate``.  A model failure mid-run propagates and neither result
+    is returned.
     """
     th = _finite_vector("theta0", theta0, config.n)
     p = config.model.momentum(_finite_vector("thetadot0", thetadot0, config.n))
-    nu = p - coupling(config, th)
-    times, states, derivs = _integrate(config, np.stack((th, p, th)),
-                                       _both_forms_rates(config, nu))
+    ran = dataclasses.replace(config, omega=p - coupling(config, th))
+    times, states, derivs = _integrate(ran, np.stack((th, p, th)), _both_forms_rates(ran))
     thetas, momenta = states[:, 0], states[:, 1]
-    residuals = momenta - (config.kappa / config.n) * _sine_sums(thetas) - nu
-    momentum = MomentumTrajectory(config, times, thetas, momenta, derivs[:, 0], residuals, nu)
-    first = Trajectory(dataclasses.replace(config, omega=nu), times, states[:, 2], derivs[:, 2])
-    return momentum, first
+    residuals = momenta - (ran.kappa / ran.n) * _sine_sums(thetas) - ran.omega
+    return (MomentumTrajectory(ran, times, thetas, momenta, derivs[:, 0], residuals),
+            Trajectory(ran, times, states[:, 2], derivs[:, 2]))
 
 
 def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajectory:
     """Integrate the momentum form from consistent initial data.
 
     The momentum half of ``simulate_both_forms``: ``config.omega`` is not
-    used by the flow, the natural frequencies are induced from the initial
-    data and recorded on the result, together with the per-sample
+    used by the flow; the result's config holds the natural frequencies
+    induced from the initial data, and the result the per-sample
     conservation residuals.  A mid-run model failure propagates.
     """
     return simulate_both_forms(config, theta0, thetadot0)[0]

@@ -279,9 +279,10 @@ def _directory(out_dir) -> Path:
 def _emit(out_dir, label: str, traj) -> list[str]:
     """Write one run's trajectory CSV and, for a first-order ``Trajectory``, its diagnostics CSV.
 
-    A ``MomentumTrajectory`` gets no diagnostics: its config does not
-    carry its natural frequencies.  Returns the filenames written (none
-    without an output directory).
+    A ``MomentumTrajectory`` gets no diagnostics: its only writer,
+    rcs-check, writes them once for its one system, from the first-order
+    form.  Returns the filenames written (none without an output
+    directory).
     """
     if out_dir is None:
         return []
@@ -344,18 +345,18 @@ def _label(model: FrequencyResponse) -> str:
     return model.kind.value if model.c is None else f"{model.kind.value}_c{_number_label(model.c)}"
 
 
-def _config_echo(model: FrequencyResponse, n, kappa, dt, t_final, record_every, **extra) -> dict:
-    echo = {
-        "model": model.kind.value,
-        "c": model.c,
-        "n": n,
-        "kappa": kappa,
-        "dt": dt,
-        "t_final": t_final,
-        "record_every": record_every,
+def _config_echo(config: SystemConfig, **extra) -> dict:
+    """A report's echo of the system that ran, its frequencies left out, then ``extra``."""
+    return {
+        "model": config.model.kind.value,
+        "c": config.model.c,
+        "n": config.n,
+        "kappa": config.kappa,
+        "dt": config.dt,
+        "t_final": config.t_final,
+        "record_every": config.record_every,
+        **extra,
     }
-    echo.update(extra)
-    return echo
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +384,8 @@ def run_simulate(
     """
     drawn, omega, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa, omega=omega)
     theta0 = drawn if theta0 is None else np.asarray(theta0, dtype=float)
-    traj = simulate(SystemConfig(n, kappa, omega, model, dt, t_final, record_every), theta0)
+    config = SystemConfig(kappa, omega, model, dt, t_final, record_every)
+    traj = simulate(config, theta0)
     files = _emit(out_dir, model.kind.value, traj)
     results = {
         "initial_phase_diameter": phase_diameter(theta0),
@@ -391,8 +393,7 @@ def run_simulate(
         "terminal_phase_diameter": float(np.ptp(traj.thetas[-1])),
         "terminal_frequency_diameter": float(np.ptp(traj.theta_dots[-1])),
     }
-    config = _config_echo(model, n, kappa, dt, t_final, record_every)
-    return _report(out_dir, "simulate", seed, config, results, data_files=files)
+    return _report(out_dir, "simulate", seed, _config_echo(config), results, data_files=files)
 
 
 def run_four_model_comparison(
@@ -419,7 +420,7 @@ def run_four_model_comparison(
     """
     theta0, omega, tstar = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     models = [classical(), relativistic(c), proper_velocity(c), rapidity(c)]
-    configs = [SystemConfig(n, kappa, omega, m, dt, t_final, record_every) for m in models]
+    configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every) for m in models]
     trajs = simulate_batch(configs, theta0)
 
     # one grid for all kinds; on a coarse one two targets can share a row
@@ -465,8 +466,8 @@ def run_four_model_comparison(
         "snapshot_times": times[snap].tolist(),
         "snapshots": snapshots,
     })
-    config = _config_echo(relativistic(c), n, kappa, dt, t_final, record_every,
-                          freq_interval=list(FREQ_INTERVAL), kinds=[m.kind.value for m in models])
+    config = _config_echo(configs[1], freq_interval=list(FREQ_INTERVAL),
+                          kinds=[m.kind.value for m in models])
     return _report(out_dir, "compare", seed, config, results, predicates, files)
 
 
@@ -495,9 +496,8 @@ def run_rate_vs_c(
     theta0, omega, tstar = sample_protocol_ensemble(
         seed, n=n, kappa=kappa, freq_interval=interval
     )
-    configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
-               for c in c_values]
-    configs.append(SystemConfig(n, kappa, omega, classical(), dt, t_final, record_every))
+    models = [*map(relativistic, c_values), classical()]
+    configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every) for m in models]
     trajs = simulate_batch(configs, theta0)
 
     d0 = phase_diameter(theta0)
@@ -558,8 +558,7 @@ def run_rate_vs_c(
             float(0.15 - rel_cl), strict=True,
         ))
 
-    config = _config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
-                          c_values=list(c_values), homogeneous=homogeneous)
+    config = _config_echo(configs[0], c_values=list(c_values), homogeneous=homogeneous)
     return _report(out_dir, "rate-vs-c", seed, config, results, predicates, files)
 
 
@@ -613,10 +612,9 @@ def run_limit_scaling(
     predicates, files = [], []
     for regime in regimes:
         omega = frequency_choices[regime]
-        base = SystemConfig(n, kappa, omega, classical(), dt, t_final, record_every)
-        configs = [SystemConfig(n, kappa, omega, relativistic(c), dt, t_final, record_every)
-                   for c in c_values]
-        reference, *rest = simulate_batch([base, *configs], theta0)
+        configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every)
+                   for m in [classical(), *map(relativistic, c_values)]]
+        reference, *rest = simulate_batch(configs, theta0)
         files += _emit(out_dir, f"{regime}_{_label(reference.config.model)}", reference)
 
         rows = []
@@ -670,8 +668,7 @@ def run_limit_scaling(
                     strict=True,
                 ))
 
-    config = _config_echo(relativistic(c_values[0]), n, kappa, dt, t_final, record_every,
-                          c_values=list(c_values), regimes=list(regimes),
+    config = _config_echo(configs[1], c_values=list(c_values), regimes=list(regimes),
                           identical_value=LIMIT_IDENTICAL_VALUE,
                           checkpoint_times=list(checkpoints))
     results = {"initial_phase_diameter": phase_diameter(theta0), "tables": regime_tables}
@@ -708,7 +705,7 @@ def run_sync_predicates(
     spread = float(np.ptp(omega))
     homogeneous = spread == 0.0
 
-    config = SystemConfig(n, kappa, omega, model, dt, t_final, record_every)
+    config = SystemConfig(kappa, omega, model, dt, t_final, record_every)
     traj = simulate(config, theta0)
     files = _emit(out_dir, model.kind.value, traj)
 
@@ -774,9 +771,8 @@ def run_sync_predicates(
         ))
         predicates.append(frequency_sync)
 
-    config = _config_echo(model, n, kappa, dt, t_final, record_every,
-                          phase_halfwidth=0.5 * (math.pi - (tstar or 0.0)))
-    return _report(out_dir, "sync-check", seed, config, results, predicates, files)
+    echo = _config_echo(config, phase_halfwidth=0.5 * (math.pi - (tstar or 0.0)))
+    return _report(out_dir, "sync-check", seed, echo, results, predicates, files)
 
 
 def run_rcs_crosscheck(
@@ -799,10 +795,9 @@ def run_rcs_crosscheck(
     """
     theta0, omega, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     model = relativistic(c)
-    config = SystemConfig(n, kappa, omega, model, dt, t_final, record_every)
+    config = SystemConfig(kappa, omega, model, dt, t_final, record_every)
     thetadot0 = model.velocity(omega + coupling(config, theta0))
     momentum_traj, first_traj = simulate_both_forms(config, theta0, thetadot0)
-    nu = momentum_traj.induced_omega
 
     gaps = np.abs(momentum_traj.thetas - first_traj.thetas).max(axis=1)
     deviation = float(np.max(gaps))
@@ -825,10 +820,9 @@ def run_rcs_crosscheck(
     results = {
         "max_phase_deviation": deviation,
         "max_conservation_residual": residual,
-        "induced_frequency_recovery": float(np.max(np.abs(nu - omega))),
+        "induced_frequency_recovery": float(np.max(np.abs(momentum_traj.config.omega - omega))),
     }
-    config = _config_echo(model, n, kappa, dt, t_final, record_every)
-    return _report(out_dir, "rcs-check", seed, config, results, predicates, files)
+    return _report(out_dir, "rcs-check", seed, _config_echo(config), results, predicates, files)
 
 
 def run_admissibility(seed: int, model: FrequencyResponse, out_dir=None) -> ExperimentReport:

@@ -49,7 +49,7 @@ def envelope_run():
     """Shared homogeneous full-kind run for the envelope and dissipation checks."""
     start = time.perf_counter()
     theta0 = make_rng(SEED).uniform(-0.45 * math.pi, 0.45 * math.pi, N)
-    config = SystemConfig(N, KAPPA, np.zeros(N), relativistic(1.0), DT, 20.0, 1)
+    config = SystemConfig(KAPPA, np.zeros(N), relativistic(1.0), DT, 20.0, 1)
     traj = simulate(config, theta0)
     elapsed = time.perf_counter() - start
     return {"theta0": theta0, "config": config, "traj": traj, "elapsed": elapsed}
@@ -231,7 +231,7 @@ def test_criterion_09_integrator_order(capsys):
                                          1e-6, 1.0)
     errors = {}
     for dt in (0.02, 0.01):
-        config = SystemConfig(2, PAIR_KAPPA, np.array(PAIR_NU), classical(),
+        config = SystemConfig(PAIR_KAPPA, np.array(PAIR_NU), classical(),
                               dt, 1.0, 10**9)
         final = simulate(config, np.array(PAIR_THETA0)).thetas[-1]
         errors[dt] = max(abs(final[0] - reference[0]),
@@ -249,7 +249,7 @@ def test_criterion_10_generic_data_dichotomy(capsys):
     start = time.perf_counter()
     theta0 = make_rng(SEED).uniform(-0.45 * math.pi, 0.45 * math.pi, N)
     r0 = order_parameter(theta0).r
-    config = SystemConfig(N, KAPPA, np.zeros(N), relativistic(1.0), DT, 100.0, 100)
+    config = SystemConfig(KAPPA, np.zeros(N), relativistic(1.0), DT, 100.0, 100)
     traj = simulate(config, theta0)
     final = traj.thetas[-1]
     sines = float(np.max(np.abs(np.sin(final[None, :] - final[:, None]))))

@@ -277,6 +277,55 @@ def test_main_exit_2_on_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: omega: ")
 
 
+def test_main_help_exits_0_with_nothing_on_stderr(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: relkura")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--n", "abc"], "config error: n: invalid int value: 'abc'\n"),
+    (["--scenario", "bogus"], "config error: scenario: invalid choice: 'bogus' (choose from "
+                              + ", ".join(repr(s) for s in cli.SCENARIOS) + ")\n"),
+    (["--scenario", "simulate", "--t-final"], "config error: t_final: expected one argument\n"),
+], ids=["n-not-an-int", "unknown-scenario", "t-final-without-a-value"])
+def test_main_exit_2_on_a_flag_value_argparse_cannot_read(tmp_path, capsys, flags, line):
+    # one error line naming the RunConfig key, and no usage text
+    assert main([*flags, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_exit_2_through_argparse_on_an_ambiguous_abbreviation(capsys):
+    # --s matches --scenario and --seed; argparse reports it with its usage
+    with pytest.raises(SystemExit) as info:
+        main(["--s", "1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: relkura")
+    assert "error: ambiguous option: --s could match --scenario, --seed" in captured.err
+
+
+@pytest.mark.parametrize("text, line", [
+    ('{"scenario": "bogus"}', "config error: scenario: must be one of "
+                              + ", ".join(cli.SCENARIOS) + "\n"),
+    ('[{"scenario": "simulate"}]', "config error: config: top level must be a JSON object\n"),
+    ('{"scenario": "simulate", "out": ""}', "config error: out: must be a non-empty path\n"),
+], ids=["unknown-scenario", "top-level-array", "empty-out"])
+def test_main_exit_2_on_a_config_file_error(tmp_path, capsys, text, line):
+    argv = _config_file(tmp_path, "run", text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+
+
 def test_main_exit_2_on_an_unusable_output_directory(tmp_path, capsys, monkeypatch):
     # the path runs through a regular file; the runner must never start
     def never_called(*args, **kwargs):

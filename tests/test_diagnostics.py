@@ -285,7 +285,7 @@ def test_classical_energy_of_identical_oscillators_never_increases():
     rng = np.random.default_rng(42)
     theta0 = rng.uniform(-0.2 * math.pi, 0.2 * math.pi, 10)
     assert phase_diameter(theta0) < 0.5 * math.pi
-    cfg = SystemConfig(10, 1.0, np.zeros(10), classical(), 0.01, 20.0, 1)
+    cfg = SystemConfig(1.0, np.zeros(10), classical(), 0.01, 20.0, 1)
     energies = energy(cfg.model, simulate(cfg, theta0).theta_dots)
     assert np.max(np.diff(energies)) < 1e-9
     assert energies[-1] < 1e-3 * energies[0]
@@ -317,7 +317,7 @@ def test_stacked_energy_equals_each_row_alone(make, n, c):
 def test_compute_diagnostics_energy_equals_each_row_alone_across_blocks(make):
     # 10 oscillators make 409 rows per energy block; 1000 rows end mid-block
     model = make(1.28)
-    cfg = SystemConfig(10, 1.0, np.linspace(-0.2, 0.2, 10), model, 0.01, 9.99, 1)
+    cfg = SystemConfig(1.0, np.linspace(-0.2, 0.2, 10), model, 0.01, 9.99, 1)
     traj = simulate(cfg, np.linspace(-1.0, 1.0, 10))
     assert traj.times.size == 1000
     series = compute_diagnostics(cfg, traj)
@@ -350,12 +350,12 @@ def test_stacked_energy_rejects_any_row_at_the_bound(make):
 
 
 def test_predicted_rate_reference_value():
-    cfg = SystemConfig(10, 1.0, np.zeros(10), relativistic(1.0), 0.01, 1.0)
+    cfg = SystemConfig(1.0, np.zeros(10), relativistic(1.0), 0.01, 1.0)
     assert predicted_rate(cfg, 2.0) == pytest.approx(PREDICTED_RATE_D2_C1, rel=1e-9)
 
 
 def test_predicted_rate_classical_is_sinc_factor():
-    cfg = SystemConfig(5, 2.0, np.zeros(5), classical(), 0.01, 1.0)
+    cfg = SystemConfig(2.0, np.zeros(5), classical(), 0.01, 1.0)
     d0 = 1.3
     assert predicted_rate(cfg, d0) == pytest.approx(2.0 * math.sin(d0) / d0, rel=1e-15)
 
@@ -363,13 +363,13 @@ def test_predicted_rate_classical_is_sinc_factor():
 def test_predicted_rate_for_huge_bounds_is_the_classical_rate():
     # the full kind's slope floor is 1 - O(1/c**2); c * c overflows at 1e200
     for c in (1e150, 1e200):
-        cfg = SystemConfig(5, 2.0, np.zeros(5), relativistic(c), 0.01, 1.0)
+        cfg = SystemConfig(2.0, np.zeros(5), relativistic(c), 0.01, 1.0)
         assert predicted_rate(cfg, 1.3) == pytest.approx(2.0 * math.sin(1.3) / 1.3, rel=1e-10)
 
 
 def _slope_floor(model, nu, kappa):
     """predicted_rate's slope floor over the drives [nu - kappa, nu + kappa]."""
-    cfg = SystemConfig(3, kappa, np.full(3, nu), model, 0.01, 1.0)
+    cfg = SystemConfig(kappa, np.full(3, nu), model, 0.01, 1.0)
     return predicted_rate(cfg, 1.0) / (kappa * math.sin(1.0))
 
 
@@ -388,10 +388,10 @@ def test_predicted_rate_slope_floor_is_the_dense_minimum():
 
 
 def test_predicted_rate_requires_homogeneous_and_half_circle():
-    hetero = SystemConfig(2, 1.0, np.array([0.1, -0.1]), classical(), 0.01, 1.0)
+    hetero = SystemConfig(1.0, np.array([0.1, -0.1]), classical(), 0.01, 1.0)
     with pytest.raises(DomainError):
         predicted_rate(hetero, 1.0)
-    hom = SystemConfig(2, 1.0, np.zeros(2), classical(), 0.01, 1.0)
+    hom = SystemConfig(1.0, np.zeros(2), classical(), 0.01, 1.0)
     for bad in (0.0, math.pi, 4.0):
         with pytest.raises(DomainError):
             predicted_rate(hom, bad)
@@ -485,7 +485,7 @@ def test_fit_decay_rate_takes_any_finite_time_spread(times, values, rate):
 @pytest.fixture(scope="module")
 def small_run():
     om = np.array([0.05, -0.1, 0.02, 0.03])
-    cfg = SystemConfig(4, 1.0, om, relativistic(1.0), 0.01, 2.0, 10)
+    cfg = SystemConfig(1.0, om, relativistic(1.0), 0.01, 2.0, 10)
     traj = simulate(cfg, np.array([0.4, -0.9, 1.2, 0.1]))
     return cfg, traj
 
@@ -517,7 +517,7 @@ def test_compute_diagnostics_order_series_equals_order_parameter_per_row(n):
     rng = np.random.default_rng(n)
     thetas = rng.uniform(-math.pi, math.pi, size=(rows, n))
     thetas[0, : n - n % 2] = np.repeat([0.25, 0.25 + math.pi], n // 2)
-    cfg = SystemConfig(n, 1.0, np.zeros(n), classical(), 0.01, 1.0)
+    cfg = SystemConfig(1.0, np.zeros(n), classical(), 0.01, 1.0)
     traj = Trajectory(cfg, np.arange(rows, dtype=float), thetas, np.zeros((rows, n)))
     series = compute_diagnostics(cfg, traj)
     for k in range(rows):
@@ -532,7 +532,7 @@ def test_compute_diagnostics_order_series_equals_order_parameter_per_row(n):
 
 def test_compute_diagnostics_order_and_potential_equal_whole_array_formulas():
     # 10 oscillators make 409 rows per block, so 1000 rows take three blocks
-    cfg = SystemConfig(10, 1.0, np.linspace(-0.2, 0.2, 10), relativistic(1.0), 0.01, 9.99, 1)
+    cfg = SystemConfig(1.0, np.linspace(-0.2, 0.2, 10), relativistic(1.0), 0.01, 9.99, 1)
     traj = simulate(cfg, np.linspace(-1.0, 1.0, 10))
     th = traj.thetas
     assert th.shape == (1000, 10)
@@ -553,7 +553,7 @@ def test_compute_diagnostics_order_and_potential_equal_whole_array_formulas():
 
 def test_compute_diagnostics_classical_energy_equals_energy_row_by_row():
     # 10 oscillators make 409 rows per block, so 1000 rows take three blocks
-    cfg = SystemConfig(10, 1.0, np.linspace(-0.2, 0.2, 10), classical(), 0.01, 9.99, 1)
+    cfg = SystemConfig(1.0, np.linspace(-0.2, 0.2, 10), classical(), 0.01, 9.99, 1)
     traj = simulate(cfg, np.linspace(-1.0, 1.0, 10))
     series = compute_diagnostics(cfg, traj)
     want = np.array([energy(cfg.model, row) for row in traj.theta_dots])

@@ -2,6 +2,8 @@
 against the standalone scalar reference, and the momentum-form cross-check.
 """
 
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -39,7 +41,7 @@ from reference_inverse import reference_invert_full
 
 def pair_config(model, dt, t_final=PAIR_T_FINAL, record_every=10**9):
     return SystemConfig(
-        n=2, kappa=PAIR_KAPPA, omega=np.array(PAIR_NU), model=model,
+        kappa=PAIR_KAPPA, omega=np.array(PAIR_NU), model=model,
         dt=dt, t_final=t_final, record_every=record_every,
     )
 
@@ -51,10 +53,9 @@ def pair_config(model, dt, t_final=PAIR_T_FINAL, record_every=10**9):
 
 def test_config_rejects_bad_values():
     om = np.zeros(3)
-    good = dict(n=3, kappa=1.0, omega=om, model=classical(), dt=0.1, t_final=1.0)
+    good = dict(kappa=1.0, omega=om, model=classical(), dt=0.1, t_final=1.0)
     SystemConfig(**good)
     for field, bad in [
-        ("n", 0),
         ("kappa", -0.5),
         ("kappa", math.inf),
         ("dt", 0.0),
@@ -63,20 +64,29 @@ def test_config_rejects_bad_values():
         ("t_final", math.inf),
         ("record_every", 0),
         # non-integers used to fail later, in numpy or in write_csv
-        ("n", 3.0),
-        ("n", True),
         ("record_every", 2.5),
         ("record_every", True),
-        ("omega", np.zeros(4)),
+        ("omega", np.zeros(0)),
+        # n is omega's length, so a table of frequencies is no system
+        ("omega", np.zeros((1, 3))),
         ("omega", np.array([0.0, math.nan, 0.0])),
     ]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             SystemConfig(**{**good, field: bad})
+        assert info.value.field == field
+
+
+def test_config_takes_n_from_omega():
+    assert "n" not in inspect.signature(SystemConfig).parameters
+    cfg = SystemConfig(1.0, np.zeros(3), classical(), 0.1, 1.0)
+    assert cfg.n == cfg.omega.size == 3
+    wider = dataclasses.replace(cfg, omega=np.ones(5))
+    assert wider.n == 5 and wider.kappa == cfg.kappa and wider.model == cfg.model
 
 
 def test_config_freezes_frequencies():
     om = np.array([0.1, -0.1])
-    cfg = SystemConfig(2, 1.0, om, classical(), 0.1, 1.0)
+    cfg = SystemConfig(1.0, om, classical(), 0.1, 1.0)
     om[0] = 99.0  # caller mutation must not leak in
     assert cfg.omega[0] == 0.1
     with pytest.raises(ValueError):
@@ -89,12 +99,12 @@ def test_config_freezes_frequencies():
 
 
 def test_coupling_vanishes_for_identical_phases():
-    cfg = SystemConfig(4, 2.0, np.zeros(4), classical(), 0.1, 1.0)
+    cfg = SystemConfig(2.0, np.zeros(4), classical(), 0.1, 1.0)
     assert np.array_equal(coupling(cfg, np.full(4, 0.7)), np.zeros(4))
 
 
 def test_coupling_pair_closed_form():
-    cfg = SystemConfig(2, 0.8, np.zeros(2), classical(), 0.1, 1.0)
+    cfg = SystemConfig(0.8, np.zeros(2), classical(), 0.1, 1.0)
     theta = np.array([0.2, 1.1])
     expected = 0.4 * math.sin(0.9)  # (kappa/2) sin(delta)
     got = coupling(cfg, theta)
@@ -104,7 +114,7 @@ def test_coupling_pair_closed_form():
 
 def test_rhs_classical_equals_drive():
     om = np.array([0.3, -0.2, 0.1])
-    cfg = SystemConfig(3, 1.0, om, classical(), 0.1, 1.0)
+    cfg = SystemConfig(1.0, om, classical(), 0.1, 1.0)
     theta = np.array([0.0, 1.0, -0.5])
     assert np.array_equal(rhs(cfg, theta), om + coupling(cfg, theta))
 
@@ -112,7 +122,7 @@ def test_rhs_classical_equals_drive():
 def test_rhs_applies_inverse_response():
     om = np.array([0.3, -0.2])
     model = relativistic(1.0)
-    cfg = SystemConfig(2, 1.0, om, model, 0.1, 1.0)
+    cfg = SystemConfig(1.0, om, model, 0.1, 1.0)
     theta = np.array([0.4, -0.3])
     assert np.array_equal(rhs(cfg, theta), model.velocity(om + coupling(cfg, theta)))
     assert np.all(np.abs(rhs(cfg, theta)) < 1.0)
@@ -121,7 +131,7 @@ def test_rhs_applies_inverse_response():
 def test_rk4_step_constant_rate_is_exact():
     # kappa = 0 decouples the system; one RK4 step reproduces linear motion
     om = np.array([0.5, -1.5])
-    cfg = SystemConfig(2, 0.0, om, classical(), 0.25, 0.25)
+    cfg = SystemConfig(0.0, om, classical(), 0.25, 0.25)
     theta0 = np.array([0.1, 0.2])
     traj = simulate(cfg, theta0)
     assert np.array_equal(traj.times, [0.0, 0.25])
@@ -188,14 +198,14 @@ def _compare_batch_rows():
     theta0, omega, _ = sample_protocol_ensemble(3, n=10, kappa=1.0,
                                                 freq_interval=(-0.15, 0.15))
     models = [classical(), relativistic(1.0), proper_velocity(1.0), rapidity(1.0)]
-    configs = [SystemConfig(10, 1.0, omega, model, 0.01, 20.0) for model in models]
+    configs = [SystemConfig(1.0, omega, model, 0.01, 20.0) for model in models]
     return _first_order_rows(simulate_batch(configs, theta0))
 
 
 def _rate_sweep_batch_rows():
     # rate-vs-c's full-kind rows on distinct (B, 1) bound columns, and classical
     models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
-    configs = [SystemConfig(10, 1.0, np.zeros(10), model, 0.01, 4.0) for model in models]
+    configs = [SystemConfig(1.0, np.zeros(10), model, 0.01, 4.0) for model in models]
     theta0 = np.random.default_rng(3).uniform(-1.5, 1.5, 10)
     return _first_order_rows(simulate_batch(configs, theta0))
 
@@ -203,14 +213,14 @@ def _rate_sweep_batch_rows():
 def _closing_step_rows():
     # 66 steps of 0.03, then a closing step of 0.02, recording every 7th
     om = np.array([0.1, -0.05, 0.02, -0.07])
-    cfg = SystemConfig(4, 1.0, om, relativistic(1.0), 0.03, 2.0, 7)
+    cfg = SystemConfig(1.0, om, relativistic(1.0), 0.03, 2.0, 7)
     return _first_order_rows([simulate(cfg, np.array([0.5, -0.9, 1.2, 0.0]))])
 
 
 def _both_forms_rows():
     gen = np.random.default_rng(10)
     model = relativistic(1.0)
-    cfg = SystemConfig(10, 1.0, gen.uniform(-0.1, 0.1, 10), model, 0.05, 20.0)
+    cfg = SystemConfig(1.0, gen.uniform(-0.1, 0.1, 10), model, 0.05, 20.0)
     momentum, first = simulate_both_forms(cfg, gen.uniform(-1.2, 1.2, 10),
                                           gen.uniform(-0.3, 0.3, 10))
     momentum_rows = [model.velocity(p) for p in momentum.momenta]
@@ -235,7 +245,7 @@ def test_one_velocity_call_per_rk4_stage_and_final_state(monkeypatch):
     # pass over the recorded states
     steps = 67
     om = np.array([0.1, -0.05, 0.02, -0.07])
-    cfg = SystemConfig(4, 1.0, om, relativistic(1.0), 0.03, 2.0, 7)
+    cfg = SystemConfig(1.0, om, relativistic(1.0), 0.03, 2.0, 7)
     theta0 = np.array([0.5, -0.9, 1.2, 0.0])
     seen = []  # the row count of every drive inverted
     original = FrequencyResponse.velocity
@@ -256,7 +266,7 @@ def test_one_velocity_call_per_rk4_stage_and_final_state(monkeypatch):
 
 def test_phases_are_never_wrapped():
     om = np.array([10.0, 10.0])
-    cfg = SystemConfig(2, 0.0, om, classical(), 0.01, 10.0)
+    cfg = SystemConfig(0.0, om, classical(), 0.01, 10.0)
     traj = simulate(cfg, np.zeros(2))
     assert traj.thetas[-1][0] == pytest.approx(100.0, rel=1e-12)
 
@@ -350,7 +360,7 @@ def test_a_state_that_overflows_mid_run_raises_domain_error():
     # model rejects the drive it gives; numpy's warnings are silenced here, so
     # only the error is checked (test_cli checks that the run warns nothing)
     omega = np.array([1e300, 0.0, -1e300])
-    cfg = SystemConfig(3, 1.0, omega, rapidity(1e300), 1e10, 1e11)
+    cfg = SystemConfig(1.0, omega, rapidity(1e300), 1e10, 1e11)
     theta0, _, _ = sample_protocol_ensemble(0, n=3, omega=omega)
     with np.errstate(all="ignore"):
         with pytest.raises(DomainError, match="drive must be finite"):
@@ -386,7 +396,7 @@ def test_simulate_batch_matches_serial_runs_across_kinds():
     models = [classical(), relativistic(1.28), proper_velocity(1.3), rapidity(2.2),
               relativistic(3.63), classical()]
     kappas = [0.5, 1.0, 1.5, 2.0, 0.8, 1.2]
-    configs = [SystemConfig(n, kappa, gen.uniform(-0.3, 0.3, n), model, 0.03, 2.0, 7)
+    configs = [SystemConfig(kappa, gen.uniform(-0.3, 0.3, n), model, 0.03, 2.0, 7)
                for kappa, model in zip(kappas, models)]
     _assert_batch_equals_serial(configs, gen.uniform(-1.2, 1.2, (len(configs), n)))
 
@@ -399,7 +409,7 @@ def test_simulate_batch_matches_serial_runs_of_the_rate_sweep(seed):
     gen = np.random.default_rng(seed)
     n = 10
     models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
-    configs = [SystemConfig(n, 1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
+    configs = [SystemConfig(1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
     _assert_batch_equals_serial(configs, gen.uniform(-1.5, 1.5, n))
 
 
@@ -407,11 +417,10 @@ def test_simulate_batch_matches_serial_runs_of_the_rate_sweep(seed):
     ("n", 3), ("dt", 0.05), ("t_final", 2.0), ("record_every", 2),
 ])
 def test_simulate_batch_rejects_configs_on_different_grids(field, value):
-    base = dict(n=2, kappa=1.0, omega=np.array(PAIR_NU), model=classical(),
+    base = dict(kappa=1.0, omega=np.array(PAIR_NU), model=classical(),
                 dt=0.1, t_final=1.0, record_every=1)
-    other = {**base, field: value}
-    if field == "n":
-        other["omega"] = np.zeros(3)
+    # n is the length of omega
+    other = {**base, "omega": np.zeros(value)} if field == "n" else {**base, field: value}
     with pytest.raises(ValueError, match="share n, dt, t_final and record_every") as info:
         simulate_batch([SystemConfig(**base), SystemConfig(**other)], np.array(PAIR_THETA0))
     assert info.value.field == "configs"
@@ -436,6 +445,16 @@ def test_simulate_batch_validates_its_inputs():
         simulate_batch([cfg, cfg], np.zeros((3, 2)))
     with pytest.raises(ValueError):
         simulate_batch([cfg, cfg], np.array([[0.0, 1.0], [math.inf, 0.0]]))
+
+
+def test_simulate_takes_theta0_as_one_row_or_a_batch_of_one():
+    cfg = pair_config(classical(), dt=0.1, t_final=1.0)
+    row = simulate(cfg, np.array(PAIR_THETA0))
+    assert np.array_equal(simulate(cfg, np.array([PAIR_THETA0])).thetas, row.thetas)
+    # a column is no batch of one: simulate checks theta0 as simulate_batch does
+    with pytest.raises(ValueError) as info:
+        simulate(cfg, np.array(PAIR_THETA0)[:, None])
+    assert info.value.field == "theta0"
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +490,7 @@ def test_mean_field_sums_match_pairwise_reference(n, offset, log_spread, kappa, 
     cos_ref = (kappa / n) * (np.cos(diff) * (v[None, :] - v[:, None])).sum(axis=1)
     pair_ref = (kappa / (2 * n)) * (1.0 - np.cos(diff)).sum()
 
-    cfg = SystemConfig(n, kappa, np.zeros(n), classical(), 0.01, 1.0)
+    cfg = SystemConfig(kappa, np.zeros(n), classical(), 0.01, 1.0)
     assert np.max(np.abs(coupling(cfg, theta) - sine_ref)) <= 1e-14 * kappa
     assert np.max(np.abs(_momentum_coupling(cfg, theta, v) - cos_ref)) <= 1e-14 * kappa
     # the pair term grows to kappa * n, where 1e-14 * kappa is below one ulp
@@ -482,7 +501,7 @@ def test_mean_field_sums_match_pairwise_reference(n, offset, log_spread, kappa, 
 def test_mean_field_coupling_is_exactly_zero_for_identical_phases():
     # the paper's size and one past PAIRWISE_MAX_N
     for n in (10, 40):
-        cfg = SystemConfig(n, 1.0, np.zeros(n), classical(), 0.01, 1.0)
+        cfg = SystemConfig(1.0, np.zeros(n), classical(), 0.01, 1.0)
         for phase in (0.0, 2.0, 3.0, 123.4, -1e3 + 0.1):
             assert np.array_equal(coupling(cfg, np.full(n, phase)), np.zeros(n))
             # the momentum coupling vanishes for equal velocities, at
@@ -498,7 +517,7 @@ def test_mean_field_runs_match_pairwise_runs(monkeypatch):
     gen = np.random.default_rng(7)
     theta0 = gen.uniform(-1.2, 1.2, n)
     thetadot0 = gen.uniform(-0.3, 0.3, n)
-    cfg = SystemConfig(n, 1.0, gen.uniform(-0.1, 0.1, n), relativistic(1.0), 0.01, 2.0, 10)
+    cfg = SystemConfig(1.0, gen.uniform(-0.1, 0.1, n), relativistic(1.0), 0.01, 2.0, 10)
     fast = simulate(cfg, theta0)
     fast_momentum = simulate_momentum(cfg, theta0, thetadot0)
     monkeypatch.setattr(dynamics, "PAIRWISE_MAX_N", 10**9)
@@ -567,7 +586,7 @@ def _one_shot_momentum_coupling(config, theta, v):
 @pytest.mark.parametrize("n", [1, 2, 10, 16])
 def test_momentum_coupling_equals_one_shot_pairwise_sums(n):
     gen = np.random.default_rng(n)
-    cfg = SystemConfig(n, 1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    cfg = SystemConfig(1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
     theta = np.ldexp(np.round(np.ldexp(gen.uniform(-1e3, 1e3, n), 30)), -30)
     v = gen.uniform(-0.99, 0.99, n)
     assert np.array_equal((theta - theta[0]) + theta[0], theta)
@@ -584,7 +603,7 @@ def test_momentum_coupling_equals_one_shot_pairwise_sums(n):
 @pytest.mark.parametrize("n", [256, 257, 700])
 def test_blocked_momentum_coupling_equals_one_shot_pairwise_sums(n):
     gen = np.random.default_rng(n)
-    cfg = SystemConfig(n, 1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    cfg = SystemConfig(1.3, np.zeros(n), relativistic(1.0), 0.01, 1.0)
     theta = gen.uniform(-1e3, 1e3, n)
     v = gen.uniform(-0.99, 0.99, n)
     reference = _one_shot_momentum_coupling(cfg, theta, v)
@@ -594,7 +613,7 @@ def test_blocked_momentum_coupling_equals_one_shot_pairwise_sums(n):
 def test_momentum_coupling_peak_below_output_plus_a_few_blocks():
     n = 2000
     gen = np.random.default_rng(0)
-    cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.01, 1.0)
+    cfg = SystemConfig(1.0, np.zeros(n), relativistic(1.0), 0.01, 1.0)
     theta, v = gen.uniform(-3.0, 3.0, n), gen.uniform(-0.9, 0.9, n)
     # the O(n) sums keep a few (n,) arrays live, well inside the
     # allowance of four blocks
@@ -618,13 +637,13 @@ def test_momentum_form_matches_first_order():
     theta0 = np.array([0.4, -0.9, 1.3])
     om = np.array([0.05, -0.1, 0.05])
     model = relativistic(1.0)
-    cfg = SystemConfig(3, 1.0, om, model, 1e-3, 1.0, 1)
+    cfg = SystemConfig(1.0, om, model, 1e-3, 1.0, 1)
     thetadot0 = model.velocity(om + coupling(cfg, theta0))
     momentum_traj = simulate_momentum(cfg, theta0, thetadot0)
-    nu = momentum_traj.induced_omega
+    nu = momentum_traj.config.omega
     assert np.max(np.abs(nu - om)) < 1e-14
 
-    first_traj = simulate(SystemConfig(3, 1.0, nu, model, 1e-3, 1.0, 1), theta0)
+    first_traj = simulate(momentum_traj.config, theta0)
     assert np.array_equal(momentum_traj.times, first_traj.times)
     assert np.max(np.abs(momentum_traj.thetas - first_traj.thetas)) < 1e-10
     assert np.max(np.abs(momentum_traj.residuals)) < 1e-12
@@ -635,7 +654,7 @@ def test_momentum_form_matches_first_order():
 def test_momentum_form_initial_sample_consistency():
     theta0 = np.array([0.2, -0.2])
     model = relativistic(2.0)
-    cfg = SystemConfig(2, 1.0, np.zeros(2), model, 0.01, 0.5, 1)
+    cfg = SystemConfig(1.0, np.zeros(2), model, 0.01, 0.5, 1)
     thetadot0 = np.array([0.3, -0.3])
     traj = simulate_momentum(cfg, theta0, thetadot0)
     assert np.array_equal(traj.thetas[0], theta0)
@@ -646,7 +665,7 @@ def test_momentum_form_initial_sample_consistency():
 
 def test_momentum_form_rejects_superluminal_start():
     model = relativistic(1.0)
-    cfg = SystemConfig(2, 1.0, np.zeros(2), model, 0.01, 0.5, 1)
+    cfg = SystemConfig(1.0, np.zeros(2), model, 0.01, 0.5, 1)
     with pytest.raises(DomainError):
         simulate_momentum(cfg, np.zeros(2), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -657,7 +676,7 @@ def test_momentum_rhs_classical_reduces_to_second_order():
     # the classical momentum form is the second-order phase model with unit
     # inertia: theta' = p exactly, and p' the cos-weighted velocity differences
     dt = 1e-8
-    cfg = SystemConfig(2, 1.0, np.zeros(2), classical(), dt, dt, 1)
+    cfg = SystemConfig(1.0, np.zeros(2), classical(), dt, dt, 1)
     traj = simulate_momentum(cfg, np.array([0.3, -0.3]), np.array([0.1, -0.1]))
     assert np.array_equal(traj.theta_dots, traj.momenta)  # classical: velocity == drive
     # pair closed form of p'(0); one RK4 step of length dt resolves it to O(dt)
@@ -701,11 +720,14 @@ def _momentum_form_alone(config, theta0, thetadot0):
 ])
 def test_both_forms_match_each_form_run_alone(n, model, dt, t_final, record_every):
     gen = np.random.default_rng(n)
-    cfg = SystemConfig(n, 1.0, gen.uniform(-0.1, 0.1, n), model, dt, t_final, record_every)
+    cfg = SystemConfig(1.0, gen.uniform(-0.1, 0.1, n), model, dt, t_final, record_every)
     theta0 = gen.uniform(-1.2, 1.2, n)
     thetadot0 = gen.uniform(-0.3, 0.3, n)
     momentum, first = simulate_both_forms(cfg, theta0, thetadot0)
-    assert np.array_equal(first.config.omega, momentum.induced_omega)
+    # both results carry the one system that ran: cfg with omega = nu
+    assert first.config is momentum.config
+    assert np.array_equal(first.config.omega,
+                          model.momentum(thetadot0) - coupling(cfg, theta0))
     # the same floats as each form integrated on its own, not merely close ones
     alone = simulate(first.config, theta0)
     for name in ("times", "thetas", "theta_dots"):
@@ -732,15 +754,16 @@ def test_both_forms_get_the_floats_of_the_reference_solve(monkeypatch):
     theta0, omega, _ = sample_protocol_ensemble(1, n=10, kappa=1.0,
                                                 freq_interval=(-0.15, 0.15))
     model = relativistic(1.0)
-    cfg = SystemConfig(10, 1.0, omega, model, 1e-3, 0.5, 10)
+    cfg = SystemConfig(1.0, omega, model, 1e-3, 0.5, 10)
     thetadot0 = model.velocity(omega + coupling(cfg, theta0))
     shipped, reference = _run_on_both_solves(
         monkeypatch, lambda: simulate_both_forms(cfg, theta0, thetadot0))
     for got, want in zip(shipped, reference):
         for name in ("times", "thetas", "theta_dots"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("momenta", "residuals", "induced_omega"):
+    for name in ("momenta", "residuals"):
         assert np.array_equal(getattr(shipped[0], name), getattr(reference[0], name)), name
+    assert np.array_equal(shipped[0].config.omega, reference[0].config.omega)
 
 
 def test_batch_gets_the_floats_of_the_reference_solve(monkeypatch):
@@ -749,7 +772,7 @@ def test_batch_gets_the_floats_of_the_reference_solve(monkeypatch):
     gen = np.random.default_rng(3)
     n = 10
     models = [relativistic(c) for c in (0.5, 1.0, 5.0, 10.0)] + [classical()]
-    configs = [SystemConfig(n, 1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
+    configs = [SystemConfig(1.0, np.zeros(n), model, 0.01, 4.0) for model in models]
     theta0 = gen.uniform(-1.5, 1.5, n)
     shipped, reference = _run_on_both_solves(
         monkeypatch, lambda: simulate_batch(configs, theta0))
@@ -798,7 +821,7 @@ def test_trajectory_csv_bytes_equal_savetxt(tmp_path, rows, n):
     theta_dots = rng.normal(size=(rows, n))
     thetas.flat[np.arange(SPECIAL_VALUES.size) * 7 % thetas.size] = SPECIAL_VALUES
     theta_dots[-1, :2] = [-0.0, 5e-324][:n]
-    cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.1, 1.0, 1)
+    cfg = SystemConfig(1.0, np.zeros(n), relativistic(1.0), 0.1, 1.0, 1)
     traj = Trajectory(cfg, np.arange(rows) * 0.1, thetas, theta_dots)
     write_trajectory_csv(traj, tmp_path / "got.csv")
     header = ",".join(["t"] + [f"theta_{i}" for i in range(1, n + 1)]
@@ -857,7 +880,7 @@ def test_csv_rows_wider_than_a_block_equal_savetxt(tmp_path, widths):
 def test_trajectory_writer_peak_does_not_grow_with_n(tmp_path):
     n, rows = 10**4, 11
     rng = np.random.default_rng(0)
-    cfg = SystemConfig(n, 1.0, np.zeros(n), relativistic(1.0), 0.1, 1.0, 1)
+    cfg = SystemConfig(1.0, np.zeros(n), relativistic(1.0), 0.1, 1.0, 1)
     traj = Trajectory(cfg, np.arange(rows) * 0.1, rng.normal(size=(rows, n)),
                       rng.uniform(-0.9, 0.9, (rows, n)))
     # formatting one block keeps about 20 arrays of its size live (digits,

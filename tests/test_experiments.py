@@ -15,6 +15,7 @@ import pytest
 from relkura import (
     RNG_ALGORITHM,
     FrequencyResponse,
+    SystemConfig,
     classical,
     dynamics,
     make_rng,
@@ -35,6 +36,8 @@ from relkura.errors import ConfigError, DomainError
 from relkura.experiments import (
     ADMISSIBILITY_ODDNESS_TOL,
     ADMISSIBILITY_ROUNDTRIP_TOL,
+    PredicateOutcome,
+    _config_echo,
     _max_abs_pairwise_sine,
 )
 
@@ -121,8 +124,13 @@ def test_sample_protocol_ensemble_given_omega_and_no_lock_angle():
     # a spread that overflows used to warn in np.ptp and report an infinite
     # omega_diameter, which JSON cannot hold
     (lambda: sample_protocol_ensemble(0, n=2, omega=[1e308, -1e308]), "omega"),
+    # the stream's own checks
+    (lambda: make_rng(0).uniform(1.0, 0.0, 3), "high"),
+    (lambda: make_rng(0).uniform(0.0, math.nan, 3), "high"),
+    (lambda: make_rng(0).uniform(0.0, 1.0, -1), "size"),
 ], ids=["sample-n0", "sample-n-2", "simulate-n0", "admissibility-seed-1",
-        "sample-reversed-interval", "sample-nan-interval", "sample-overflowing-omega-spread"])
+        "sample-reversed-interval", "sample-nan-interval", "sample-overflowing-omega-spread",
+        "rng-reversed-interval", "rng-nan-high", "rng-negative-size"])
 def test_runners_reject_a_size_below_one_and_a_negative_seed(call, field):
     with pytest.raises(ConfigError) as excinfo:
         call()
@@ -202,6 +210,13 @@ def test_rate_vs_c_heterogeneous_is_qualitative():
     for row in report.results["table"]:
         assert row["transient_fit_qualitative"] is True
         assert "fit" not in row
+
+
+def test_rate_vs_c_heterogeneous_stores_no_transient_fit_from_fewer_than_three_samples():
+    # the first fifth of a two-step run holds only the initial sample
+    report = run_rate_vs_c(0, homogeneous=False, t_final=0.02, dt=0.01)
+    assert [row["transient_fit"] for row in report.results["table"]] == [None] * 5
+    assert all(row["transient_fit_qualitative"] for row in report.results["table"])
 
 
 def test_decay_fits_run_without_lapack(monkeypatch):
@@ -471,6 +486,24 @@ def test_admissibility_passes_at_a_bound_below_one():
 # ----------------------------------------------------------------------
 # reports and files
 # ----------------------------------------------------------------------
+
+
+def test_predicate_line_names_the_first_violation_of_a_failed_claim():
+    failed = PredicateOutcome("trap", "D <= 1", 1.5, False, first_violation_time=2.5, margin=-0.5)
+    assert failed.line() == ("FAIL trap: expected D <= 1; observed 1.5; "
+                             "first violation at t=2.5; margin -0.5")
+    held = PredicateOutcome("trap", "D <= 1", 0.5, True, first_violation_time=2.5, margin=0.5)
+    assert held.line() == "PASS trap: expected D <= 1; observed 0.5"
+
+
+def test_config_echo_states_the_system_that_ran():
+    config = SystemConfig(2.0, np.zeros(3), proper_velocity(4.0), 0.05, 1.0, 2)
+    assert _config_echo(config, kinds=["rapidity"]) == {
+        "model": "proper-velocity", "c": 4.0, "n": 3, "kappa": 2.0, "dt": 0.05,
+        "t_final": 1.0, "record_every": 2, "kinds": ["rapidity"],
+    }
+    assert list(_config_echo(config, kinds=[])) == [
+        "model", "c", "n", "kappa", "dt", "t_final", "record_every", "kinds"]
 
 
 def test_report_json_round_trip(tmp_path):
