@@ -6,12 +6,14 @@ take one configuration or a stack of them along the last axis.  The
 trajectory-level helpers evaluate the observables along a recorded run
 and export the series as plot-ready CSV, written a block of rows at a
 time with the bytes of ``np.savetxt`` at ``%.16e``.  Every series (the
-order parameter, the potential's phasor spread, the energy) is taken
-over the 4096-float row blocks of ``dynamics._row_blocks``, each row
-reduced as in one pass over all rows, so the floats do not depend on the
-blocking and no temporary outgrows a block, or one row where a row is
-wider (n > 4096); only the potential's linear term ``theta @ omega`` is
-one product over all rows.  The potential's phasor spread keeps
+diameters, the order parameter, the potential's linear term and phasor
+spread, the energy) comes from one rule on a block of recorded rows
+(``_diagnostics_rows``), each row reduced as in a call on it alone, so
+the floats do not depend on the blocking and no temporary outgrows a
+block, or one row where a row is wider (n > 4096).
+``compute_diagnostics`` applies it to the 4096-float row blocks of
+``dynamics._row_blocks``, and the scenario runners to each block they
+stream (``_diagnostics_csv``).  The potential's phasor spread keeps
 cos(x) - 1 as -2 sin(x/2)**2 (``_shifted_phasors``), since its
 deviations from the mean are the digits it reports; the coupling's O(n)
 sums in ``dynamics`` take plain cos(x), which they use whole.  The
@@ -37,12 +39,13 @@ underflows only where its value does, for every bound from 1e-300 to
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemConfig, Trajectory, _row_blocks, _write_csv
+from .dynamics import SystemConfig, Trajectory, _csv_header, _csv_rows, _row_blocks, _write_csv
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .models import FrequencyResponse, ModelKind, _span_ratio
 
@@ -133,19 +136,12 @@ def _phasor_spread(theta: np.ndarray) -> np.ndarray:
     Equal to n * (1 - r**2), i.e. sum_ij (1 - cos(theta_j - theta_i)) / n,
     in O(n).  The shifted phasors keep every term free of cancellation, so
     nearly synchronised rows, where n - n * r**2 is rounding noise, keep
-    full relative precision.  The rows are taken in ``_row_blocks``, so no
-    temporary outgrows one block; each row is reduced as in one pass over
-    all rows.
+    full relative precision.
     """
-    n = theta.shape[-1]
-    flat = theta.reshape(-1, n)
-    out = np.empty(len(flat))
-    for rows in _row_blocks(len(flat), n):
-        sin_dev, cos_dev = _shifted_phasors(flat[rows])
-        sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
-        cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
-        out[rows] = (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
-    return out.reshape(theta.shape[:-1])
+    sin_dev, cos_dev = _shifted_phasors(theta)
+    sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
+    cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
+    return (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
 
 
 def potential(theta, kappa: float, omega):
@@ -157,13 +153,20 @@ def potential(theta, kappa: float, omega):
     kappa/2 * sum_j |e^{i theta_j} - z|**2, z the row's mean phasor, a
     form that keeps its digits near synchrony; with omega = 0 the
     potential is the pair term alone.  Unless sum(omega) = 0 the linear
-    term makes the potential meaningful only up to drift.
+    term makes the potential meaningful only up to drift.  Both terms are
+    row-wise reductions over ``_row_blocks`` of the rows, so no temporary
+    outgrows one block and every row gets the floats of a call on it alone.
     """
     th = _phases(theta, "potential")
     om = np.asarray(omega, dtype=float)
     if om.shape != th.shape[-1:]:
         raise ConfigError("omega", "potential needs an omega of the phases' last-axis length")
-    return -(th @ om) + 0.5 * kappa * _phasor_spread(th)
+    flat = th.reshape(-1, om.size)
+    out = np.empty(len(flat))
+    for rows in _row_blocks(len(flat), om.size):
+        block = flat[rows]
+        out[rows] = 0.5 * kappa * _phasor_spread(block) - (block * om).sum(axis=-1)
+    return out.reshape(th.shape[:-1])[()]
 
 
 def _energy_terms(model: FrequencyResponse, td: np.ndarray) -> np.ndarray:
@@ -298,44 +301,64 @@ class DiagnosticsSeries:
     energy: np.ndarray
 
 
+# The columns of a diagnostics CSV, in the order of DiagnosticsSeries' fields.
+_DIAGNOSTICS_HEADER = ("t", "diameter", "freq_diameter", "r", "phi", "potential", "energy")
+
+
+def _series_columns(series: DiagnosticsSeries) -> list[np.ndarray]:
+    """The series' arrays in field order, the columns of its CSV."""
+    return [getattr(series, f.name) for f in dataclasses.fields(series)]
+
+
+def _diagnostics_rows(config: SystemConfig, times, thetas, theta_dots) -> DiagnosticsSeries:
+    """Every observable at a few recorded rows: phases and velocities (rows, n).
+
+    The one rule behind ``compute_diagnostics`` and the runners' streamed
+    diagnostics, which take it one block of rows at a time; every row gets
+    the floats of a call on it alone, so the series do not depend on the
+    blocking.
+    """
+    r, phi = _order_rows(thetas)
+    return DiagnosticsSeries(
+        times=times,
+        phase_diameter=np.ptp(thetas, axis=1),
+        frequency_diameter=np.ptp(theta_dots, axis=1),
+        order_r=r,
+        order_phi=phi,
+        potential=potential(thetas, config.kappa, config.omega),
+        energy=energy(config.model, theta_dots),
+    )
+
+
 def compute_diagnostics(config: SystemConfig, trajectory: Trajectory) -> DiagnosticsSeries:
     """Every observable at every recorded row, taken over row blocks.
 
-    The order parameter and the energy come from one pass over the
-    ``_row_blocks`` of recorded rows, and the potential's phasor spread
-    from its own pass over the same blocks; every row gets the floats of
-    a call on it alone.
+    ``_diagnostics_rows`` of each ``_row_blocks`` block of recorded rows,
+    copied into one array per series.
     """
-    th = trajectory.thetas
-    vd = trajectory.theta_dots
+    th, vd = trajectory.thetas, trajectory.theta_dots
     m, n = th.shape
-    r, phi, en = np.empty(m), np.empty(m), np.empty(m)
+    columns = [np.empty(m) for _ in _DIAGNOSTICS_HEADER[1:]]
     for rows in _row_blocks(m, n):
-        r[rows], phi[rows] = _order_rows(th[rows])
-        en[rows] = energy(config.model, vd[rows])
-    return DiagnosticsSeries(
-        times=trajectory.times,
-        phase_diameter=np.ptp(th, axis=1),
-        frequency_diameter=np.ptp(vd, axis=1),
-        order_r=r,
-        order_phi=phi,
-        potential=potential(th, config.kappa, config.omega),
-        energy=en,
-    )
+        block = _diagnostics_rows(config, trajectory.times[rows], th[rows], vd[rows])
+        for column, values in zip(columns, _series_columns(block)[1:]):
+            column[rows] = values
+    return DiagnosticsSeries(trajectory.times, *columns)
+
+
+def _diagnostics_csv(fh, config: SystemConfig):
+    """Start a diagnostics CSV on the binary file ``fh``; return its row appender.
+
+    Writes the header ``t,diameter,freq_diameter,r,phi,potential,energy``.
+    The appender takes (times, thetas, theta_dots) of k recorded rows of
+    ``config``'s system and writes the k rows of their ``_diagnostics_rows``
+    at 17 significant digits.
+    """
+    _csv_header(fh, _DIAGNOSTICS_HEADER)
+    return lambda times, thetas, theta_dots: _csv_rows(
+        fh, _series_columns(_diagnostics_rows(config, times, thetas, theta_dots)))
 
 
 def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
     """Write ``t,diameter,freq_diameter,r,phi,potential,energy`` at 17 significant digits."""
-    _write_csv(
-        path,
-        ["t", "diameter", "freq_diameter", "r", "phi", "potential", "energy"],
-        [
-            series.times,
-            series.phase_diameter,
-            series.frequency_diameter,
-            series.order_r,
-            series.order_phi,
-            series.potential,
-            series.energy,
-        ],
-    )
+    _write_csv(path, _DIAGNOSTICS_HEADER, _series_columns(series))

@@ -38,6 +38,11 @@ Conventions that matter for downstream analysis:
   and no evaluation follows the integration.
 * A model failure at any evaluation, the final one included, propagates
   as it was raised: a run returns complete trajectories or none.
+* The integrator (``_integrate``) hands out the recorded rows one
+  ``_row_blocks`` block of the whole state at a time, as (times, states,
+  derivs); ``simulate``, ``simulate_batch`` and ``simulate_both_forms``
+  copy the blocks into preallocated (M, ...) arrays, and the scenario
+  runners in ``experiments`` consume them as they come.
 * The momentum form's cosine-weighted coupling costs O(n) at every n: it
   splits cos(theta_j - theta_i) into products of per-phase sines and
   cosines, so no n x n array is built.  The first-order sine sums do the
@@ -49,20 +54,25 @@ Conventions that matter for downstream analysis:
   residuals over the M recorded states) take the rows in blocks and write
   into one preallocated output, so no pairwise temporary exceeds one
   block; each row is reduced as in one pass over all rows, so the floats
-  do not depend on the blocking.  The largest arrays of a run are its
-  results: the recorded states and their rates, M rows each.
-* Output: ``write_trajectory_csv`` (and ``write_diagnostics_csv``) write
-  the bytes ``np.savetxt`` writes at ``%.16e`` without stacking the table
-  or joining the header whole: each ``_row_blocks`` block of rows is
-  gathered once and formatted in column chunks of at most
-  ``_BLOCK_FLOATS`` floats.  Only a row wider than a block, a trajectory
-  row (2n + 1 floats) from n = 2048, has more than one chunk, so the
-  formatting temporaries do not grow with n; the one gathered row does
-  (160 KB at n = 10^4).
+  do not depend on the blocking.  The largest arrays of a ``simulate*``
+  call are its results: the recorded states and their rates, M rows
+  each.  A streamed run holds one block of them, and the recorded time
+  grid (M,).
+* Output: one incremental CSV writer (``_csv_header``, then
+  ``_csv_rows`` once or once per block of rows) is behind
+  ``write_trajectory_csv``, ``write_diagnostics_csv`` and the runners'
+  streamed files.  It writes the bytes ``np.savetxt`` writes at
+  ``%.16e`` without stacking the table or joining the header whole:
+  each ``_row_blocks`` block of rows is gathered once and formatted in
+  column chunks of at most ``_BLOCK_FLOATS`` floats.  Only a row wider
+  than a block, a trajectory row (2n + 1 floats) from n = 2048, has more
+  than one chunk, so the formatting temporaries do not grow with n; the
+  one gathered row does (160 KB at n = 10^4).
   The digits come from an error-bounded double-double scaling in numpy
   arithmetic (``_format_rows``), and Python's ``%`` formats every value
   that the bound cannot settle; the ASCII bytes go to the file as they
-  are.  A run of more steps than numpy's index range holds raises
+  are.  A run of more steps than numpy's index range holds, or of more
+  recorded rows than numpy can allocate a time grid for, raises
   MemoryError before its first step.
 """
 
@@ -272,43 +282,82 @@ def _step_plan(dt: float, t_final: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _integrate(config: SystemConfig, y0: np.ndarray, rates):
-    """RK4 of dy/dt = rates(y) from y0 over the config time grid.
+def _recorded_times(config: SystemConfig) -> np.ndarray:
+    """The recorded times (M,): the initial state, every ``record_every``-th step, the end.
 
-    Records the initial state, every ``record_every``-th step before the
-    end, and the final state, each with its rates: the first stage k1 of
-    the step that starts from it, and one more evaluation at the final
-    state.  Returns (times, states, derivs): the recorded times (M,), and
-    the recorded states and their rates stacked along a new first axis.
-    A failure of ``rates`` propagates; numpy's overflow and invalid-value
-    warnings are silenced, so an inf or NaN state reaches ``rates``, whose
-    drive check raises DomainError.  Raises MemoryError, before any
-    step, for more steps than numpy's index range holds or more recorded
-    rows than numpy can allocate.
+    Each interior time is step * dt, computed from the step count and not
+    accumulated, and the last is t_final.  Raises MemoryError for more
+    steps than numpy's index range holds or more rows than numpy can
+    allocate, so every run is refused before its first step.
     """
     n_full, rem = _step_plan(config.dt, config.t_final)
     n_steps = n_full + (rem > 0.0)
-    k = config.record_every
+    k = min(config.record_every, n_steps)
     # every step starts from an interior state, and the last one ends the run
     rows = (n_steps - 1) // k + 2
     try:
         times = np.empty(rows)
+    except ValueError as exc:  # a size beyond numpy's index range
+        raise MemoryError(f"{rows:.3g} recorded rows") from exc
+    times[:-1] = np.arange(0, n_steps, k)
+    times[:-1] *= config.dt
+    times[-1] = config.t_final
+    return times
+
+
+def _integrate(config: SystemConfig, times: np.ndarray, y0: np.ndarray, rates):
+    """RK4 of dy/dt = rates(y) from y0 over the config time grid, a block of rows at a time.
+
+    ``times`` is the grid's ``_recorded_times``.  Records the initial
+    state, every ``record_every``-th step before the end, and the final
+    state, each with its rates: the first stage k1 of the step that starts
+    from it, and one more evaluation at the final state.  Yields
+    (times, states, derivs) for each ``_row_blocks`` block of recorded
+    rows of y0.size floats: the block's times, a view of ``times``, and its
+    states and rates stacked along a new first axis, fresh arrays that the
+    consumer may keep.  A failure of ``rates`` propagates; numpy's overflow
+    and invalid-value warnings are silenced while stepping (not while the
+    consumer holds a block), so an inf or NaN state reaches ``rates``,
+    whose drive check raises DomainError.
+    """
+    n_full, rem = _step_plan(config.dt, config.t_final)
+    n_steps = n_full + (rem > 0.0)
+    step, y = 0, y0
+    for rows in _row_blocks(times.size, y0.size):
+        block = times[rows]
+        states = np.empty(block.shape + y0.shape)
+        derivs = np.empty(states.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in range(block.size):
+                states[row] = y
+                k1 = derivs[row] = rates(y)
+                # the steps up to the next recorded row; none after the final state
+                stop = min(step + config.record_every, n_steps)
+                while step < stop:
+                    y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
+                    step += 1
+                    if step < stop:
+                        k1 = rates(y)
+        yield block, states, derivs
+
+
+def _collect(times: np.ndarray, y0: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The states and rates of ``blocks``, copied into two preallocated (M, *y0.shape) arrays.
+
+    Both arrays are allocated before the first block is taken, so a run
+    too large for them raises MemoryError before its first step.
+    """
+    try:
         states = np.empty(times.shape + y0.shape)
         derivs = np.empty(states.shape)
     except ValueError as exc:  # a size beyond numpy's index range
-        raise MemoryError(f"{rows:.3g} recorded rows") from exc
-    row, record_at, y = 0, 0, y0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            if step == record_at:
-                times[row], states[row] = step * config.dt, y
-                k1 = derivs[row] = rates(y)
-                row, record_at = row + 1, record_at + k
-            else:
-                k1 = rates(y)
-            y = _rk4(rates, y, k1, config.dt if step < n_full else rem)
-        times[row], states[row], derivs[row] = config.t_final, y, rates(y)
-    return times, states, derivs
+        raise MemoryError(f"{times.size:.3g} recorded rows") from exc
+    start = 0
+    for block, block_states, block_derivs in blocks:
+        stop = start + block.size
+        states[start:stop], derivs[start:stop] = block_states, block_derivs
+        start = stop
+    return states, derivs
 
 
 def _batch_phases(configs: list[SystemConfig], theta0) -> np.ndarray:
@@ -346,6 +395,21 @@ def _batch_rates(configs: list[SystemConfig]):
     return rates
 
 
+def _batch_blocks(configs: list[SystemConfig], theta0):
+    """A checked batch's recorded times, its (B, n) initial state and that state's blocks.
+
+    The blocks are ``_integrate``'s generator: nothing is integrated until
+    the first is taken.
+    """
+    if not configs:
+        raise ConfigError("configs", "simulate_batch needs at least one config")
+    if len({(config.n, config.dt, config.t_final, config.record_every) for config in configs}) > 1:
+        raise ConfigError("configs", "batched configs must share n, dt, t_final and record_every")
+    th = _batch_phases(configs, theta0)
+    times = _recorded_times(configs[0])
+    return times, th, _integrate(configs[0], times, th, _batch_rates(configs))
+
+
 def simulate_batch(configs, theta0) -> list[Trajectory]:
     """Integrate several first-order systems as one (B, n) state.
 
@@ -361,12 +425,8 @@ def simulate_batch(configs, theta0) -> list[Trajectory]:
     trajectory is returned.
     """
     configs = list(configs)
-    if not configs:
-        raise ConfigError("configs", "simulate_batch needs at least one config")
-    if len({(config.n, config.dt, config.t_final, config.record_every) for config in configs}) > 1:
-        raise ConfigError("configs", "batched configs must share n, dt, t_final and record_every")
-    th = _batch_phases(configs, theta0)
-    times, states, derivs = _integrate(configs[0], th, _batch_rates(configs))
+    times, th, blocks = _batch_blocks(configs, theta0)
+    states, derivs = _collect(times, th, blocks)
     return [Trajectory(config, times, states[:, b], derivs[:, b])
             for b, config in enumerate(configs)]
 
@@ -425,6 +485,25 @@ def _both_forms_rates(config: SystemConfig):
     return rates
 
 
+def _momentum_residuals(config: SystemConfig, thetas: np.ndarray, momenta: np.ndarray):
+    """p_i - coupling_i - nu_i at each recorded row, nu = ``config.omega``; each row alone."""
+    return momenta - (config.kappa / config.n) * _sine_sums(thetas) - config.omega
+
+
+def _both_forms_blocks(config: SystemConfig, theta0, thetadot0):
+    """The system that ran, its recorded times, its (3, n) initial state and that state's blocks.
+
+    The state is (theta_m, p, theta_f), and the system that ran holds the
+    frequencies nu induced from the initial data; the blocks are a
+    generator, as in ``_batch_blocks``.
+    """
+    th = _finite_vector("theta0", theta0, config.n)
+    p = config.model.momentum(_finite_vector("thetadot0", thetadot0, config.n))
+    ran = dataclasses.replace(config, omega=p - coupling(config, th))
+    times, y0 = _recorded_times(ran), np.stack((th, p, th))
+    return ran, times, y0, _integrate(ran, times, y0, _both_forms_rates(ran))
+
+
 def simulate_both_forms(config: SystemConfig, theta0,
                         thetadot0) -> tuple[MomentumTrajectory, Trajectory]:
     """Integrate the momentum and first-order forms of one system together.
@@ -439,13 +518,11 @@ def simulate_both_forms(config: SystemConfig, theta0,
     ``simulate``.  A model failure mid-run propagates and neither result
     is returned.
     """
-    th = _finite_vector("theta0", theta0, config.n)
-    p = config.model.momentum(_finite_vector("thetadot0", thetadot0, config.n))
-    ran = dataclasses.replace(config, omega=p - coupling(config, th))
-    times, states, derivs = _integrate(ran, np.stack((th, p, th)), _both_forms_rates(ran))
+    ran, times, y0, blocks = _both_forms_blocks(config, theta0, thetadot0)
+    states, derivs = _collect(times, y0, blocks)
     thetas, momenta = states[:, 0], states[:, 1]
-    residuals = momenta - (ran.kappa / ran.n) * _sine_sums(thetas) - ran.omega
-    return (MomentumTrajectory(ran, times, thetas, momenta, derivs[:, 0], residuals),
+    return (MomentumTrajectory(ran, times, thetas, momenta, derivs[:, 0],
+                               _momentum_residuals(ran, thetas, momenta)),
             Trajectory(ran, times, states[:, 2], derivs[:, 2]))
 
 
@@ -465,39 +542,63 @@ def simulate_momentum(config: SystemConfig, theta0, thetadot0) -> MomentumTrajec
 # ----------------------------------------------------------------------
 
 
+def _trajectory_csv(fh, n: int):
+    """Start a trajectory CSV on the binary file ``fh``; return its row appender.
+
+    Writes the header ``t, theta_1..theta_n, thetadot_1..thetadot_n``.
+    The appender takes (times, thetas, theta_dots), (k,), (k, n) and (k, n)
+    arrays, and writes their k rows at 17 significant digits.
+    """
+    _csv_header(fh, itertools.chain(["t"], (f"theta_{i}" for i in range(1, n + 1)),
+                                    (f"thetadot_{i}" for i in range(1, n + 1))))
+    return lambda times, thetas, theta_dots: _csv_rows(fh, [times, thetas, theta_dots])
+
+
 def write_trajectory_csv(traj, path) -> None:
     """Write ``t, theta_1..theta_n, thetadot_1..thetadot_n`` at 17 significant digits."""
-    n = traj.config.n
-    names = itertools.chain(["t"], (f"theta_{i}" for i in range(1, n + 1)),
-                            (f"thetadot_{i}" for i in range(1, n + 1)))
-    _write_csv(path, names, [traj.times, traj.thetas, traj.theta_dots])
+    with open(path, "wb") as fh:
+        _trajectory_csv(fh, traj.config.n)(traj.times, traj.thetas, traj.theta_dots)
 
 
 def _write_csv(path, names, columns) -> None:
     """Write the column ``names`` and the rows of ``columns`` side by side as CSV.
 
-    ``columns`` are (M,) or (M, k) arrays.  The file holds exactly the
-    bytes of ``np.savetxt(path, np.column_stack(columns), delimiter=",",
-    header=",".join(names), comments="", fmt="%.16e")``, but neither the
-    table nor the header is built whole: the names are joined a block at
-    a time, and each ``_row_blocks`` block of rows is gathered once from
-    the columns and formatted by ``_format_rows`` in column chunks of
-    ``_BLOCK_FLOATS``, with the newline after the last.  Only a row wider
-    than a block has more than one chunk.
+    The file holds exactly the bytes of ``np.savetxt(path,
+    np.column_stack(columns), delimiter=",", header=",".join(names),
+    comments="", fmt="%.16e")``: ``_csv_header`` then ``_csv_rows``.
+    """
+    with open(path, "wb") as fh:
+        _csv_header(fh, names)
+        _csv_rows(fh, columns)
+
+
+def _csv_header(fh, names) -> None:
+    """Write the column ``names`` as a CSV header line, joined a block at a time."""
+    names = iter(names)
+    fh.write(",".join(itertools.islice(names, _BLOCK_FLOATS)).encode())
+    while batch := ",".join(itertools.islice(names, _BLOCK_FLOATS)):
+        fh.write(b"," + batch.encode())
+    fh.write(b"\n")
+
+
+def _csv_rows(fh, columns) -> None:
+    """Append the rows of ``columns``, (M,) or (M, k) arrays, side by side as CSV lines.
+
+    The one writer of both CSV kinds, whole or a block of rows per call:
+    each value's text does not depend on its neighbours, so rows appended
+    in any blocks give the bytes of one call on all of them.  Each
+    ``_row_blocks`` block of rows is gathered once from the columns and
+    formatted by ``_format_rows`` in column chunks of ``_BLOCK_FLOATS``,
+    with the newline after the last; only a row wider than a block has
+    more than one chunk.
     """
     cols = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
     width = sum(col.shape[1] for col in cols)
-    names = iter(names)
-    with open(path, "wb") as fh:
-        fh.write(",".join(itertools.islice(names, _BLOCK_FLOATS)).encode())
-        while batch := ",".join(itertools.islice(names, _BLOCK_FLOATS)):
-            fh.write(b"," + batch.encode())
-        fh.write(b"\n")
-        for rows in _row_blocks(cols[0].shape[0], width):
-            block = np.concatenate([col[rows] for col in cols], axis=1, dtype=float)
-            for start in range(0, width, _BLOCK_FLOATS):
-                stop = start + _BLOCK_FLOATS
-                fh.write(_format_rows(block[:, start:stop], newline=stop >= width))
+    for rows in _row_blocks(cols[0].shape[0], width):
+        block = np.concatenate([col[rows] for col in cols], axis=1, dtype=float)
+        for start in range(0, width, _BLOCK_FLOATS):
+            stop = start + _BLOCK_FLOATS
+            fh.write(_format_rows(block[:, start:stop], newline=stop >= width))
 
 
 def _split(x):

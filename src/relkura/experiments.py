@@ -18,10 +18,17 @@ written.  Drawn natural frequencies come from ``FREQ_INTERVAL``;
 ``sample_protocol_ensemble`` also takes another ``freq_interval``, and
 the runners draw from the constant alone (``run_rate_vs_c``'s
 homogeneous mode draws zeros; ``run_simulate`` and
-``run_sync_predicates`` take given frequencies as ``omega``).  Given
-``out_dir``, a runner writes its CSVs through ``_emit`` and its report
-through ``_report``; the diagnostics series it writes are taken, and
-written, a block of recorded rows at a time.
+``run_sync_predicates`` take given frequencies as ``omega``).
+
+A runner calls no ``simulate*`` function: it takes its systems'
+recorded rows from the integrator one block at a time (``_streamed``),
+appends each block to its trajectory and diagnostics CSVs (given
+``out_dir``), and keeps only what it reports: per-row series of one
+float per system, the recorded times, and its snapshot and terminal
+rows.  So a run holds one block of its history, not all M rows.  Files
+are streamed to temporary names and renamed only after the runner's last
+check that can raise (``_RunFiles``), so a run that fails leaves no CSV;
+the report goes through ``_report``.
 
 Reports carry every checked predicate with its expected and observed
 values.  Each claim is built by ``_claim`` from its slack ``margin``,
@@ -43,25 +50,23 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
-    compute_diagnostics,
+    _diagnostics_csv,
     fit_decay_rate,
     order_parameter,
     phase_diameter,
     predicted_rate,
     theta_star,
-    write_diagnostics_csv,
 )
 from .dynamics import (
     SystemConfig,
-    Trajectory,
+    _batch_blocks,
+    _both_forms_blocks,
     _check_count,
     _finite_vector,
+    _momentum_residuals,
     _row_blocks,
+    _trajectory_csv,
     coupling,
-    simulate,
-    simulate_batch,
-    simulate_both_forms,
-    write_trajectory_csv,
 )
 from .errors import ConfigError, DegenerateFitError
 from .models import (
@@ -276,23 +281,97 @@ def _directory(out_dir) -> Path:
     return out
 
 
-def _emit(out_dir, label: str, traj) -> list[str]:
-    """Write one run's trajectory CSV and, for a first-order ``Trajectory``, its diagnostics CSV.
+class _RunFiles:
+    """The CSVs of one run, each streamed to a temporary name until the run completes.
 
-    A ``MomentumTrajectory`` gets no diagnostics: its only writer,
-    rcs-check, writes them once for its one system, from the first-order
-    form.  Returns the filenames written (none without an output
-    directory).
+    A runner's body runs inside ``with _RunFiles(out_dir) as files``.
+    ``system`` opens a system's files under their names plus ``.partial``;
+    ``commit``, called once the runner's last check that can raise has
+    passed, closes every file, renames it to its name and returns the names
+    in the order opened.  Leaving the block before ``commit`` (an
+    exception) closes and deletes every partial file, so a run that fails
+    leaves no CSV and no temporary file, and keeps any earlier run's files.
+    Without an output directory nothing is opened.
     """
-    if out_dir is None:
-        return []
-    out = _directory(out_dir)
-    names = [f"trajectory_{label}.csv"]
-    write_trajectory_csv(traj, out / names[0])
-    if isinstance(traj, Trajectory):
-        names.append(f"diagnostics_{label}.csv")
-        write_diagnostics_csv(compute_diagnostics(traj.config, traj), out / names[1])
-    return names
+
+    def __init__(self, out_dir):
+        self._dir = None if out_dir is None else _directory(out_dir)
+        self._files = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for fh in self._files.values():
+            fh.close()
+            Path(fh.name).unlink(missing_ok=True)
+
+    def _open(self, name: str):
+        self._files[name] = open(self._dir / f"{name}.partial", "wb")
+        return self._files[name]
+
+    def system(self, label: str, config: SystemConfig, diagnostics: bool = True):
+        """The writer of one system's recorded rows; it writes nothing without an output directory.
+
+        The writer takes (times, thetas, theta_dots) of a block of rows and
+        appends them to ``trajectory_<label>.csv`` and, with
+        ``diagnostics``, their observables to ``diagnostics_<label>.csv``.
+        The momentum form gets no diagnostics: rcs-check writes them once
+        for its one system, from the first-order form.
+        """
+        if self._dir is None:
+            return lambda times, thetas, theta_dots: None
+        appenders = [_trajectory_csv(self._open(f"trajectory_{label}.csv"), config.n)]
+        if diagnostics:
+            appenders.append(_diagnostics_csv(self._open(f"diagnostics_{label}.csv"), config))
+
+        def write(times, thetas, theta_dots):
+            for append in appenders:
+                append(times, thetas, theta_dots)
+
+        return write
+
+    def commit(self) -> list[str]:
+        names = list(self._files)
+        for name, fh in self._files.items():
+            fh.close()
+            Path(fh.name).replace(self._dir / name)
+        self._files.clear()
+        return names
+
+
+def _streamed(blocks, writers: dict):
+    """Each block of a run's recorded rows, after its systems' rows of it are written.
+
+    ``blocks`` yields (times, states, derivs), and ``writers`` maps an
+    index i of the state's second axis to the writer of system i's rows
+    (states[:, i], derivs[:, i]).  Yields (rows, states, derivs), ``rows``
+    the slice of the recorded grid the block covers.
+    """
+    start = 0
+    for times, states, derivs in blocks:
+        for i, write in writers.items():
+            write(times, states[:, i], derivs[:, i])
+        rows = slice(start, start + times.size)
+        start = rows.stop
+        yield rows, states, derivs
+
+
+def _diameters(times: np.ndarray, th: np.ndarray, blocks, writers: dict, keep=()):
+    """Phase and frequency diameters of every system of a streamed (B, n) batch, and kept rows.
+
+    Returns the diameters, two (B, M) arrays of one row per system, and
+    the batch's states (len(keep), B, n) at the recorded rows ``keep``.
+    """
+    pd, fd = np.empty((2, len(th), times.size))
+    kept = np.empty((len(keep), *th.shape))
+    for rows, states, derivs in _streamed(blocks, writers):
+        pd[:, rows] = np.ptp(states, axis=2).T
+        fd[:, rows] = np.ptp(derivs, axis=2).T
+        for j, i in enumerate(keep):
+            if rows.start <= i < rows.stop:
+                kept[j] = states[i - rows.start]
+    return pd, fd, kept
 
 
 def _report(out_dir, scenario: str, seed: int, config: dict, results: dict,
@@ -385,15 +464,17 @@ def run_simulate(
     drawn, omega, _ = sample_protocol_ensemble(seed, n=n, kappa=kappa, omega=omega)
     theta0 = drawn if theta0 is None else np.asarray(theta0, dtype=float)
     config = SystemConfig(kappa, omega, model, dt, t_final, record_every)
-    traj = simulate(config, theta0)
-    files = _emit(out_dir, model.kind.value, traj)
-    results = {
-        "initial_phase_diameter": phase_diameter(theta0),
-        "omega_diameter": float(np.ptp(omega)),
-        "terminal_phase_diameter": float(np.ptp(traj.thetas[-1])),
-        "terminal_frequency_diameter": float(np.ptp(traj.theta_dots[-1])),
-    }
-    return _report(out_dir, "simulate", seed, _config_echo(config), results, data_files=files)
+    times, th, blocks = _batch_blocks([config], theta0)
+    with _RunFiles(out_dir) as files:
+        pd, fd, _ = _diameters(times, th, blocks, {0: files.system(model.kind.value, config)})
+        results = {
+            "initial_phase_diameter": phase_diameter(theta0),
+            "omega_diameter": float(np.ptp(omega)),
+            "terminal_phase_diameter": float(pd[0, -1]),
+            "terminal_frequency_diameter": float(fd[0, -1]),
+        }
+        return _report(out_dir, "simulate", seed, _config_echo(config), results,
+                       data_files=files.commit())
 
 
 def run_four_model_comparison(
@@ -421,54 +502,52 @@ def run_four_model_comparison(
     theta0, omega, tstar = sample_protocol_ensemble(seed, n=n, kappa=kappa)
     models = [classical(), relativistic(c), proper_velocity(c), rapidity(c)]
     configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every) for m in models]
-    trajs = simulate_batch(configs, theta0)
-
+    labels = [m.kind.value for m in models]
+    times, th, blocks = _batch_blocks(configs, theta0)
     # one grid for all kinds; on a coarse one two targets can share a row
-    times = trajs[0].times
     snap = list(dict.fromkeys(int(np.argmin(np.abs(times - t)))
                               for t in (0.0, 1.0, 2.0, 3.0) if t <= t_final))
-    rates, terminal, snapshots, files = {}, {}, {}, []
-    for config, traj in zip(configs, trajs):
-        label = config.model.kind.value
-        fd = np.ptp(traj.theta_dots, axis=1)
-        start = traj.times[0] + COMPARE_FIT_SKIP * (traj.times[-1] - traj.times[0])
-        mask = (fd > COMPARE_FIT_FLOOR) & (fd < COMPARE_FIT_CEILING) & (traj.times >= start)
-        rates[label] = dataclasses.asdict(_fit_window(traj.times, fd, mask))
-        terminal[label] = float(np.ptp(traj.thetas[-1]))
-        snapshots[label] = traj.thetas[snap].tolist()
-        files += _emit(out_dir, label, traj)
+    with _RunFiles(out_dir) as files:
+        writers = {b: files.system(label, config)
+                   for b, (label, config) in enumerate(zip(labels, configs))}
+        _, fds, kept = _diameters(times, th, blocks, writers, keep=[*snap, times.size - 1])
+        start = times[0] + COMPARE_FIT_SKIP * (times[-1] - times[0])
+        rates = {}
+        for label, fd in zip(labels, fds):
+            mask = (fd > COMPARE_FIT_FLOOR) & (fd < COMPARE_FIT_CEILING) & (times >= start)
+            rates[label] = dataclasses.asdict(_fit_window(times, fd, mask))
 
-    predicates = []
-    if tstar is not None:
-        observed = {k: v["rate"] for k, v in rates.items()}
-        others = [v for k, v in observed.items() if k != "relativistic"]
-        predicates.append(_claim(
-            "relativistic-slowest-decay",
-            "relativistic frequency-diameter decay rate strictly smallest",
-            observed, float(min(others) - observed["relativistic"]), strict=True,
-        ))
-    results = {
-        "theta_star": tstar,
-        "omega_diameter": float(np.ptp(omega)),
-        "initial_phase_diameter": phase_diameter(theta0),
-        "decay_rates": rates,
-    }
-    if tstar is None:
-        results["decay_rates_meaningful"] = False
-    results.update({
-        "fit_series": "frequency_diameter",
-        "fit_window": {
-            "floor": COMPARE_FIT_FLOOR,
-            "ceiling": COMPARE_FIT_CEILING,
-            "skip_fraction": COMPARE_FIT_SKIP,
-        },
-        "terminal_phase_diameter": terminal,
-        "snapshot_times": times[snap].tolist(),
-        "snapshots": snapshots,
-    })
-    config = _config_echo(configs[1], freq_interval=list(FREQ_INTERVAL),
-                          kinds=[m.kind.value for m in models])
-    return _report(out_dir, "compare", seed, config, results, predicates, files)
+        predicates = []
+        if tstar is not None:
+            observed = {k: v["rate"] for k, v in rates.items()}
+            others = [v for k, v in observed.items() if k != "relativistic"]
+            predicates.append(_claim(
+                "relativistic-slowest-decay",
+                "relativistic frequency-diameter decay rate strictly smallest",
+                observed, float(min(others) - observed["relativistic"]), strict=True,
+            ))
+        results = {
+            "theta_star": tstar,
+            "omega_diameter": float(np.ptp(omega)),
+            "initial_phase_diameter": phase_diameter(theta0),
+            "decay_rates": rates,
+        }
+        if tstar is None:
+            results["decay_rates_meaningful"] = False
+        results.update({
+            "fit_series": "frequency_diameter",
+            "fit_window": {
+                "floor": COMPARE_FIT_FLOOR,
+                "ceiling": COMPARE_FIT_CEILING,
+                "skip_fraction": COMPARE_FIT_SKIP,
+            },
+            "terminal_phase_diameter": {label: float(np.ptp(last))
+                                        for label, last in zip(labels, kept[-1])},
+            "snapshot_times": times[snap].tolist(),
+            "snapshots": {label: kept[:-1, b].tolist() for b, label in enumerate(labels)},
+        })
+        config = _config_echo(configs[1], freq_interval=list(FREQ_INTERVAL), kinds=labels)
+        return _report(out_dir, "compare", seed, config, results, predicates, files.commit())
 
 
 def run_rate_vs_c(
@@ -498,68 +577,67 @@ def run_rate_vs_c(
     )
     models = [*map(relativistic, c_values), classical()]
     configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every) for m in models]
-    trajs = simulate_batch(configs, theta0)
+    times, th, blocks = _batch_blocks(configs, theta0)
+    with _RunFiles(out_dir) as files:
+        writers = {b: files.system(_label(config.model), config)
+                   for b, config in enumerate(configs)}
+        pds, fds, _ = _diameters(times, th, blocks, writers)
+        d0 = phase_diameter(theta0)
+        rows = []
+        for config, pd, fd in zip(configs, pds, fds):
+            row = {"label": _label(config.model), "c": config.model.c,
+                   "terminal_phase_diameter": float(pd[-1]),
+                   "terminal_frequency_diameter": float(fd[-1])}
+            if homogeneous:
+                ceiling = min(RATE_FIT_CEILING, 0.9 * d0)
+                mask = (pd > RATE_FIT_FLOOR) & (pd < ceiling)
+                row["fit"] = dataclasses.asdict(_fit_window(times, pd, mask))
+            else:
+                cut = times <= times[0] + 0.2 * (times[-1] - times[0])
+                mask = cut & (fd > COMPARE_FIT_FLOOR)
+                try:
+                    row["transient_fit"] = dataclasses.asdict(_fit_window(times, fd, mask))
+                except DegenerateFitError:
+                    row["transient_fit"] = None
+                row["transient_fit_qualitative"] = True
+            rows.append(row)
 
-    d0 = phase_diameter(theta0)
-    rows, files = [], []
-    for config, traj in zip(configs, trajs):
-        label = _label(config.model)
-        pd = np.ptp(traj.thetas, axis=1)
-        fd = np.ptp(traj.theta_dots, axis=1)
-        row = {"label": label, "c": config.model.c,
-               "terminal_phase_diameter": float(pd[-1]),
-               "terminal_frequency_diameter": float(fd[-1])}
+        predicates = []
+        results = {
+            "homogeneous": homogeneous,
+            "initial_phase_diameter": d0,
+            "omega_diameter": float(np.ptp(omega)),
+            "theta_star": tstar,
+            "table": rows,
+        }
         if homogeneous:
-            ceiling = min(RATE_FIT_CEILING, 0.9 * d0)
-            mask = (pd > RATE_FIT_FLOOR) & (pd < ceiling)
-            row["fit"] = dataclasses.asdict(_fit_window(traj.times, pd, mask))
-        else:
-            cut = traj.times <= traj.times[0] + 0.2 * (traj.times[-1] - traj.times[0])
-            mask = cut & (fd > COMPARE_FIT_FLOOR)
-            try:
-                row["transient_fit"] = dataclasses.asdict(_fit_window(traj.times, fd, mask))
-            except DegenerateFitError:
-                row["transient_fit"] = None
-            row["transient_fit_qualitative"] = True
-        rows.append(row)
-        files += _emit(out_dir, label, traj)
-
-    predicates = []
-    results = {
-        "homogeneous": homogeneous,
-        "initial_phase_diameter": d0,
-        "omega_diameter": float(np.ptp(omega)),
-        "theta_star": tstar,
-        "table": rows,
-    }
-    if homogeneous:
-        results["fit_series"] = "phase_diameter"
-        results["fit_window"] = {"floor": RATE_FIT_FLOOR, "ceiling": RATE_FIT_CEILING}
-        by_c = [row["fit"]["rate"] for row in rows[:-1]]
-        classical_rate = rows[-1]["fit"]["rate"]
-        predicates.append(_claim(
-            "rate-non-decreasing-in-c", "fitted decay rate non-decreasing in c",
-            {"c": list(c_values), "rates": by_c},
-            float(min((b - a for a, b in zip(by_c, by_c[1:])), default=0.0)),
-        ))
-        if 5.0 in c_values and 10.0 in c_values:
-            r5 = by_c[c_values.index(5.0)]
-            r10 = by_c[c_values.index(10.0)]
-            rel = abs(r5 - r10) / abs(r10)
+            results["fit_series"] = "phase_diameter"
+            results["fit_window"] = {"floor": RATE_FIT_FLOOR, "ceiling": RATE_FIT_CEILING}
+            by_c = [row["fit"]["rate"] for row in rows[:-1]]
+            classical_rate = rows[-1]["fit"]["rate"]
             predicates.append(_claim(
-                "rate-c5-c10-within-10pct", "|rate(5) - rate(10)| / rate(10) < 0.10",
-                {"rate_5": r5, "rate_10": r10, "relative_gap": rel}, float(0.10 - rel),
-                strict=True,
+                "rate-non-decreasing-in-c", "fitted decay rate non-decreasing in c",
+                {"c": list(c_values), "rates": by_c},
+                float(min((b - a for a, b in zip(by_c, by_c[1:])), default=0.0)),
             ))
-        rel_cl = abs(by_c[-1] - classical_rate) / abs(classical_rate)
-        predicates.append(_claim(
-            "largest-c-rate-near-classical", "largest-c rate within 15% of the classical rate",
-            {"rate": by_c[-1], "classical_rate": classical_rate, "relative_gap": rel_cl},
-            float(0.15 - rel_cl), strict=True,
-        ))
+            if 5.0 in c_values and 10.0 in c_values:
+                r5 = by_c[c_values.index(5.0)]
+                r10 = by_c[c_values.index(10.0)]
+                rel = abs(r5 - r10) / abs(r10)
+                predicates.append(_claim(
+                    "rate-c5-c10-within-10pct", "|rate(5) - rate(10)| / rate(10) < 0.10",
+                    {"rate_5": r5, "rate_10": r10, "relative_gap": rel}, float(0.10 - rel),
+                    strict=True,
+                ))
+            rel_cl = abs(by_c[-1] - classical_rate) / abs(classical_rate)
+            predicates.append(_claim(
+                "largest-c-rate-near-classical", "largest-c rate within 15% of the classical rate",
+                {"rate": by_c[-1], "classical_rate": classical_rate, "relative_gap": rel_cl},
+                float(0.15 - rel_cl), strict=True,
+            ))
 
-    config = _config_echo(configs[0], c_values=list(c_values), homogeneous=homogeneous)
-    return _report(out_dir, "rate-vs-c", seed, config, results, predicates, files)
+        config = _config_echo(configs[0], c_values=list(c_values), homogeneous=homogeneous)
+        return _report(out_dir, "rate-vs-c", seed, config, results, predicates, files.commit())
 
 
 def run_limit_scaling(
@@ -608,71 +686,77 @@ def run_limit_scaling(
         "zero": np.zeros(n),
     }
 
-    regime_tables: dict[str, list] = {}
-    predicates, files = [], []
-    for regime in regimes:
-        omega = frequency_choices[regime]
-        configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every)
-                   for m in [classical(), *map(relativistic, c_values)]]
-        reference, *rest = simulate_batch(configs, theta0)
-        files += _emit(out_dir, f"{regime}_{_label(reference.config.model)}", reference)
+    with _RunFiles(out_dir) as files:
+        regime_tables: dict[str, list] = {}
+        predicates = []
+        for regime in regimes:
+            omega = frequency_choices[regime]
+            configs = [SystemConfig(kappa, omega, m, dt, t_final, record_every)
+                       for m in [classical(), *map(relativistic, c_values)]]
+            times, _, blocks = _batch_blocks(configs, theta0)
+            writers = {b: files.system(f"{regime}_{_label(config.model)}", config)
+                       for b, config in enumerate(configs)}
+            # the l1 gap of each c's phases to the classical reference's, row by row
+            gaps = np.empty((len(c_values), times.size))
+            for block, states, _ in _streamed(blocks, writers):
+                gaps[:, block] = np.abs(states[:, 1:] - states[:, :1]).sum(axis=2).T
 
-        rows = []
-        for c, traj in zip(c_values, rest):
-            gap = np.abs(traj.thetas - reference.thetas).sum(axis=1)
-            sups = {_number_label(cp): float(np.max(gap[traj.times <= cp + 1e-12]))
-                    for cp in checkpoints}
-            sup = float(np.max(gap))
-            rows.append({
-                "c": c,
-                "sup_l1": sup,
-                "c2_sup_l1": c * c * sup,
-                "checkpoints": {k: {"sup_l1": s, "c2_sup_l1": c * c * s} for k, s in sups.items()},
-            })
-            files += _emit(out_dir, f"{regime}_{_label(traj.config.model)}", traj)
-        regime_tables[regime] = rows
+            rows = []
+            for c, gap in zip(c_values, gaps):
+                sups = {_number_label(cp): float(np.max(gap[times <= cp + 1e-12]))
+                        for cp in checkpoints}
+                sup = float(np.max(gap))
+                rows.append({
+                    "c": c,
+                    "sup_l1": sup,
+                    "c2_sup_l1": c * c * sup,
+                    "checkpoints": {k: {"sup_l1": s, "c2_sup_l1": c * c * s}
+                                    for k, s in sups.items()},
+                })
+            regime_tables[regime] = rows
 
-        for low, high in zip(rows, rows[1:]):
-            if not math.isclose(high["c"], 2.0 * low["c"], rel_tol=1e-12):
-                continue
-            name = f"{regime}-scaling-c{_number_label(low['c'])}-to-c{_number_label(high['c'])}"
-            observed = {"s_c": low["sup_l1"], "s_2c": high["sup_l1"]}
-            if high["sup_l1"] == 0.0:
-                # no ratio: equal flows (nothing to scale) or a gap that
-                # vanishes only at 2c, which no 1/c**2 law gives
-                if low["sup_l1"] == 0.0:
-                    low["doubling"] = "skipped: s(c) = s(2c) = 0, the flows coincide"
+            for low, high in zip(rows, rows[1:]):
+                if not math.isclose(high["c"], 2.0 * low["c"], rel_tol=1e-12):
                     continue
-                low["doubling"] = "failed: s(2c) = 0 < s(c), no ratio"
-                predicates.append(PredicateOutcome(name, "s(c)/s(2c) in [3, 5]",
-                                                   {**observed, "ratio": None}, False))
-                continue
-            ratio = low["sup_l1"] / high["sup_l1"]
-            predicates.append(_claim(name, "s(c)/s(2c) in [3, 5]", {**observed, "ratio": ratio},
-                                     float(min(ratio - 3.0, 5.0 - ratio))))
-        if regime == "zero" and len(checkpoints) >= 2:
-            # every row holds every checkpoint, under its distinct label
-            early, late = _number_label(min(checkpoints)), _number_label(max(checkpoints))
-            for row in rows:
-                first = row["checkpoints"][early]["c2_sup_l1"]
-                last = row["checkpoints"][late]["c2_sup_l1"]
-                if first == 0.0:
-                    # no growth relative to 0 (a checkpoint at t = 0, or flows that coincide)
-                    row["bounded"] = "skipped: c^2 * sup l1 = 0 at the first checkpoint"
+                name = f"{regime}-scaling-c{_number_label(low['c'])}-to-c{_number_label(high['c'])}"
+                observed = {"s_c": low["sup_l1"], "s_2c": high["sup_l1"]}
+                if high["sup_l1"] == 0.0:
+                    # no ratio: equal flows (nothing to scale) or a gap that
+                    # vanishes only at 2c, which no 1/c**2 law gives
+                    if low["sup_l1"] == 0.0:
+                        low["doubling"] = "skipped: s(c) = s(2c) = 0, the flows coincide"
+                        continue
+                    low["doubling"] = "failed: s(2c) = 0 < s(c), no ratio"
+                    predicates.append(PredicateOutcome(name, "s(c)/s(2c) in [3, 5]",
+                                                       {**observed, "ratio": None}, False))
                     continue
-                growth = last / first - 1.0
-                predicates.append(_claim(
-                    f"zero-bounded-c{_number_label(row['c'])}",
-                    "c^2 * sup l1 grows < 5% between first and last checkpoint",
-                    {"first": first, "last": last, "growth": growth}, float(0.05 - growth),
-                    strict=True,
-                ))
+                ratio = low["sup_l1"] / high["sup_l1"]
+                predicates.append(_claim(name, "s(c)/s(2c) in [3, 5]",
+                                         {**observed, "ratio": ratio},
+                                         float(min(ratio - 3.0, 5.0 - ratio))))
+            if regime == "zero" and len(checkpoints) >= 2:
+                # every row holds every checkpoint, under its distinct label
+                early, late = _number_label(min(checkpoints)), _number_label(max(checkpoints))
+                for row in rows:
+                    first = row["checkpoints"][early]["c2_sup_l1"]
+                    last = row["checkpoints"][late]["c2_sup_l1"]
+                    if first == 0.0:
+                        # no growth relative to 0 (a checkpoint at t = 0, or flows that coincide)
+                        row["bounded"] = "skipped: c^2 * sup l1 = 0 at the first checkpoint"
+                        continue
+                    growth = last / first - 1.0
+                    predicates.append(_claim(
+                        f"zero-bounded-c{_number_label(row['c'])}",
+                        "c^2 * sup l1 grows < 5% between first and last checkpoint",
+                        {"first": first, "last": last, "growth": growth}, float(0.05 - growth),
+                        strict=True,
+                    ))
 
-    config = _config_echo(configs[1], c_values=list(c_values), regimes=list(regimes),
-                          identical_value=LIMIT_IDENTICAL_VALUE,
-                          checkpoint_times=list(checkpoints))
-    results = {"initial_phase_diameter": phase_diameter(theta0), "tables": regime_tables}
-    return _report(out_dir, "limit", seed, config, results, predicates, files)
+        config = _config_echo(configs[1], c_values=list(c_values), regimes=list(regimes),
+                              identical_value=LIMIT_IDENTICAL_VALUE,
+                              checkpoint_times=list(checkpoints))
+        results = {"initial_phase_diameter": phase_diameter(theta0), "tables": regime_tables}
+        return _report(out_dir, "limit", seed, config, results, predicates, files.commit())
 
 
 def run_sync_predicates(
@@ -706,73 +790,72 @@ def run_sync_predicates(
     homogeneous = spread == 0.0
 
     config = SystemConfig(kappa, omega, model, dt, t_final, record_every)
-    traj = simulate(config, theta0)
-    files = _emit(out_dir, model.kind.value, traj)
-
-    pd = np.ptp(traj.thetas, axis=1)
-    fd = np.ptp(traj.theta_dots, axis=1)
-    d0 = float(pd[0])
-    r0 = order_parameter(theta0).r
-    times = traj.times
-    frequency_sync = _claim(
-        "terminal-frequency-sync",
-        f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
-        float(fd[-1]), float(SYNC_ASYMPTOTIC_TOLERANCE - fd[-1]), strict=True,
-    )
-    predicates = []
-    results = {
-        "homogeneous": homogeneous,
-        "initial_phase_diameter": d0,
-        "initial_order_parameter": r0,
-        "omega_diameter": spread,
-        "theta_star": tstar,
-        "terminal_phase_diameter": float(pd[-1]),
-        "terminal_frequency_diameter": float(fd[-1]),
-    }
-
-    if homogeneous:
-        if 0.0 < d0 < math.pi:
-            predicates.append(_never_above(
-                "diameter-never-expands", "D(t) <= D(0) + 1e-12 at every sample",
-                {"initial": d0, "max": float(np.max(pd))}, pd - (d0 + 1e-12), times,
-            ))
-            rate = predicted_rate(config, d0)
-            results["predicted_rate"] = rate
-            over = pd - d0 * np.exp(-rate * times) * (1.0 + SYNC_ENVELOPE_SLACK)
-            predicates.append(_never_above(
-                "exponential-envelope",
-                f"D(t) <= D(0) * exp(-{rate:.6g} t) * (1 + {SYNC_ENVELOPE_SLACK:g})",
-                {"max_excess": float(np.max(over))}, over, times,
-            ))
-        predicates.append(frequency_sync)
-        if r0 > 0.0:
-            sines = _max_abs_pairwise_sine(traj.thetas[-1])
-            predicates.append(_claim(
-                "terminal-pairwise-sines",
-                f"max |sin(theta_i - theta_j)| < {SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final",
-                sines, float(SYNC_ASYMPTOTIC_TOLERANCE - sines), strict=True,
-            ))
-    else:
-        results["hypothesis_kappa_gt_omega_diameter"] = kappa > spread
-        results["hypothesis_kappa_gt_omega_diameter_over_d0"] = (
-            d0 > 0.0 and kappa > spread / d0
+    times, th, blocks = _batch_blocks([config], theta0)
+    with _RunFiles(out_dir) as files:
+        pds, fds, kept = _diameters(times, th, blocks, {0: files.system(model.kind.value, config)},
+                                    keep=[times.size - 1])
+        pd, fd = pds[0], fds[0]
+        d0 = float(pd[0])
+        r0 = order_parameter(theta0).r
+        frequency_sync = _claim(
+            "terminal-frequency-sync",
+            f"terminal frequency diameter < {SYNC_ASYMPTOTIC_TOLERANCE:g}",
+            float(fd[-1]), float(SYNC_ASYMPTOTIC_TOLERANCE - fd[-1]), strict=True,
         )
-        bound = max(tstar or 0.0, min(d0, math.pi - d0)) + SYNC_TRAP_SLACK
-        inside = pd <= bound
-        entry = int(np.argmax(inside)) if bool(inside.any()) else None
-        results["trap_bound"] = bound
-        results["trap_entry_time"] = None if entry is None else float(times[entry])
-        # A run that never enters the trap fails with no first violation time.
-        predicates.append(_never_above(
-            "diameter-trapping",
-            "D(t) enters and stays below max(theta*, min(D0, pi - D0)) + slack",
-            {"bound": bound, "entry_time": results["trap_entry_time"]},
-            pd[entry or 0:] - bound, None if entry is None else times[entry:],
-        ))
-        predicates.append(frequency_sync)
+        predicates = []
+        results = {
+            "homogeneous": homogeneous,
+            "initial_phase_diameter": d0,
+            "initial_order_parameter": r0,
+            "omega_diameter": spread,
+            "theta_star": tstar,
+            "terminal_phase_diameter": float(pd[-1]),
+            "terminal_frequency_diameter": float(fd[-1]),
+        }
 
-    echo = _config_echo(config, phase_halfwidth=0.5 * (math.pi - (tstar or 0.0)))
-    return _report(out_dir, "sync-check", seed, echo, results, predicates, files)
+        if homogeneous:
+            if 0.0 < d0 < math.pi:
+                predicates.append(_never_above(
+                    "diameter-never-expands", "D(t) <= D(0) + 1e-12 at every sample",
+                    {"initial": d0, "max": float(np.max(pd))}, pd - (d0 + 1e-12), times,
+                ))
+                rate = predicted_rate(config, d0)
+                results["predicted_rate"] = rate
+                over = pd - d0 * np.exp(-rate * times) * (1.0 + SYNC_ENVELOPE_SLACK)
+                predicates.append(_never_above(
+                    "exponential-envelope",
+                    f"D(t) <= D(0) * exp(-{rate:.6g} t) * (1 + {SYNC_ENVELOPE_SLACK:g})",
+                    {"max_excess": float(np.max(over))}, over, times,
+                ))
+            predicates.append(frequency_sync)
+            if r0 > 0.0:
+                sines = _max_abs_pairwise_sine(kept[0, 0])
+                predicates.append(_claim(
+                    "terminal-pairwise-sines",
+                    f"max |sin(theta_i - theta_j)| < {SYNC_ASYMPTOTIC_TOLERANCE:g} at t_final",
+                    sines, float(SYNC_ASYMPTOTIC_TOLERANCE - sines), strict=True,
+                ))
+        else:
+            results["hypothesis_kappa_gt_omega_diameter"] = kappa > spread
+            results["hypothesis_kappa_gt_omega_diameter_over_d0"] = (
+                d0 > 0.0 and kappa > spread / d0
+            )
+            bound = max(tstar or 0.0, min(d0, math.pi - d0)) + SYNC_TRAP_SLACK
+            inside = pd <= bound
+            entry = int(np.argmax(inside)) if bool(inside.any()) else None
+            results["trap_bound"] = bound
+            results["trap_entry_time"] = None if entry is None else float(times[entry])
+            # A run that never enters the trap fails with no first violation time.
+            predicates.append(_never_above(
+                "diameter-trapping",
+                "D(t) enters and stays below max(theta*, min(D0, pi - D0)) + slack",
+                {"bound": bound, "entry_time": results["trap_entry_time"]},
+                pd[entry or 0:] - bound, None if entry is None else times[entry:],
+            ))
+            predicates.append(frequency_sync)
+
+        echo = _config_echo(config, phase_halfwidth=0.5 * (math.pi - (tstar or 0.0)))
+        return _report(out_dir, "sync-check", seed, echo, results, predicates, files.commit())
 
 
 def run_rcs_crosscheck(
@@ -797,32 +880,38 @@ def run_rcs_crosscheck(
     model = relativistic(c)
     config = SystemConfig(kappa, omega, model, dt, t_final, record_every)
     thetadot0 = model.velocity(omega + coupling(config, theta0))
-    momentum_traj, first_traj = simulate_both_forms(config, theta0, thetadot0)
-
-    gaps = np.abs(momentum_traj.thetas - first_traj.thetas).max(axis=1)
-    deviation = float(np.max(gaps))
-    dev_idx = int(np.argmax(gaps))
-    res = np.abs(momentum_traj.residuals).max(axis=1)
-    residual = float(np.max(res))
-    res_idx = int(np.argmax(res))
-    predicates = [
-        _claim("phase-agreement",
-               f"max |theta_momentum - theta_first_order| < {RCS_THETA_TOLERANCE:g}",
-               deviation, float(RCS_THETA_TOLERANCE - deviation), strict=True,
-               violation_time=float(momentum_traj.times[dev_idx])),
-        _claim("frequency-conservation",
-               f"max |p - coupling - nu| < {RCS_RESIDUAL_TOLERANCE:g}",
-               residual, float(RCS_RESIDUAL_TOLERANCE - residual), strict=True,
-               violation_time=float(momentum_traj.times[res_idx])),
-    ]
-    files = (_emit(out_dir, "first_order", first_traj)
-             + _emit(out_dir, "momentum", momentum_traj))
-    results = {
-        "max_phase_deviation": deviation,
-        "max_conservation_residual": residual,
-        "induced_frequency_recovery": float(np.max(np.abs(momentum_traj.config.omega - omega))),
-    }
-    return _report(out_dir, "rcs-check", seed, _config_echo(config), results, predicates, files)
+    ran, times, _, blocks = _both_forms_blocks(config, theta0, thetadot0)
+    with _RunFiles(out_dir) as files:
+        # the stacked state is (theta_m, p, theta_f): the first-order form's
+        # files come first, and the momentum form's trajectory
+        writers = {2: files.system("first_order", ran),
+                   0: files.system("momentum", ran, diagnostics=False)}
+        # per row, the largest phase gap between the forms and conservation residual
+        gaps, res = np.empty((2, times.size))
+        for block, states, _ in _streamed(blocks, writers):
+            gaps[block] = np.abs(states[:, 0] - states[:, 2]).max(axis=1)
+            res[block] = np.abs(_momentum_residuals(ran, states[:, 0], states[:, 1])).max(axis=1)
+        deviation = float(np.max(gaps))
+        dev_idx = int(np.argmax(gaps))
+        residual = float(np.max(res))
+        res_idx = int(np.argmax(res))
+        predicates = [
+            _claim("phase-agreement",
+                   f"max |theta_momentum - theta_first_order| < {RCS_THETA_TOLERANCE:g}",
+                   deviation, float(RCS_THETA_TOLERANCE - deviation), strict=True,
+                   violation_time=float(times[dev_idx])),
+            _claim("frequency-conservation",
+                   f"max |p - coupling - nu| < {RCS_RESIDUAL_TOLERANCE:g}",
+                   residual, float(RCS_RESIDUAL_TOLERANCE - residual), strict=True,
+                   violation_time=float(times[res_idx])),
+        ]
+        results = {
+            "max_phase_deviation": deviation,
+            "max_conservation_residual": residual,
+            "induced_frequency_recovery": float(np.max(np.abs(ran.omega - omega))),
+        }
+        return _report(out_dir, "rcs-check", seed, _config_echo(config), results, predicates,
+                       files.commit())
 
 
 def run_admissibility(seed: int, model: FrequencyResponse, out_dir=None) -> ExperimentReport:

@@ -418,6 +418,25 @@ def test_main_exit_3_on_a_decay_fit_window_of_fewer_than_three_samples(tmp_path,
     assert captured.err == "numerical failure: fit window holds fewer than 3 samples\n"
 
 
+@pytest.mark.parametrize("case", ["sync-check-overflow", "compare-short"])
+def test_main_exit_3_leaves_no_csv_and_no_temporary_file(tmp_path, capsys, case):
+    # the overflow fails mid-run, with every file of the run started, and
+    # the fit window once every row is written: the files go with the run
+    if case == "sync-check-overflow":
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "scenario": "sync-check", "model": "rapidity", "c": 1e300, "n": 3,
+            "omega": [1e300, 0.0, -1e300], "dt": 1e10, "t_final": 1e11,
+        }))
+        flags = ["--config", str(path)]
+    else:
+        flags = ["--scenario", "compare", "--t-final", "0.5"]
+    out = tmp_path / "out"
+    assert main([*flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(out.iterdir()) == []
+
+
 def test_main_exit_0_simulate_writes_outputs(tmp_path, capsys):
     code = main(["--scenario", "simulate", "--model", "rapidity", "--c", "2",
                  "--seed", "3", "--t-final", "2", "--out", str(tmp_path)])

@@ -545,7 +545,7 @@ def test_compute_diagnostics_order_and_potential_equal_whole_array_formulas():
     sin_dev -= sin_dev.mean(axis=-1, keepdims=True)
     cos_dev -= cos_dev.mean(axis=-1, keepdims=True)
     spread = (sin_dev * sin_dev + cos_dev * cos_dev).sum(axis=-1)
-    whole = -(th @ cfg.omega) + 0.5 * cfg.kappa * spread
+    whole = -(th * cfg.omega).sum(axis=-1) + 0.5 * cfg.kappa * spread
     assert np.array_equal(series.potential, whole)
     assert np.array_equal(potential(th, cfg.kappa, cfg.omega), whole)
     assert np.array_equal(potential(np.stack([th, th]), cfg.kappa, cfg.omega), np.stack([whole, whole]))

@@ -696,7 +696,8 @@ def _momentum_form_alone(config, theta0, thetadot0):
         v = config.model.velocity(y[1])
         return np.stack((v, _momentum_coupling(config, y[0], v)))
 
-    times, states, derivs = dynamics._integrate(config, np.stack((theta0, p0)), rates)
+    times, y0 = dynamics._recorded_times(config), np.stack((theta0, p0))
+    states, derivs = dynamics._collect(times, y0, dynamics._integrate(config, times, y0, rates))
     thetas, momenta = states[:, 0], states[:, 1]
     return {"times": times, "thetas": thetas, "momenta": momenta,
             "theta_dots": derivs[:, 0],

@@ -17,6 +17,8 @@ from relkura import (
     FrequencyResponse,
     SystemConfig,
     classical,
+    compute_diagnostics,
+    coupling,
     dynamics,
     make_rng,
     proper_velocity,
@@ -30,6 +32,11 @@ from relkura import (
     run_simulate,
     run_sync_predicates,
     sample_protocol_ensemble,
+    simulate,
+    simulate_batch,
+    simulate_both_forms,
+    write_diagnostics_csv,
+    write_trajectory_csv,
 )
 from relkura.cli import SCENARIOS, _runners
 from relkura.errors import ConfigError, DomainError
@@ -540,6 +547,121 @@ def test_same_seed_reproduces_report():
     first = run_four_model_comparison(5, t_final=3.0, dt=0.02)
     second = run_four_model_comparison(5, t_final=3.0, dt=0.02)
     assert first.to_dict() == second.to_dict()
+
+
+# ----------------------------------------------------------------------
+# streamed output
+# ----------------------------------------------------------------------
+
+
+def _write_collected(out, label, traj, diagnostics=True):
+    """A run's CSVs by the collected path: its simulate* result, written whole."""
+    write_trajectory_csv(traj, out / f"trajectory_{label}.csv")
+    if diagnostics:
+        write_diagnostics_csv(compute_diagnostics(traj.config, traj),
+                              out / f"diagnostics_{label}.csv")
+
+
+def _configs(omega, models, dt, t_final, record_every=1):
+    return [SystemConfig(1.0, omega, m, dt, t_final, record_every) for m in models]
+
+
+def _simulate_case(out, ref):
+    # n = 40 takes the O(n) sine sums; 202 rows of 102 per block, the last
+    # after a closing half step
+    run_simulate(4, rapidity(2.0), n=40, t_final=2.005, out_dir=out)
+    theta0, omega, _ = sample_protocol_ensemble(4, n=40)
+    (config,) = _configs(omega, [rapidity(2.0)], 0.01, 2.005)
+    _write_collected(ref, "rapidity", simulate(config, theta0))
+
+
+def _compare_case(out, ref):
+    # 301 rows of four systems, 102 rows per block
+    run_four_model_comparison(5, t_final=3.0, out_dir=out)
+    theta0, omega, _ = sample_protocol_ensemble(5)
+    models = [classical(), relativistic(1.0), proper_velocity(1.0), rapidity(1.0)]
+    for traj in simulate_batch(_configs(omega, models, 0.01, 3.0), theta0):
+        _write_collected(ref, traj.config.model.kind.value, traj)
+
+
+def _rate_vs_c_case(out, ref):
+    run_rate_vs_c(7, homogeneous=False, t_final=2.0, dt=0.02, out_dir=out)
+    theta0, omega, _ = sample_protocol_ensemble(7)
+    models = [relativistic(0.5), relativistic(1.0), relativistic(5.0), relativistic(10.0),
+              classical()]
+    labels = ["relativistic_c0.5", "relativistic_c1", "relativistic_c5", "relativistic_c10",
+              "classical"]
+    for label, traj in zip(labels, simulate_batch(_configs(omega, models, 0.02, 2.0), theta0)):
+        _write_collected(ref, label, traj)
+
+
+def _limit_case(out, ref):
+    run_limit_scaling(11, c_values=(5.0, 10.0), t_final=1.0, regimes=("heterogeneous", "zero"),
+                      record_every=3, out_dir=out)
+    theta0, omega, _ = sample_protocol_ensemble(11)
+    models = [classical(), relativistic(5.0), relativistic(10.0)]
+    for regime, frequencies in (("heterogeneous", omega), ("zero", np.zeros(10))):
+        trajs = simulate_batch(_configs(frequencies, models, 0.01, 1.0, 3), theta0)
+        for label, traj in zip(["classical", "relativistic_c5", "relativistic_c10"], trajs):
+            _write_collected(ref, f"{regime}_{label}", traj)
+
+
+def _sync_check_case(out, ref):
+    run_sync_predicates(2, proper_velocity(1.0), t_final=1.0, out_dir=out)
+    theta0, omega, _ = sample_protocol_ensemble(2, center_frequencies=True)
+    (config,) = _configs(omega, [proper_velocity(1.0)], 0.01, 1.0)
+    _write_collected(ref, "proper-velocity", simulate(config, theta0))
+
+
+def _rcs_check_case(out, ref):
+    # n = 20 takes the O(n) sine sums; 101 rows of 68 per block
+    run_rcs_crosscheck(13, n=20, t_final=1.0, out_dir=out)
+    theta0, omega, _ = sample_protocol_ensemble(13, n=20)
+    model = relativistic(1.0)
+    (config,) = _configs(omega, [model], 1e-3, 1.0, 10)
+    thetadot0 = model.velocity(omega + coupling(config, theta0))
+    momentum, first_order = simulate_both_forms(config, theta0, thetadot0)
+    _write_collected(ref, "first_order", first_order)
+    _write_collected(ref, "momentum", momentum, diagnostics=False)
+
+
+STREAMED_CASES = {"simulate": _simulate_case, "compare": _compare_case,
+                  "rate-vs-c": _rate_vs_c_case, "limit": _limit_case,
+                  "sync-check": _sync_check_case, "rcs-check": _rcs_check_case}
+
+
+@pytest.mark.parametrize("case", STREAMED_CASES.values(), ids=STREAMED_CASES.keys())
+def test_streamed_csvs_equal_the_collected_path_byte_for_byte(tmp_path, case):
+    # a runner writes its CSVs a block of recorded rows at a time; the same
+    # systems run by simulate* and written whole give the same bytes
+    out, ref = tmp_path / "streamed", tmp_path / "collected"
+    ref.mkdir()
+    case(out, ref)
+    names = sorted(path.name for path in ref.iterdir())
+    assert sorted(path.name for path in out.iterdir() if path.suffix == ".csv") == names
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_streamed_cases_cover_every_csv_writing_scenario():
+    assert set(STREAMED_CASES) == set(SCENARIOS) - {"admissibility"}
+
+
+def test_a_run_holds_one_block_of_recorded_rows_not_its_history(tmp_path):
+    # 3000 more rows of five systems of ten oscillators are 2.4 MB of
+    # recorded phases and velocities; what a run keeps per row is a few
+    # series of one float per system.  Large bounds keep the traced run
+    # short: the full kind's solve takes few rounds there.
+    peaks = []
+    for t_final in (10.0, 40.0):
+        tracemalloc.start()
+        try:
+            run_rate_vs_c(3, c_values=(1e6, 2e6, 4e6, 8e6), homogeneous=False, t_final=t_final,
+                          out_dir=tmp_path / f"{t_final:g}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2.4e6 / 4
 
 
 # A short run of every scenario, with its files written; the sync-check run
